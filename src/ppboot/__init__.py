@@ -11,16 +11,11 @@ bands for one-dimensional Poisson intensity functions by bootstrap
 from .bootstrap import (
     SCHEMES,
     AlphaCoefficients,
-    WeightVector,
     alpha_coefficients,
-    alpha_fractions_from_moments,
     alpha_polynomials_exact,
-    bootstrap_statistic,
     bootstrap_statistics,
     bootstrap_variance,
     bootstrap_variance_limit,
-    draw_weights,
-    multinomial_moment_oracle,
 )
 from .errors import (
     ConfigError,
@@ -49,7 +44,6 @@ from .geometry import (
     PointPattern,
     Window2,
     constant_intensity,
-    count_points_in,
     linear_intensity,
     simulate_homogeneous_poisson,
     simulate_inhomogeneous_poisson,

@@ -14,52 +14,27 @@ the bootstrap statistics converges, conditionally on the pattern, to
 where Q4, T3, R are the distinct-index sums of the pattern and the
 alpha coefficients are moment differences of the weights that depend
 only on n and the scheme.  ``bootstrap_variance_limit`` evaluates this
-directly, with no simulation; ``multinomial_moment_oracle`` provides
-exact rational weight moments for verifying the alpha polynomials.
+directly, with no simulation; ``bootstrap_statistics`` simulates the
+resamples it replaces.
 """
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import ParameterError, UndefinedMomentError
+from .errors import ParameterError
 from .geometry import PointPattern
-from .rng import RngSeed, chunk_sizes
+from .rng import RngSeed, chunk_sizes, parallel_map
 from .twopoint import PairFunction, distinct_index_sums
 
 SCHEMES = ("multinomial", "poissonized")
 
 
-def _check_scheme(scheme: str) -> str:
+def _check_scheme(scheme: str) -> None:
     if scheme not in SCHEMES:
         raise ParameterError(f"unknown resampling scheme {scheme!r}; use one of {SCHEMES}")
-    return scheme
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Occurrence counts of each original point in one resample."""
-
-    w: np.ndarray
-    scheme: str
-
-    def __post_init__(self) -> None:
-        w = np.ascontiguousarray(np.asarray(self.w, dtype=np.int64))
-        w.setflags(write=False)
-        object.__setattr__(self, "w", w)
-        _check_scheme(self.scheme)
-        if np.any(w < 0):
-            raise ParameterError("weights must be nonnegative integers")
-        if self.scheme == "multinomial" and w.sum() != len(w):
-            raise ParameterError("multinomial weights must sum to n")
-
-    @property
-    def n(self) -> int:
-        return len(self.w)
 
 
 @dataclass(frozen=True)
@@ -77,47 +52,21 @@ class AlphaCoefficients:
     scheme: str
 
 
-def draw_weights(n: int, scheme: str, seed: RngSeed) -> WeightVector:
-    """One resample weight vector for a pattern of n points."""
-    _check_scheme(scheme)
+def _draw_weights(n: int, scheme: str, seed: RngSeed, first: int, count: int) -> np.ndarray:
+    """Weights of resamples first .. first+count-1 as a (count, n) block.
+
+    Resample k always uses substream k of the seed, so a block's rows do
+    not depend on how the resamples are split into blocks.  The caller
+    checks ``scheme``; anything but multinomial draws Poisson(1) weights.
+    """
     if n < 1:
         raise ParameterError(f"need n >= 1 to resample, got {n}")
-    rng = seed.generator()
-    if scheme == "multinomial":
-        w = rng.multinomial(n, np.full(n, 1.0 / n))
-    else:
-        w = rng.poisson(1.0, n)
-    return WeightVector(w, scheme)
-
-
-def bootstrap_statistic(pattern: PointPattern, f: PairFunction, weights: WeightVector) -> float:
-    """Weighted double sum sum_{i != j} f(x_i, x_j) w(i) w(j).
-
-    Indices, not locations, must differ: two resampled copies of the
-    same point pair across distinct indices only.
-    """
-    if weights.n != pattern.n:
-        raise ParameterError(f"weight length {weights.n} != pattern size {pattern.n}")
-    if pattern.n <= 1:
-        return 0.0
-    mat = f.pair_matrix(pattern.points)
-    w = weights.w.astype(float)
-    return float(w @ mat @ w)
-
-
-def _batched_bootstrap_statistics(
-    mat: np.ndarray, n: int, scheme: str, seed: RngSeed, count: int, first_index: int
-) -> np.ndarray:
-    """Statistics for resamples first_index .. first_index+count-1, one substream per draw."""
-    w_block = np.empty((count, n))
+    w = np.empty((count, n))
     prob = np.full(n, 1.0 / n)
     for j in range(count):
-        rng = seed.substream(first_index + j).generator()
-        if scheme == "multinomial":
-            w_block[j] = rng.multinomial(n, prob)
-        else:
-            w_block[j] = rng.poisson(1.0, n)
-    return np.einsum("ki,ij,kj->k", w_block, mat, w_block, optimize=True)
+        rng = seed.substream(first + j).generator()
+        w[j] = rng.multinomial(n, prob) if scheme == "multinomial" else rng.poisson(1.0, n)
+    return w
 
 
 def bootstrap_variance(
@@ -130,11 +79,10 @@ def bootstrap_variance(
 ) -> float:
     """Sample variance of the bootstrap statistic over N independent resamples.
 
-    Two-pass (mean, then squared deviations) for stability; resample k
-    always uses substream k of the seed, so the result is identical for
-    any thread count.
+    The usual ddof=1 estimator over ``bootstrap_statistics``, whose
+    resample k always uses substream k of the seed, so the result is
+    identical for any thread count.
     """
-    _check_scheme(scheme)
     if n_resamples < 2:
         raise ParameterError(f"need at least 2 resamples, got {n_resamples}")
     stats = bootstrap_statistics(pattern, f, n_resamples, scheme, seed, threads=threads)
@@ -158,58 +106,13 @@ def bootstrap_statistics(
         return np.zeros(n_resamples)
     mat = f.pair_matrix(pattern.points)
     sizes = chunk_sizes(n_resamples, chunk)
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(int)
 
     def run_chunk(c: int) -> np.ndarray:
-        return _batched_bootstrap_statistics(mat, pattern.n, scheme, seed, sizes[c], int(starts[c]))
-
-    from .rng import parallel_map
+        w = _draw_weights(pattern.n, scheme, seed, c * chunk, sizes[c])
+        return np.einsum("ki,ij,kj->k", w, mat, w, optimize=True)
 
     blocks = parallel_map(run_chunk, len(sizes), threads=threads)
     return np.concatenate(blocks) if blocks else np.zeros(0)
-
-
-def multinomial_moment_oracle(n: int, exponents: tuple[int, ...]) -> Fraction:
-    """Exact E[w(1)^a1 * ... * w(m)^am] for w ~ Multinomial(n; 1/n each).
-
-    Counts outcomes by the joint distribution of the first m coordinates
-    (symmetry-reduced enumeration of the n^n equiprobable assignments).
-    Intended as a small-n test oracle; cost grows like n^m.
-    """
-    if n < 1:
-        raise ParameterError(f"need n >= 1, got {n}")
-    exps = tuple(int(a) for a in exponents)
-    if not exps or any(a < 1 for a in exps):
-        raise ParameterError(f"exponents must be positive integers, got {exponents}")
-    m = len(exps)
-    if m > n:
-        raise UndefinedMomentError(f"moment uses {m} distinct categories but only n={n} draws")
-    n_fact = math.factorial(n)
-    total = 0
-    # c_i = 0 contributes nothing since every exponent is >= 1
-    for counts in itertools.product(range(1, n + 1), repeat=m):
-        s = sum(counts)
-        if s > n:
-            continue
-        ways = n_fact
-        for c in counts:
-            ways //= math.factorial(c)
-        ways //= math.factorial(n - s)
-        ways *= (n - m) ** (n - s)
-        value = 1
-        for c, a in zip(counts, exps):
-            value *= c**a
-        total += value * ways
-    return Fraction(total, n**n)
-
-
-def alpha_fractions_from_moments(n: int) -> tuple[Fraction, Fraction, Fraction]:
-    """(alpha2, alpha3, alpha4) for the multinomial scheme, from the moment oracle only."""
-    e_ww = multinomial_moment_oracle(n, (1, 1))
-    alpha2 = multinomial_moment_oracle(n, (2, 2)) - e_ww**2
-    alpha3 = multinomial_moment_oracle(n, (2, 1, 1)) - e_ww**2
-    alpha4 = multinomial_moment_oracle(n, (1, 1, 1, 1)) - e_ww**2
-    return alpha2, alpha3, alpha4
 
 
 def alpha_polynomials_exact(n: int) -> tuple[Fraction, Fraction, Fraction]:

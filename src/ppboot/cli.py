@@ -29,6 +29,7 @@ from .experiments import (
     parse_lambda_spec,
     run_ci_suite,
     run_variance_comparison,
+    variance_with_error,
 )
 from .geometry import (
     Interval1,
@@ -38,7 +39,7 @@ from .geometry import (
 )
 from .intensity import confidence_band, coverage_experiment
 from .moments import IntegrationSpec, s_moments_poisson
-from .patternio import ingest_pattern, read_window, write_pattern
+from .patternio import ingest_pattern, parse_window, read_window, write_pattern
 from .rng import RngSeed
 from .twopoint import KernelFunction, estimate_product_density, two_point_statistic
 
@@ -55,11 +56,7 @@ def _write_csv(path: str | None, header: list[str], rows: list[list]) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(v if isinstance(v, str) else _fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -137,10 +134,7 @@ def _cmd_boot_var(args) -> int:
     seed = RngSeed(args.seed)
     stats = bootstrap_statistics(pattern, f, args.n_resamples, args.scheme,
                                  seed, threads=args.threads)
-    v_n = float(np.var(stats, ddof=1))
-    dev = stats - stats.mean()
-    m4 = float(np.mean(dev**4))
-    v_n_err = 3.0 * float(np.sqrt(max(m4 - v_n**2, 0.0) / len(stats)))
+    v_n, v_n_err = variance_with_error(stats)
     limit = bootstrap_variance_limit(pattern, f, args.scheme)
     doc = {
         "n": pattern.n,
@@ -194,7 +188,11 @@ def _cmd_ci_band(args) -> int:
 
 
 def _cmd_coverage(args) -> int:
-    interval = Interval1(*(float(v) for v in args.interval.split(",")))
+    lo, _, hi = args.interval.partition(",")
+    try:
+        interval = parse_window({"lo": lo, "hi": hi})
+    except DataError as exc:
+        raise ConfigError(f"--interval must be lo,hi: {exc}") from exc
     intensity = parse_lambda_spec(args.lambda_spec, interval)
     method = _CLI_METHODS.get(args.method, args.method)
     grid = midpoint_grid(interval, args.grid_steps)

@@ -46,8 +46,10 @@ from .intensity import (
     t_star_monte_carlo_band,
 )
 from .moments import IntegrationSpec, s_moments_poisson, true_variance_poisson
+from .patternio import parse_window
 from .rng import RngSeed
-from .twopoint import KernelFunction, PairFunction, constant_pair_function, kernel_pair_function, two_point_statistic
+from .twopoint import (_KERNELS, KernelFunction, PairFunction, constant_pair_function,
+                       kernel_pair_function, two_point_statistic)
 
 
 def parse_f_spec(spec: str, window) -> PairFunction:
@@ -58,16 +60,13 @@ def parse_f_spec(spec: str, window) -> PairFunction:
         kind, _, rest = spec.partition(":")
         if kind == "const":
             return constant_pair_function(window, float(rest))
-        if kind in ("box", "epa", "epanechnikov"):
+        if kind in _KERNELS:
             params = dict(item.split("=", 1) for item in rest.split(","))
             extra = set(params) - {"r", "b"}
             if extra:
                 raise ConfigError(f"unknown f-spec parameters {sorted(extra)}")
-            return kernel_pair_function(
-                KernelFunction(kind if kind != "epanechnikov" else "epa", float(params["b"])),
-                float(params["r"]),
-                window,
-            )
+            return kernel_pair_function(KernelFunction(kind, float(params["b"])),
+                                        float(params["r"]), window)
     except ConfigError:
         raise
     except (ValueError, KeyError) as exc:
@@ -87,15 +86,6 @@ def parse_lambda_spec(spec: str, interval: Interval1) -> IntensityFunction:
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"cannot parse lambda-spec {spec!r}: {exc}") from exc
     raise ConfigError(f"unknown lambda-spec kind in {spec!r}; use const:c or linear:a,b")
-
-
-def window_from_dict(doc: dict) -> Window2 | Interval1:
-    keys = set(doc)
-    if keys == {"x_min", "x_max", "y_min", "y_max"}:
-        return Window2(**{k: float(doc[k]) for k in keys})
-    if keys == {"lo", "hi"}:
-        return Interval1(float(doc["lo"]), float(doc["hi"]))
-    raise ConfigError(f"window must have keys x_min/x_max/y_min/y_max or lo/hi, got {sorted(keys)}")
 
 
 def _canonical_json(obj: Any) -> str:
@@ -218,7 +208,7 @@ def _methods_list(v) -> list[str]:
 _VARIANCE_SCHEMA = {
     "experiment": (str, False, "variance_comparison"),
     "lambda": (_positive_float, True, None),
-    "window": (dict, True, None),
+    "window": (parse_window, True, None),
     "f_spec": (str, True, None),
     "scheme": (_scheme, True, None),
     "reps": (_positive_int, True, None),
@@ -229,7 +219,7 @@ _VARIANCE_SCHEMA = {
 _CI_SUITE_SCHEMA = {
     "experiment": (str, False, "ci_suite"),
     "lambda_spec": (str, True, None),
-    "interval": (dict, True, None),
+    "interval": (parse_window, True, None),
     "h": (_positive_float, True, None),
     "alpha": (float, True, None),
     "methods": (_methods_list, True, None),
@@ -238,6 +228,14 @@ _CI_SUITE_SCHEMA = {
     "mc_draws": (_positive_int, False, 100_000),
     "seed": (_seed_int, True, None),
 }
+
+
+def variance_with_error(x: np.ndarray) -> tuple[float, float]:
+    """Sample variance (ddof=1) of x and its 3-sigma error from the fourth central moment."""
+    var = float(np.var(x, ddof=1))
+    dev = x - x.mean()
+    m4 = float(np.mean(dev**4))
+    return var, 3.0 * float(np.sqrt(max(m4 - var**2, 0.0) / len(x)))
 
 
 def midpoint_grid(interval: Interval1, steps: int) -> np.ndarray:
@@ -252,7 +250,7 @@ def run_variance_comparison(config: dict, threads: int = 1) -> ResultRecord:
     cfg = _validate_config(config, _VARIANCE_SCHEMA, "variance_comparison")
     if cfg["experiment"] != "variance_comparison":
         raise ConfigError(f"experiment must be 'variance_comparison', got {cfg['experiment']!r}")
-    window = window_from_dict(cfg["window"])
+    window = cfg["window"]
     if not isinstance(window, Window2):
         raise ConfigError("variance_comparison needs a planar window")
     f = parse_f_spec(cfg["f_spec"], window)
@@ -276,10 +274,7 @@ def run_variance_comparison(config: dict, threads: int = 1) -> ResultRecord:
     moments = s_moments_poisson(lam, window, f, spec)
 
     reps = cfg["reps"]
-    mc_var = float(np.var(thetas, ddof=1))
-    dev = thetas - thetas.mean()
-    m4 = float(np.mean(dev**4))
-    mc_var_se = float(np.sqrt(max(m4 - mc_var**2, 0.0) / reps))
+    mc_var, mc_var_err = variance_with_error(thetas)
     mean_limit = float(np.mean(limits))
     mean_limit_se = float(np.std(limits, ddof=1) / np.sqrt(reps))
 
@@ -299,7 +294,7 @@ def run_variance_comparison(config: dict, threads: int = 1) -> ResultRecord:
         "expected_pattern_size": lam * window.area,
     }
     errors = {
-        "mc_variance_theta": 3.0 * mc_var_se,
+        "mc_variance_theta": mc_var_err,
         "mean_bootstrap_limit": 3.0 * mean_limit_se,
         "moments": dict(moments.errors),
     }
@@ -322,7 +317,7 @@ def run_ci_suite(config: dict, threads: int = 1) -> ResultRecord:
     cfg = _validate_config(config, _CI_SUITE_SCHEMA, "ci_suite")
     if cfg["experiment"] != "ci_suite":
         raise ConfigError(f"experiment must be 'ci_suite', got {cfg['experiment']!r}")
-    interval = window_from_dict(cfg["interval"])
+    interval = cfg["interval"]
     if not isinstance(interval, Interval1):
         raise ConfigError("ci_suite needs a one-dimensional interval")
     intensity = parse_lambda_spec(cfg["lambda_spec"], interval)

@@ -202,11 +202,3 @@ def simulate_inhomogeneous_poisson(
         )
     kept = proposals[u * intensity.lambda_max < values]
     return PointPattern(np.sort(kept), interval)
-
-
-def count_points_in(pattern: PointPattern, interval: Interval1) -> int:
-    """Number of pattern points in the closed interval [lo, hi]."""
-    if pattern.dim != 1:
-        raise ParameterError("count_points_in expects a one-dimensional pattern")
-    x = pattern.points
-    return int(np.count_nonzero((x >= interval.lo) & (x <= interval.hi)))

@@ -213,25 +213,7 @@ def t_star_monte_carlo(p: int, h: float, alpha: float, n_draws: int, seed: RngSe
     weights, so the resampled count p* is Poisson(p); draws with
     p* = 0 contribute |T*| = +infinity and are never covered.
     """
-    query = TStarQuery(p, h, alpha)  # validates p, h, alpha
-    if p < 1:
-        raise DegenerateCountError("t* is undefined at a zero observed count")
-    if n_draws < 1000:
-        raise ParameterError(f"need at least 1000 draws, got {n_draws}")
-    if alpha >= 1.0:
-        return 0.0
-    rng = seed.generator()
-    p_star = rng.poisson(float(p), n_draws)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_abs = np.abs(p_star - p) / np.sqrt(2.0 * h * p_star)
-    t_abs[p_star == 0] = np.inf
-    k = math.ceil((1.0 - alpha) * n_draws)
-    value = float(np.partition(t_abs, k - 1)[k - 1])
-    if not math.isfinite(value):
-        raise UnattainableLevelError(
-            f"coverage {1 - alpha} not attained by any finite threshold in {n_draws} draws"
-        )
-    return value
+    return t_star_monte_carlo_band(p, h, alpha, n_draws, seed)[0]
 
 
 def t_star_monte_carlo_band(
@@ -241,13 +223,16 @@ def t_star_monte_carlo_band(
 
     The bracket takes the order statistics at rank
     ceil((1-alpha) n) -+ z sqrt(n alpha (1-alpha)), the binomial
-    uncertainty of the empirical CDF at the target level.
+    uncertainty of the empirical CDF at the target level.  At alpha = 1
+    every threshold covers, and all three are 0.
     """
-    TStarQuery(p, h, alpha)
+    TStarQuery(p, h, alpha)  # validates p, h, alpha
     if p < 1:
         raise DegenerateCountError("t* is undefined at a zero observed count")
     if n_draws < 1000:
         raise ParameterError(f"need at least 1000 draws, got {n_draws}")
+    if alpha >= 1.0:
+        return 0.0, 0.0, 0.0
     rng = seed.generator()
     p_star = rng.poisson(float(p), n_draws)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -352,8 +337,6 @@ class _BandBuilder:
         self._oracle_t: dict[float, float] = {}
 
     def _threshold(self, p: int) -> float:
-        if self.alpha >= 1.0:
-            return 0.0
         if self.method == "bootstrap_closed_form":
             return t_star_closed_form(TStarQuery(p, self.h, self.alpha))
         assert self.method == "bootstrap_mc"

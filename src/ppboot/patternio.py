@@ -24,27 +24,34 @@ _WINDOW2_KEYS = {"x_min", "x_max", "y_min", "y_max"}
 _INTERVAL_KEYS = {"lo", "hi"}
 
 
+def parse_window(doc) -> Window2 | Interval1:
+    """A Window2 or Interval1 from its key/value object, as in the sidecar's ``window``."""
+    if not isinstance(doc, dict):
+        raise DataError(f"a window must be an object, got {type(doc).__name__}")
+    keys = set(doc)
+    try:
+        if keys == _WINDOW2_KEYS:
+            return Window2(**{k: float(doc[k]) for k in _WINDOW2_KEYS})
+        if keys == _INTERVAL_KEYS:
+            return Interval1(lo=float(doc["lo"]), hi=float(doc["hi"]))
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"bad window values: {exc}") from exc
+    raise DataError(
+        f"window keys must be exactly {sorted(_WINDOW2_KEYS)} or {sorted(_INTERVAL_KEYS)}, "
+        f"got {sorted(keys)}"
+    )
+
+
 def read_window(path: str | Path) -> Window2 | Interval1:
     """Parse a window sidecar JSON into a Window2 or Interval1."""
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read window file {path}: {exc}") from exc
-    win = doc.get("window") if isinstance(doc, dict) else None
-    if not isinstance(win, dict):
-        raise DataError(f"window file {path} must contain a 'window' object")
-    keys = set(win)
     try:
-        if keys == _WINDOW2_KEYS:
-            return Window2(**{k: float(win[k]) for k in _WINDOW2_KEYS})
-        if keys == _INTERVAL_KEYS:
-            return Interval1(lo=float(win["lo"]), hi=float(win["hi"]))
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"bad window values in {path}: {exc}") from exc
-    raise DataError(
-        f"window keys must be exactly {sorted(_WINDOW2_KEYS)} or {sorted(_INTERVAL_KEYS)}, "
-        f"got {sorted(keys)}"
-    )
+        return parse_window(doc.get("window") if isinstance(doc, dict) else None)
+    except DataError as exc:
+        raise DataError(f"window file {path}: {exc}") from exc
 
 
 def write_window(window: Window2 | Interval1, path: str | Path) -> None:

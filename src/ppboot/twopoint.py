@@ -25,8 +25,6 @@ from .geometry import Interval1, PointPattern, Window2
 # numpy renamed trapz to trapezoid in 2.0
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
-KernelKind = str  # "box" or "epanechnikov"
-
 
 def _box(u: np.ndarray) -> np.ndarray:
     return np.where(np.abs(u) <= 1.0, 0.5, 0.0)
@@ -47,7 +45,7 @@ _KERNELS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 class KernelFunction:
     """Scaled kernel K_b(u) = k(u/b)/b with k supported on [-1, 1], integral 1."""
 
-    kind: KernelKind
+    kind: str  # a key of _KERNELS
     bandwidth: float
 
     def __post_init__(self) -> None:
@@ -92,7 +90,11 @@ class PairFunction:
         return np.where(in_x & in_y, self.h(x, y), 0.0)
 
     def pair_matrix(self, points: np.ndarray) -> np.ndarray:
-        """Dense n x n matrix F[i, j] = f(x_i, x_j) with a zero diagonal."""
+        """Dense n x n matrix F[i, j] = f(x_i, x_j) with a zero diagonal.
+
+        Rows and columns of points outside ``window`` are zeroed in place,
+        as the window indicators of f(x, y) demand.
+        """
         pts = np.asarray(points, dtype=float)
         n = len(pts)
         if n == 0:
@@ -102,6 +104,10 @@ class PairFunction:
         else:
             mat = np.asarray(self.h(pts[:, None], pts[None, :]), dtype=float)
         np.fill_diagonal(mat, 0.0)
+        outside = ~self.window.contains(pts)
+        if outside.any():
+            mat[outside, :] = 0.0
+            mat[:, outside] = 0.0
         return mat
 
 
@@ -148,10 +154,6 @@ class TwoPointSums:
     T3: float
     Q4: float
     R: float
-
-    def decomposition_residual(self) -> float:
-        """P^2 - (Q4 + 4*T3 + 2*R); zero up to rounding."""
-        return self.P**2 - (self.Q4 + 4.0 * self.T3 + 2.0 * self.R)
 
 
 def two_point_statistic(pattern: PointPattern, f: PairFunction) -> float:

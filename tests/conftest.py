@@ -3,11 +3,19 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ppboot import PairFunction, PointPattern, Window2, unit_square
+from ppboot import (
+    PairFunction,
+    ParameterError,
+    PointPattern,
+    UndefinedMomentError,
+    Window2,
+    unit_square,
+)
 from ppboot.rng import RngSeed
 
 
@@ -72,3 +80,46 @@ def brute_force_sums(mat: np.ndarray) -> tuple[float, float, float, float]:
 
 def seeded(seed: int, *stream: int) -> RngSeed:
     return RngSeed(seed).substream(*stream) if stream else RngSeed(seed)
+
+
+def multinomial_moment_oracle(n: int, exponents: tuple[int, ...]) -> Fraction:
+    """Exact E[w(1)^a1 * ... * w(m)^am] for w ~ Multinomial(n; 1/n each).
+
+    Counts outcomes by the joint distribution of the first m coordinates
+    (symmetry-reduced enumeration of the n^n equiprobable assignments).
+    Intended as a small-n test oracle; cost grows like n^m.
+    """
+    if n < 1:
+        raise ParameterError(f"need n >= 1, got {n}")
+    exps = tuple(int(a) for a in exponents)
+    if not exps or any(a < 1 for a in exps):
+        raise ParameterError(f"exponents must be positive integers, got {exponents}")
+    m = len(exps)
+    if m > n:
+        raise UndefinedMomentError(f"moment uses {m} distinct categories but only n={n} draws")
+    n_fact = math.factorial(n)
+    total = 0
+    # c_i = 0 contributes nothing since every exponent is >= 1
+    for counts in itertools.product(range(1, n + 1), repeat=m):
+        s = sum(counts)
+        if s > n:
+            continue
+        ways = n_fact
+        for c in counts:
+            ways //= math.factorial(c)
+        ways //= math.factorial(n - s)
+        ways *= (n - m) ** (n - s)
+        value = 1
+        for c, a in zip(counts, exps):
+            value *= c**a
+        total += value * ways
+    return Fraction(total, n**n)
+
+
+def alpha_fractions_from_moments(n: int) -> tuple[Fraction, Fraction, Fraction]:
+    """(alpha2, alpha3, alpha4) for the multinomial scheme, from the moment oracle only."""
+    e_ww = multinomial_moment_oracle(n, (1, 1))
+    alpha2 = multinomial_moment_oracle(n, (2, 2)) - e_ww**2
+    alpha3 = multinomial_moment_oracle(n, (2, 1, 1)) - e_ww**2
+    alpha4 = multinomial_moment_oracle(n, (1, 1, 1, 1)) - e_ww**2
+    return alpha2, alpha3, alpha4

@@ -17,7 +17,6 @@ from ppboot import (
     KernelFunction,
     TStarQuery,
     UnattainableLevelError,
-    alpha_fractions_from_moments,
     alpha_polynomials_exact,
     bootstrap_variance,
     bootstrap_variance_limit,
@@ -37,7 +36,13 @@ from ppboot.experiments import midpoint_grid
 from ppboot.geometry import Interval1
 from ppboot.rng import RngSeed
 
-from conftest import brute_force_sums, pair_values, random_pattern, random_smooth_pair_function
+from conftest import (
+    alpha_fractions_from_moments,
+    brute_force_sums,
+    pair_values,
+    random_pattern,
+    random_smooth_pair_function,
+)
 
 
 def report(number: int, elapsed: float, budget: float, message: str) -> None:

@@ -10,26 +10,27 @@ from ppboot import (
     ParameterError,
     PointPattern,
     UndefinedMomentError,
-    WeightVector,
     alpha_coefficients,
-    alpha_fractions_from_moments,
     alpha_polynomials_exact,
-    bootstrap_statistic,
     bootstrap_statistics,
     bootstrap_variance,
     bootstrap_variance_limit,
     constant_pair_function,
     distinct_index_sums,
-    draw_weights,
     kernel_pair_function,
-    multinomial_moment_oracle,
     simulate_homogeneous_poisson,
     two_point_statistic,
     unit_square,
 )
+from ppboot.bootstrap import _draw_weights
 from ppboot.rng import RngSeed
 
-from conftest import random_pattern, random_smooth_pair_function
+from conftest import (
+    alpha_fractions_from_moments,
+    multinomial_moment_oracle,
+    random_pattern,
+    random_smooth_pair_function,
+)
 
 
 def raw_enumeration_moment(n: int, exponents: tuple[int, ...]) -> Fraction:
@@ -49,91 +50,96 @@ def raw_enumeration_moment(n: int, exponents: tuple[int, ...]) -> Fraction:
 
 
 class TestWeightVector:
-    def test_negative_weights_rejected(self):
-        with pytest.raises(ParameterError):
-            WeightVector(np.array([1, -1]), "poissonized")
+    def test_weights_are_nonnegative_integers(self):
+        for scheme in ("multinomial", "poissonized"):
+            w = _draw_weights(20, scheme, RngSeed(5), 0, 50)
+            assert w.shape == (50, 20)
+            assert np.all(w >= 0) and np.all(w == np.round(w))
 
     def test_multinomial_sum_constraint(self):
-        with pytest.raises(ParameterError):
-            WeightVector(np.array([2, 1]), "multinomial")
-        WeightVector(np.array([2, 0]), "multinomial")
+        w = _draw_weights(7, "multinomial", RngSeed(6), 0, 200)
+        assert np.all(w.sum(axis=1) == 7)
 
     def test_unknown_scheme_rejected(self):
+        pat = random_pattern(3, np.random.default_rng(7))
         with pytest.raises(ParameterError):
-            WeightVector(np.array([1]), "jackknife")
+            bootstrap_statistics(pat, constant_pair_function(unit_square()), 5, "jackknife", RngSeed(1))
 
 
 class TestDrawWeights:
     def test_n_zero_rejected(self):
         with pytest.raises(ParameterError):
-            draw_weights(0, "multinomial", RngSeed(1))
+            _draw_weights(0, "multinomial", RngSeed(1), 0, 1)
 
     def test_single_point_multinomial_is_deterministic(self):
         for s in range(5):
-            assert draw_weights(1, "multinomial", RngSeed(s)).w.tolist() == [1]
+            assert _draw_weights(1, "multinomial", RngSeed(s), 0, 3).tolist() == [[1], [1], [1]]
 
     def test_multinomial_two_point_probabilities(self):
         # enumeration oracle: outcomes (2,0), (1,1), (0,2) with probs 1/4, 1/2, 1/4
         draws = 100_000
-        seed = RngSeed(303)
-        hits = 0
-        for k in range(draws):
-            if draw_weights(2, "multinomial", seed.substream(k)).w.tolist() == [1, 1]:
-                hits += 1
+        w = _draw_weights(2, "multinomial", RngSeed(303), 0, draws)
+        hits = int(np.count_nonzero(np.all(w == 1, axis=1)))
         se = math.sqrt(0.5 * 0.5 / draws)
         assert abs(hits / draws - 0.5) < 3 * se
 
     def test_poissonized_moments(self):
         draws = 2000
         n = 100
-        seed = RngSeed(404)
-        w = np.vstack([draw_weights(n, "poissonized", seed.substream(k)).w for k in range(draws)])
+        w = _draw_weights(n, "poissonized", RngSeed(404), 0, draws)
         total = draws * n  # every component is Poisson(1)
         assert abs(w.mean() - 1.0) < 4 * math.sqrt(1.0 / total)
         kappa_minus_1 = 2.0 + 1.0  # Poisson(1): (kappa - 1) sigma^4 = 3 sigma^4 with sigma^2 = 1
         assert abs(w.var(ddof=1) - 1.0) < 4 * math.sqrt(kappa_minus_1 / total)
 
     def test_deterministic_given_seed(self):
-        a = draw_weights(50, "multinomial", RngSeed(7, (3,)))
-        b = draw_weights(50, "multinomial", RngSeed(7, (3,)))
-        assert np.array_equal(a.w, b.w)
+        a = _draw_weights(50, "multinomial", RngSeed(7, (3,)), 0, 4)
+        b = _draw_weights(50, "multinomial", RngSeed(7, (3,)), 0, 4)
+        assert np.array_equal(a, b)
+
+    def test_resample_keeps_its_substream_across_blocks(self):
+        seed = RngSeed(8)
+        whole = _draw_weights(30, "poissonized", seed, 0, 10)
+        parts = np.vstack([_draw_weights(30, "poissonized", seed, first, 5) for first in (0, 5)])
+        assert np.array_equal(whole, parts)
 
 
 class TestBootstrapStatistic:
+    """Each statistic is sum_{i != j} f(x_i, x_j) w(i) w(j) of its resample's weights."""
+
     def test_identity_weights_reduce_to_plain_statistic(self):
+        # n = 2 multinomial draws w = (1, 1) half the time
         rng = np.random.default_rng(30)
-        pat = random_pattern(9, rng)
+        pat = random_pattern(2, rng)
         f = random_smooth_pair_function(rng)
-        w = WeightVector(np.ones(9, dtype=int), "poissonized")
-        assert bootstrap_statistic(pat, f, w) == pytest.approx(
-            two_point_statistic(pat, f), rel=1e-12
-        )
+        w = _draw_weights(2, "multinomial", RngSeed(30), 0, 64)
+        stats = bootstrap_statistics(pat, f, 64, "multinomial", RngSeed(30))
+        ones = np.all(w == 1, axis=1)
+        assert ones.any()
+        assert stats[ones] == pytest.approx(two_point_statistic(pat, f), rel=1e-12)
 
     def test_single_surviving_index_gives_zero(self):
         rng = np.random.default_rng(31)
-        pat = random_pattern(6, rng)
+        pat = random_pattern(2, rng)
         f = random_smooth_pair_function(rng)
-        w = np.zeros(6, dtype=int)
-        w[0] = 6
-        assert bootstrap_statistic(pat, f, WeightVector(w, "multinomial")) == 0.0
+        w = _draw_weights(2, "multinomial", RngSeed(31), 0, 64)
+        stats = bootstrap_statistics(pat, f, 64, "multinomial", RngSeed(31))
+        single = np.count_nonzero(w, axis=1) == 1
+        assert single.any()
+        assert np.all(stats[single] == 0.0)
 
     def test_matches_brute_force_double_loop(self):
         rng = np.random.default_rng(32)
         pat = random_pattern(8, rng)
         f = random_smooth_pair_function(rng)
-        w = rng.integers(0, 4, 8)
-        stat = bootstrap_statistic(pat, f, WeightVector(w, "poissonized"))
-        by_loop = math.fsum(
-            float(f(pat.points[i], pat.points[j])) * w[i] * w[j]
-            for i in range(8) for j in range(8) if i != j
-        )
-        assert stat == pytest.approx(by_loop, rel=1e-12)
-
-    def test_length_mismatch_rejected(self):
-        pat = random_pattern(5, np.random.default_rng(33))
-        f = constant_pair_function(unit_square())
-        with pytest.raises(ParameterError):
-            bootstrap_statistic(pat, f, WeightVector(np.ones(4, dtype=int), "poissonized"))
+        w = _draw_weights(8, "poissonized", RngSeed(32), 0, 5)
+        stats = bootstrap_statistics(pat, f, 5, "poissonized", RngSeed(32))
+        for k in range(5):
+            by_loop = math.fsum(
+                float(f(pat.points[i], pat.points[j])) * w[k, i] * w[k, j]
+                for i in range(8) for j in range(8) if i != j
+            )
+            assert stats[k] == pytest.approx(by_loop, rel=1e-12)
 
 
 class TestBootstrapVariance:

@@ -277,6 +277,22 @@ class TestExitCodes:
                    "--bandwidth", "0.01", "--out", str(tmp_path / "o.csv")])
         assert rc == 4
 
+    @pytest.mark.parametrize("interval", ["0,x", "0,1,2", "1", "1,0"])
+    def test_bad_coverage_interval_exit_2(self, tmp_path, interval):
+        rc = main(["coverage", "--lambda-spec", "const:40", "--interval", interval,
+                   "--h", "0.1", "--alpha", "0.1", "--method", "exact", "--reps", "200",
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+
+    def test_bad_config_window_exit_2(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "experiment": "ci_suite", "lambda_spec": "const:40",
+            "interval": {"lo": None, "hi": 1}, "h": 0.1, "alpha": 0.1,
+            "methods": ["exact_poisson"], "reps": 100, "grid_steps": 3, "seed": 1}))
+        assert main(["ci-suite", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "x.json")]) == 2
+
     def test_missing_config_exit_2(self, tmp_path):
         rc = main(["variance-comparison", "--config", str(tmp_path / "none.json"),
                    "--out", str(tmp_path / "o.json")])

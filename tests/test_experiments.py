@@ -105,6 +105,12 @@ class TestConfigValidation:
             run_variance_comparison(variance_config(window={"lo": 0.0, "hi": 1.0}))
         with pytest.raises(ConfigError):
             run_ci_suite(ci_config(interval=dict(UNIT_WINDOW)))
+        with pytest.raises(ConfigError):
+            run_variance_comparison(variance_config(window={**UNIT_WINDOW, "x_min": "a"}))
+        with pytest.raises(ConfigError):
+            run_ci_suite(ci_config(interval={"lo": None, "hi": 1}))
+        with pytest.raises(ConfigError):
+            run_ci_suite(ci_config(interval=[0, 1]))
 
 
 class TestVarianceComparison:

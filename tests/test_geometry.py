@@ -12,7 +12,7 @@ from ppboot import (
     PointPattern,
     Window2,
     constant_intensity,
-    count_points_in,
+    kernel_intensity_estimate,
     linear_intensity,
     simulate_homogeneous_poisson,
     simulate_inhomogeneous_poisson,
@@ -166,17 +166,22 @@ class TestInhomogeneousSimulation:
 
 
 class TestCountPointsIn:
+    """Counts in the closed interval [0.25, 0.75], as kernel_intensity_estimate takes them."""
+
+    @staticmethod
+    def count(points) -> int:
+        pat = PointPattern(np.array(points, dtype=float), Interval1(0, 1))
+        return int(kernel_intensity_estimate(pat, 0.25, [0.5]).counts[0])
+
     def test_empty_pattern(self):
-        pat = PointPattern(np.empty(0), Interval1(0, 1))
-        assert count_points_in(pat, Interval1(0.4, 0.6)) == 0
+        assert self.count([]) == 0
 
     def test_direct_count(self):
-        pat = PointPattern(np.array([0.1, 0.5, 0.9]), Interval1(0, 1))
-        assert count_points_in(pat, Interval1(0.4, 0.6)) == 1
+        assert self.count([0.1, 0.5, 0.9]) == 1
 
     def test_closed_boundaries(self):
-        pat = PointPattern(np.array([0.4, 0.6]), Interval1(0, 1))
-        assert count_points_in(pat, Interval1(0.4, 0.6)) == 2
+        assert self.count([0.25, 0.75]) == 2
+        assert self.count([np.nextafter(0.25, 0), np.nextafter(0.75, 1)]) == 0
 
 
 class TestIntensityFunctions:

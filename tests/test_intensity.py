@@ -183,6 +183,15 @@ class TestTStarMonteCarlo:
         with pytest.raises(UnattainableLevelError):
             t_star_monte_carlo(1, 0.1, 0.05, 10_000, RngSeed(4))
 
+    def test_alpha_one_covers_at_zero(self):
+        assert t_star_monte_carlo(5, 0.1, 1.0, 10_000, RngSeed(5)) == 0.0
+        assert t_star_monte_carlo_band(5, 0.1, 1.0, 10_000, RngSeed(5)) == (0.0, 0.0, 0.0)
+
+    def test_quantile_is_the_band_center(self):
+        for alpha in (0.0, 0.05, 0.5):
+            t = t_star_monte_carlo(400, 0.5, alpha, 20_000, RngSeed(6))
+            assert t == t_star_monte_carlo_band(400, 0.5, alpha, 20_000, RngSeed(6))[0]
+
 
 class TestAlgebraicEquivalence:
     def test_interval_forms_coincide_exact_integers(self):

@@ -8,6 +8,7 @@ from ppboot import (
     KernelFunction,
     ParameterError,
     PointPattern,
+    Window2,
     constant_pair_function,
     distinct_index_sums,
     estimate_product_density,
@@ -53,6 +54,16 @@ class TestPairFunction:
         f = random_smooth_pair_function(np.random.default_rng(11))
         assert float(f(np.array([1.5, 0.5]), np.array([0.5, 0.5]))) == 0.0
         assert float(f(np.array([0.5, 0.5]), np.array([0.5, -0.1]))) == 0.0
+
+    def test_pair_matrix_applies_window(self):
+        # pattern on [0,2]^2, f on [0,1]^2: only the pair inside f's window counts
+        pat = PointPattern(np.array([[0.5, 0.5], [0.6, 0.6], [1.5, 1.5]]), Window2(0, 2, 0, 2))
+        f = constant_pair_function(unit_square(), 1.0)
+        by_calls = sum(float(f(x, y)) for i, x in enumerate(pat.points)
+                       for j, y in enumerate(pat.points) if i != j)
+        assert by_calls == 2.0
+        assert two_point_statistic(pat, f) == by_calls
+        assert distinct_index_sums(pat, f).P == by_calls
 
     def test_kernel_pair_function_needs_positive_r(self):
         with pytest.raises(ParameterError):
