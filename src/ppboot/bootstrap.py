@@ -31,6 +31,9 @@ from .twopoint import PairFunction, distinct_index_sums
 
 SCHEMES = ("multinomial", "poissonized")
 
+# Bound on rows x pairs of one quadratic-form sub-block (8 MB per temporary)
+_QUADFORM_ENTRIES = 1 << 20
+
 
 def _check_scheme(scheme: str) -> None:
     if scheme not in SCHEMES:
@@ -104,12 +107,15 @@ def bootstrap_statistics(
         raise ParameterError(f"need at least 1 resample, got {n_resamples}")
     if pattern.n == 0:
         return np.zeros(n_resamples)
-    mat = f.pair_matrix(pattern.points)
+    i, j, v = f.pairs(pattern.points)
     sizes = chunk_sizes(n_resamples, chunk)
+    rows = max(1, _QUADFORM_ENTRIES // max(len(v), 1))
 
     def run_chunk(c: int) -> np.ndarray:
         w = _draw_weights(pattern.n, scheme, seed, c * chunk, sizes[c])
-        return np.einsum("ki,ij,kj->k", w, mat, w, optimize=True)
+        # w^T F w = 2 sum over pairs i < j of w(i) w(j) f(x_i, x_j)
+        return np.concatenate([2.0 * ((ws[:, i] * ws[:, j]) @ v)
+                               for ws in np.split(w, range(rows, len(w), rows))])
 
     blocks = parallel_map(run_chunk, len(sizes), threads=threads)
     return np.concatenate(blocks) if blocks else np.zeros(0)

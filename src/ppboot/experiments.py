@@ -26,7 +26,7 @@ from typing import Any
 import numpy as np
 
 from .bootstrap import SCHEMES, bootstrap_variance_limit
-from .errors import ConfigError
+from .errors import ConfigError, UnattainableLevelError
 from .geometry import (
     Interval1,
     IntensityFunction,
@@ -357,16 +357,21 @@ def run_ci_suite(config: dict, threads: int = 1) -> ResultRecord:
     ref_counts = kernel_intensity_estimate(reference, h, grid).counts
     distinct_counts = sorted({int(p) for p in ref_counts if p >= 1})
     t_rows = []
+    unattainable = []  # counts whose Monte Carlo draws miss the level
     for j, p in enumerate(distinct_counts):
         if alpha >= 1.0 or np.exp(-p) >= alpha:
             continue
         t_closed = t_star_closed_form(TStarQuery(p, h, alpha))
-        t_mc, t_lo, t_hi = t_star_monte_carlo_band(p, h, alpha, cfg["mc_draws"],
-                                                   seed.substream(4, j))
+        try:
+            t_mc, t_lo, t_hi = t_star_monte_carlo_band(p, h, alpha, cfg["mc_draws"],
+                                                       seed.substream(4, j))
+        except UnattainableLevelError:
+            unattainable.append(p)
+            continue
         t_rows.append({"p": p, "t_closed": t_closed, "t_mc": t_mc,
                        "t_mc_err": max(t_hi - t_mc, t_mc - t_lo)})
     results = {"bands": bands, "coverage": coverage, "t_star_table": t_rows,
-               "alpha": alpha, "h": h}
+               "t_star_unattainable": unattainable, "alpha": alpha, "h": h}
     errors = {"coverage_se": "per-point columns inside results.coverage"}
     return ResultRecord(
         experiment="ci_suite",

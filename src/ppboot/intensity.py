@@ -58,7 +58,6 @@ class IntensityEstimate:
     values: np.ndarray
     counts: np.ndarray
     h: float
-    kernel: str = "rectangular"
 
 
 @dataclass(frozen=True)
@@ -73,10 +72,6 @@ class ConfidenceBand:
     method: str
     t_values: np.ndarray  # threshold per point; nan where not applicable
     flags: tuple[str, ...]  # "", "edge", "zero-count", or "edge;zero-count"
-
-    @property
-    def level(self) -> float:
-        return 1.0 - self.alpha
 
 
 @dataclass(frozen=True)

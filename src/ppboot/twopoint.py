@@ -6,10 +6,15 @@ function f(x, y) = 1_W(x) 1_W(y) h(x, y).  The product-density
 estimator is the special case where h is a kernel of the interpoint
 distance, normalized by 2*pi*r*area and deliberately not edge-corrected.
 
-``distinct_index_sums`` evaluates, in O(n^2), the pair/triple/quadruple
-sums over ordered tuples of pairwise-distinct indices that drive the
-closed-form bootstrap variance limit.  The quadratic-time identity rests
-on the exact decomposition P^2 = Q4 + 4*T3 + 2*R.
+Every statistic here works from one neighbour list, ``PairFunction.pairs``:
+the unordered pairs i < j with f(x_i, x_j) != 0, found by a k-d tree
+search out to the pair function's ``reach``.  For compact kernels the
+cost is O(n log n + pairs within reach) in time and memory; a pair
+function of unbounded reach (constant or custom h) lists all n(n-1)/2
+pairs.  ``distinct_index_sums`` evaluates from that list the
+pair/triple/quadruple sums over ordered tuples of pairwise-distinct
+indices that drive the closed-form bootstrap variance limit, through the
+exact decomposition P^2 = Q4 + 4*T3 + 2*R.
 """
 from __future__ import annotations
 
@@ -18,12 +23,17 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import ParameterError
 from .geometry import Interval1, PointPattern, Window2
 
 # numpy renamed trapz to trapezoid in 2.0
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
+
+# Relative padding of a search radius, so a pair whose distance rounds
+# differently in the tree and in h stays a candidate.
+_REACH_PAD = 1e-9
 
 
 def _box(u: np.ndarray) -> np.ndarray:
@@ -65,6 +75,14 @@ class KernelFunction:
         return float(_trapezoid(self(u), u))
 
 
+def _close_pairs(points: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted index arrays (i, j), i < j, of the pairs at distance <= reach (padded)."""
+    pts = points if points.ndim == 2 else points[:, None]
+    pairs = cKDTree(pts).query_pairs(reach * (1.0 + _REACH_PAD), output_type="ndarray")
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    return pairs[order, 0], pairs[order, 1]
+
+
 @dataclass(frozen=True)
 class PairFunction:
     """Symmetric pair function f(x, y) = 1_W(x) 1_W(y) h(x, y).
@@ -72,11 +90,14 @@ class PairFunction:
     ``h`` must be vectorized: it receives two arrays of points with a
     trailing coordinate axis for planar windows (or plain arrays for
     intervals) and returns values with the broadcast batch shape.
+    ``reach`` is a distance beyond which h is 0; ``inf`` when h has no
+    such bound.
     """
 
     h: Callable[[np.ndarray, np.ndarray], np.ndarray]
     window: Window2 | Interval1
     label: str = "custom"
+    reach: float = math.inf
 
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -89,25 +110,28 @@ class PairFunction:
             in_y = self.window.contains(y)
         return np.where(in_x & in_y, self.h(x, y), 0.0)
 
-    def pair_matrix(self, points: np.ndarray) -> np.ndarray:
-        """Dense n x n matrix F[i, j] = f(x_i, x_j) with a zero diagonal.
+    def pairs(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pairs i < j with f(x_i, x_j) != 0, as sorted arrays (i, j, v).
 
-        Rows and columns of points outside ``window`` are zeroed in place,
-        as the window indicators of f(x, y) demand.
+        h runs only on the pairs within ``reach``, and pairs with a point
+        outside ``window`` are dropped, as the indicators of f demand.
         """
         pts = np.asarray(points, dtype=float)
-        n = len(pts)
-        if n == 0:
-            return np.zeros((0, 0))
-        if pts.ndim == 2:
-            mat = np.asarray(self.h(pts[:, None, :], pts[None, :, :]), dtype=float)
-        else:
-            mat = np.asarray(self.h(pts[:, None], pts[None, :]), dtype=float)
-        np.fill_diagonal(mat, 0.0)
-        outside = ~self.window.contains(pts)
-        if outside.any():
-            mat[outside, :] = 0.0
-            mat[:, outside] = 0.0
+        i, j = _close_pairs(pts, self.reach)
+        inside = self.window.contains(pts)
+        keep = inside[i] & inside[j]
+        i, j = i[keep], j[keep]
+        v = np.asarray(self.h(pts[i], pts[j]), dtype=float)
+        nonzero = v != 0.0
+        return i[nonzero], j[nonzero], v[nonzero]
+
+    def pair_matrix(self, points: np.ndarray) -> np.ndarray:
+        """Dense n x n view F[i, j] = f(x_i, x_j) of ``pairs``, with a zero diagonal."""
+        n = len(points)
+        i, j, v = self.pairs(points)
+        mat = np.zeros((n, n))
+        mat[i, j] = v
+        mat[j, i] = v
         return mat
 
 
@@ -135,7 +159,8 @@ def kernel_pair_function(kernel: KernelFunction, r: float, window: Window2 | Int
             d = np.abs(x - y)
         return kernel(r - d)
 
-    return PairFunction(h, window, label=f"{kernel.kind}:r={r:g},b={kernel.bandwidth:g}")
+    return PairFunction(h, window, label=f"{kernel.kind}:r={r:g},b={kernel.bandwidth:g}",
+                        reach=r + kernel.bandwidth)
 
 
 @dataclass(frozen=True)
@@ -158,23 +183,20 @@ class TwoPointSums:
 
 def two_point_statistic(pattern: PointPattern, f: PairFunction) -> float:
     """theta_hat = sum over ordered pairs with distinct indices of f(x_i, x_j)."""
-    if pattern.n <= 1:
-        return 0.0
-    return float(f.pair_matrix(pattern.points).sum())
+    return 2.0 * float(f.pairs(pattern.points)[2].sum())
 
 
 def distinct_index_sums(pattern: PointPattern, f: PairFunction) -> TwoPointSums:
-    """All four distinct-index sums in O(n^2).
+    """All four distinct-index sums from the pair list.
 
     Row sums Q_i = sum_{j != i} f(x_i, x_j) and R_i = sum_{j != i} f^2
     give P = sum Q_i, R = sum R_i, T3 = sum (Q_i^2 - R_i), and Q4 is
     recovered from the decomposition identity.
     """
-    if pattern.n < 2:
-        return TwoPointSums(0.0, 0.0, 0.0, 0.0)
-    mat = f.pair_matrix(pattern.points)
-    q_i = mat.sum(axis=1)
-    r_i = (mat * mat).sum(axis=1)
+    n = pattern.n
+    i, j, v = f.pairs(pattern.points)
+    q_i = np.bincount(i, v, n) + np.bincount(j, v, n)
+    r_i = np.bincount(i, v * v, n) + np.bincount(j, v * v, n)
     p = float(q_i.sum())
     r = float(r_i.sum())
     t3 = float((q_i * q_i - r_i).sum())
@@ -189,22 +211,18 @@ def estimate_product_density(
 
     rho_hat(r) = [2 pi r area(W)]^-1 * sum_{i != j} K_b(r - ||x_i - x_j||),
     with no border correction.  Returns an array of shape (len(r_grid), 2)
-    with columns (r, rho_hat).
+    with columns (r, rho_hat).  Only pairs within max(r_grid) + b enter.
     """
     r_grid = np.atleast_1d(np.asarray(r_grid, dtype=float))
     if np.any(r_grid <= 0) or not np.all(np.isfinite(r_grid)):
         raise ParameterError("all radii must be positive and finite")
     if pattern.dim != 2:
         raise ParameterError("product density estimation expects a planar pattern")
-    area = pattern.window.area
-    if pattern.n <= 1:
-        return np.column_stack([r_grid, np.zeros_like(r_grid)])
     pts = pattern.points
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    iu = np.triu_indices(pattern.n, k=1)
-    pair_d = dist[iu]
+    i, j = _close_pairs(pts, float(r_grid.max()) + kernel.bandwidth)
+    diff = pts[i] - pts[j]
+    pair_d = np.sqrt(np.sum(diff * diff, axis=-1))
     # ordered pairs count each unordered pair twice
     sums = 2.0 * kernel(r_grid[:, None] - pair_d[None, :]).sum(axis=1)
-    rho = sums / (2.0 * np.pi * r_grid * area)
+    rho = sums / (2.0 * np.pi * r_grid * pattern.window.area)
     return np.column_stack([r_grid, rho])

@@ -160,6 +160,14 @@ class TestCiSuite:
         for row in rows:
             assert abs(row["t_mc"] - row["t_closed"]) <= row["t_mc_err"] + 1e-12
 
+    def test_unattainable_monte_carlo_count_is_listed(self):
+        # exp(-3) = 0.0498 is just under alpha, so at p = 3 more than alpha
+        # of the Monte Carlo draws can be 0; that count leaves the table
+        record = run_ci_suite(ci_config(lambda_spec="const:30", methods=["exact_poisson"],
+                                        reps=100, mc_draws=100_000, seed=6))
+        assert record.results["t_star_unattainable"] == [3]
+        assert [row["p"] for row in record.results["t_star_table"]] == [6]
+
     def test_exact_coverage_near_nominal(self):
         record = run_ci_suite(ci_config(methods=["exact_poisson"], reps=400))
         cov = record.results["coverage"]["exact_poisson"]

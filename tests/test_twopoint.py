@@ -3,12 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from scipy.spatial import cKDTree
+
 from ppboot import (
     IntegrationSpec,
+    Interval1,
     KernelFunction,
     ParameterError,
     PointPattern,
     Window2,
+    bootstrap_statistics,
     constant_pair_function,
     distinct_index_sums,
     estimate_product_density,
@@ -18,6 +22,7 @@ from ppboot import (
     two_point_statistic,
     unit_square,
 )
+from ppboot.bootstrap import _draw_weights
 from ppboot.rng import RngSeed
 
 from conftest import brute_force_sums, pair_values, random_pattern, random_smooth_pair_function
@@ -229,3 +234,107 @@ class TestDistinctIndexSums:
             assert fast.R == pytest.approx(r, rel=1e-10)
             assert fast.T3 == pytest.approx(t3, rel=1e-9)
             assert abs(fast.Q4 - q4) / scale < 1e-9
+
+
+# r - b and r + b are binary fractions, so axis-aligned pairs sit on the
+# kernel's support edges exactly
+EDGE_R, EDGE_B = 0.25, 0.0625
+
+
+def _edge_points_2d() -> np.ndarray:
+    """Pairs at distance exactly r - b and r + b, random points, and one
+    point outside the unit square."""
+    exact = [[0.25, 0.5], [0.4375, 0.5], [0.75, 0.5], [0.25, 0.8125]]
+    # h puts these pairs at d = r + b, inside the support, but the squared
+    # distance the k-d tree compares rounds above (r + b)^2
+    oblique = [[0.16190038237188228, 0.19427233724301723], [0.2813235533083688, 0.4830531472762927],
+               [0.3338377220513332, 0.11372608685892367], [0.5080693320405116, 0.37314774378173887]]
+    rand = np.random.default_rng(60).uniform(0.0, 1.0, (14, 2))
+    return np.vstack([exact, oblique, rand, [[1.2, 0.5]]])
+
+
+def _edge_points_1d() -> np.ndarray:
+    exact = [0.25, 0.4375, 0.75, 0.125]  # distances r - b, r + b, r
+    rand = np.random.default_rng(61).uniform(0.0, 1.0, 10)
+    return np.concatenate([exact, rand, [1.5]])
+
+
+def _sparse_cases():
+    """(pattern, f) for both kernels and window kinds, n in {0, 1, 2, 3} and
+    larger, and constant f; the pattern window is wider than f's."""
+    cases = []
+    for dim, points, pat_window, f_window in (
+        (2, _edge_points_2d(), Window2(0, 2, 0, 2), unit_square()),
+        (1, _edge_points_1d(), Interval1(0, 2), Interval1(0, 1)),
+    ):
+        fs = [kernel_pair_function(KernelFunction(kind, EDGE_B), EDGE_R, f_window)
+              for kind in ("box", "epanechnikov")]
+        fs.append(constant_pair_function(f_window, 0.7))
+        for n in (0, 1, 2, 3, len(points)):
+            for f in fs:
+                cases.append(pytest.param(PointPattern(points[:n], pat_window), f,
+                                          id=f"{dim}d-n{n}-{f.label}"))
+    return cases
+
+
+class TestSparsePairs:
+    """The pair list gives what the scalar f(x, y) calls give."""
+
+    def test_reach(self):
+        f = kernel_pair_function(KernelFunction("box", EDGE_B), EDGE_R, unit_square())
+        assert f.reach == EDGE_R + EDGE_B
+        assert constant_pair_function(unit_square()).reach == math.inf
+
+    @pytest.mark.parametrize("pat, f", _sparse_cases())
+    def test_pair_matrix_matches_scalar_calls(self, pat, f):
+        np.testing.assert_allclose(f.pair_matrix(pat.points), pair_values(pat, f),
+                                   rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("pat, f", _sparse_cases())
+    def test_statistic_and_sums_match_brute_force(self, pat, f):
+        p, t3, q4, r = brute_force_sums(pair_values(pat, f))
+        assert two_point_statistic(pat, f) == pytest.approx(p, rel=1e-12)
+        fast = distinct_index_sums(pat, f)
+        scale = max(abs(p), abs(t3), abs(q4), abs(r), 1.0)
+        for got, want in ((fast.P, p), (fast.T3, t3), (fast.Q4, q4), (fast.R, r)):
+            assert abs(got - want) / scale < 1e-9
+
+    @pytest.mark.parametrize("pat, f", _sparse_cases())
+    def test_bootstrap_matches_dense_quadratic_form(self, pat, f):
+        if pat.n == 0:
+            return
+        w = _draw_weights(pat.n, "poissonized", RngSeed(62), 0, 20)
+        dense = np.einsum("ki,ij,kj->k", w, pair_values(pat, f), w)
+        stats = bootstrap_statistics(pat, f, 20, "poissonized", RngSeed(62))
+        np.testing.assert_allclose(stats, dense, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kind", ["box", "epanechnikov"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 22])
+    def test_product_density_matches_all_pairs(self, kind, n):
+        pat = PointPattern(_edge_points_2d()[:n], Window2(0, 2, 0, 2))
+        kernel = KernelFunction(kind, EDGE_B)
+        r = np.array([0.1, 0.2, EDGE_R])  # max(r) + b = r + b: padding matters
+        pts = pat.points
+        d = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
+        off = ~np.eye(n, dtype=bool)
+        want = np.array([kernel(ri - d[off]).sum() for ri in r]) / (2 * np.pi * r * 4.0)
+        np.testing.assert_allclose(estimate_product_density(pat, r, kernel)[:, 1], want,
+                                   rtol=1e-12, atol=0)
+
+    def test_scale_without_dense_memory(self):
+        # n = 20,000: a dense pair matrix would need 3.2 GB
+        n, r, b = 20_000, 0.04, 0.0033
+        pat = random_pattern(n, np.random.default_rng(63))
+        tree = cKDTree(pat.points)
+
+        def within(radius):  # neighbours of each point, itself excluded
+            return tree.query_ball_point(pat.points, radius, return_length=True) - 1
+
+        q = (within(r + b) - within(r - b)) / (2 * b)  # box row sums Q_i
+        f = kernel_pair_function(KernelFunction("box", b), r, unit_square())
+        sums = distinct_index_sums(pat, f)
+        assert sums.P == pytest.approx(q.sum(), rel=1e-9)
+        assert sums.R == pytest.approx(q.sum() / (2 * b), rel=1e-9)
+        assert sums.T3 == pytest.approx((q * q).sum() - q.sum() / (2 * b), rel=1e-9)
+        table = estimate_product_density(pat, [r], KernelFunction("box", b))
+        assert table[0, 1] == pytest.approx(q.sum() / (2 * np.pi * r), rel=1e-9)
