@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ParameterError
 from .geometry import PointPattern
 from .rng import RngSeed, chunk_sizes, parallel_map
-from .twopoint import PairFunction, distinct_index_sums
+from .twopoint import PairFunction, TwoPointSums, distinct_index_sums
 
 SCHEMES = ("multinomial", "poissonized")
 
@@ -152,8 +152,12 @@ def bootstrap_variance_limit(pattern: PointPattern, f: PairFunction, scheme: str
     coefficients: alpha4*Q4 + 4*alpha3*T3 + 2*alpha2*R.
     """
     _check_scheme(scheme)
-    if pattern.n < 2:
+    return _limit_from_sums(distinct_index_sums(pattern, f), pattern.n, scheme)
+
+
+def _limit_from_sums(sums: TwoPointSums, n: int, scheme: str) -> float:
+    """alpha4*Q4 + 4*alpha3*T3 + 2*alpha2*R for a pattern of n points; 0 when n < 2."""
+    if n < 2:
         return 0.0
-    sums = distinct_index_sums(pattern, f)
-    alphas = alpha_coefficients(pattern.n, scheme)
+    alphas = alpha_coefficients(n, scheme)
     return alphas.alpha4 * sums.Q4 + 4.0 * alphas.alpha3 * sums.T3 + 2.0 * alphas.alpha2 * sums.R

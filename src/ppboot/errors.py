@@ -26,10 +26,6 @@ class DegenerateCountError(ParameterError):
     """An observed or expected count of zero makes the quantity undefined."""
 
 
-class UndefinedMomentError(ParameterError):
-    """A moment references more distinct categories than there are draws."""
-
-
 class DataError(PpbootError, ValueError):
     """Ingested data fails validation (duplicates, out-of-window points, parse errors)."""
 

@@ -20,12 +20,12 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
 
-from .bootstrap import SCHEMES, bootstrap_variance_limit
+from .bootstrap import SCHEMES, _limit_from_sums, alpha_coefficients
 from .errors import ConfigError, UnattainableLevelError
 from .geometry import (
     Interval1,
@@ -45,11 +45,12 @@ from .intensity import (
     t_star_closed_form,
     t_star_monte_carlo_band,
 )
-from .moments import IntegrationSpec, s_moments_poisson, true_variance_poisson
+from .moments import (IntegrationSpec, expected_bootstrap_variance, s_moments_poisson,
+                      true_variance_poisson)
 from .patternio import parse_window
 from .rng import RngSeed
 from .twopoint import (_KERNELS, KernelFunction, PairFunction, constant_pair_function,
-                       kernel_pair_function, two_point_statistic)
+                       distinct_index_sums, kernel_pair_function)
 
 
 def parse_f_spec(spec: str, window) -> PairFunction:
@@ -126,9 +127,6 @@ class ResultRecord:
         }
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
-    def digest(self) -> str:
-        return _sha256(self.to_json())
-
 
 def _validate_config(config: dict, schema: dict[str, tuple], experiment: str) -> dict:
     """Apply a {key: (checker, required, default)} schema; reject unknown keys."""
@@ -187,11 +185,8 @@ def _integration(v) -> IntegrationSpec:
     unknown = set(v) - allowed
     if unknown:
         raise ConfigError(f"unknown integration keys: {sorted(unknown)}")
-    return IntegrationSpec(
-        method=v.get("method", "monte_carlo"),
-        sample_count=int(v.get("sample_count", 200_000)),
-        nodes_per_axis=int(v.get("nodes_per_axis", 32)),
-    )
+    counts = {key: int(v[key]) for key in ("sample_count", "nodes_per_axis") if key in v}
+    return IntegrationSpec(**{**v, **counts})
 
 
 def _methods_list(v) -> list[str]:
@@ -261,16 +256,11 @@ def run_variance_comparison(config: dict, threads: int = 1) -> ResultRecord:
     limits = np.empty(cfg["reps"])
     for r in range(cfg["reps"]):
         pattern = simulate_homogeneous_poisson(lam, window, seed.substream(0, r))
-        thetas[r] = two_point_statistic(pattern, f)
-        limits[r] = bootstrap_variance_limit(pattern, f, cfg["scheme"])
+        sums = distinct_index_sums(pattern, f)
+        thetas[r] = sums.P
+        limits[r] = _limit_from_sums(sums, pattern.n, cfg["scheme"])
 
-    spec = IntegrationSpec(
-        method=cfg["integration"].method,
-        sample_count=cfg["integration"].sample_count,
-        nodes_per_axis=cfg["integration"].nodes_per_axis,
-        seed=seed.substream(1),
-        threads=threads,
-    )
+    spec = replace(cfg["integration"], seed=seed.substream(1), threads=threads)
     moments = s_moments_poisson(lam, window, f, spec)
 
     reps = cfg["reps"]
@@ -278,7 +268,7 @@ def run_variance_comparison(config: dict, threads: int = 1) -> ResultRecord:
     mean_limit = float(np.mean(limits))
     mean_limit_se = float(np.std(limits, ddof=1) / np.sqrt(reps))
 
-    target_boot = moments.reduced_bootstrap_expectation()
+    target_boot = expected_bootstrap_variance(moments, alpha_coefficients(None, "poissonized"))
     target_true = moments.reduced_true_variance()
     results = {
         "mc_variance_theta": mc_var,

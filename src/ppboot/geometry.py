@@ -46,9 +46,6 @@ class Window2:
             & (p[:, 1] <= self.y_max)
         )
 
-    def translate(self, dx: float, dy: float) -> "Window2":
-        return Window2(self.x_min + dx, self.x_max + dx, self.y_min + dy, self.y_max + dy)
-
 
 @dataclass(frozen=True)
 class Interval1:
@@ -110,13 +107,6 @@ class PointPattern:
     @property
     def dim(self) -> int:
         return 2 if isinstance(self.window, Window2) else 1
-
-    def translate(self, dx: float, dy: float = 0.0) -> "PointPattern":
-        """Shift pattern and window together (the statistics are invariant)."""
-        if self.dim == 2:
-            return PointPattern(self.points + np.array([dx, dy]), self.window.translate(dx, dy))
-        win = Interval1(self.window.lo + dx, self.window.hi + dx)
-        return PointPattern(self.points + dx, win)
 
 
 @dataclass(frozen=True)

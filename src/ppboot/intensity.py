@@ -45,10 +45,6 @@ from .rng import RngSeed, parallel_map
 
 BAND_METHODS = ("bootstrap_mc", "bootstrap_closed_form", "exact_poisson", "oracle_true_t")
 
-# Tolerance absorbing float roundoff when a +/- b sits exactly on an
-# integer atom; atoms are >= 1 apart so this cannot over-include.
-_BOUNDARY_EPS = 1e-9
-
 
 @dataclass(frozen=True)
 class IntensityEstimate:
@@ -93,38 +89,6 @@ class TStarQuery:
             raise ParameterError(f"bandwidth must be positive and finite, got {self.h}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ParameterError(f"alpha must lie in [0, 1], got {self.alpha}")
-
-    def a(self, t: float) -> float:
-        return self.p + self.h * t * t
-
-    def b(self, t: float) -> float:
-        return t * math.sqrt(2.0 * self.h * self.p + (self.h * t) ** 2)
-
-    def coverage(self, t: float) -> float:
-        """P{a - b <= p* <= a + b} for p* ~ Poisson(p), at threshold t >= 0."""
-        return coverage_probability(self.p, self.h, t)
-
-
-def coverage_probability(p: float, h: float, t: float, mean: float | None = None) -> float:
-    """Exact probability that the covered-count interval captures the resampled count.
-
-    The event {|T*| <= t} equals {ceil(a-b) <= p* <= floor(a+b)} for
-    p* ~ Poisson(mean) (mean defaults to p).  Evaluated directly from
-    the Poisson CDF; this is the verification-side formula, independent
-    of the expansion used to construct t*.
-    """
-    if t < 0:
-        return 0.0
-    a = p + h * t * t
-    b = t * math.sqrt(2.0 * h * p + (h * t) ** 2)
-    hi = math.floor(a + b + _BOUNDARY_EPS)
-    lo = math.ceil(a - b - _BOUNDARY_EPS)
-    mu = p if mean is None else mean
-    if hi < lo or hi < 0:
-        return 0.0
-    upper = stats.poisson.cdf(hi, mu)
-    lower = stats.poisson.cdf(lo - 1, mu) if lo >= 1 else 0.0
-    return float(upper - lower)
 
 
 def _abs_t_squared_key(m: int, center: float, exact: bool) -> Fraction | float:
@@ -299,17 +263,19 @@ def _garwood_interval(p: int, alpha: float) -> tuple[float, float]:
 
 
 class _BandBuilder:
-    """Maps observed counts to band bounds, caching per distinct count.
+    """Maps observed counts on a grid to band bounds, caching per distinct count.
 
     One builder is reused across replications in coverage experiments so
-    chi-square inversions and threshold searches run once per count.
+    chi-square inversions and threshold searches run once per count; the
+    ``oracle_true_t`` threshold depends on the grid point instead, and is
+    computed once per point at construction.
 
     The bootstrap threshold is undefined at a zero count and unattainable
     whenever exp(-p) >= alpha; both cases substitute the exact interval
     and carry a per-point flag ("zero-count" or "level-unattainable").
     """
 
-    def __init__(self, h: float, alpha: float, method: str,
+    def __init__(self, h: float, alpha: float, method: str, grid: np.ndarray,
                  mc_draws: int = 100_000, seed: RngSeed | None = None,
                  intensity: IntensityFunction | None = None):
         if method not in BAND_METHODS:
@@ -327,9 +293,10 @@ class _BandBuilder:
         self.method = method
         self.mc_draws = mc_draws
         self.seed = seed
-        self.intensity = intensity
         self._by_count: dict[int, tuple[float, float, float, str]] = {}
-        self._oracle_t: dict[float, float] = {}
+        self._grid_t = None
+        if method == "oracle_true_t":
+            self._grid_t = np.array([t_alpha_oracle(intensity, float(x), h, alpha) for x in grid])
 
     def _threshold(self, p: int) -> float:
         if self.method == "bootstrap_closed_form":
@@ -360,20 +327,31 @@ class _BandBuilder:
             except UnattainableLevelError:
                 out = (*self._exact(p), math.nan, "level-unattainable")
             else:
-                lam = p / (2.0 * self.h)
-                out = (max(0.0, lam - t * math.sqrt(lam)), lam + t * math.sqrt(lam), t, "")
+                lo, hi = _centered_band(p / (2.0 * self.h), t)
+                out = (float(lo), float(hi), t, "")
         self._by_count[p] = out
         return out
 
-    def bounds_at(self, x: float, p: int) -> tuple[float, float, float, str]:
-        if self.method != "oracle_true_t":
-            return self.bounds_for_count(p)
-        t = self._oracle_t.get(x)
-        if t is None:
-            t = t_alpha_oracle(self.intensity, x, self.h, self.alpha)
-            self._oracle_t[x] = t
-        lam = p / (2.0 * self.h)
-        return (max(0.0, lam - t * math.sqrt(lam)), lam + t * math.sqrt(lam), t, "")
+    def bounds(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(lo, hi, t, flag) arrays for integer counts whose last axis runs over the grid."""
+        counts = np.asarray(counts)
+        if self._grid_t is not None:
+            t = np.broadcast_to(self._grid_t, counts.shape)
+            lo, hi = _centered_band(counts / (2.0 * self.h), t)
+            return lo, hi, t, np.full(counts.shape, "", dtype=object)
+        distinct, inverse = np.unique(counts, return_inverse=True)
+        lo, hi, t = (np.empty(len(distinct)) for _ in range(3))
+        flag = np.empty(len(distinct), dtype=object)
+        for k, p in enumerate(distinct):
+            lo[k], hi[k], t[k], flag[k] = self.bounds_for_count(int(p))
+        inverse = inverse.reshape(counts.shape)
+        return lo[inverse], hi[inverse], t[inverse], flag[inverse]
+
+
+def _centered_band(lam: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bootstrap band lambda_hat -+ t sqrt(lambda_hat), clipped at zero."""
+    half = t * np.sqrt(lam)
+    return np.maximum(0.0, lam - half), lam + half
 
 
 def confidence_band(
@@ -395,17 +373,13 @@ def confidence_band(
     truncated there).
     """
     est = kernel_intensity_estimate(pattern, h, grid)
-    builder = _BandBuilder(h, alpha, method, mc_draws=mc_draws, seed=seed, intensity=intensity)
-    lo = np.empty(len(est.grid))
-    hi = np.empty(len(est.grid))
-    ts = np.empty(len(est.grid))
+    builder = _BandBuilder(h, alpha, method, est.grid, mc_draws=mc_draws, seed=seed,
+                           intensity=intensity)
+    lo, hi, ts, fallback = builder.bounds(est.counts)
     edge = _edge_flags(est.grid, pattern.window, h)
-    flags = []
-    for i, (x, p) in enumerate(zip(est.grid, est.counts)):
-        lo[i], hi[i], ts[i], fallback = builder.bounds_at(float(x), int(p))
-        flags.append(";".join(part for part in (edge[i], fallback) if part))
+    flags = tuple(";".join(part for part in parts if part) for parts in zip(edge, fallback))
     return ConfidenceBand(grid=est.grid, lambda_hat=est.values, lo=lo, hi=hi,
-                          alpha=alpha, method=method, t_values=ts, flags=tuple(flags))
+                          alpha=alpha, method=method, t_values=ts, flags=flags)
 
 
 @dataclass(frozen=True)
@@ -452,7 +426,7 @@ def coverage_experiment(
     if reps < 100:
         raise ParameterError(f"need at least 100 replications, got {reps}")
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    builder = _BandBuilder(h, alpha, method, mc_draws=mc_draws,
+    builder = _BandBuilder(h, alpha, method, grid, mc_draws=mc_draws,
                            seed=seed, intensity=intensity)
     lam_true = intensity(grid)
     lam_smoothed = np.array([intensity.integral(x - h, x + h) for x in grid]) / (2.0 * h)
@@ -461,18 +435,12 @@ def coverage_experiment(
     n_chunks = (reps + chunk - 1) // chunk
 
     def run_chunk(c: int) -> tuple[np.ndarray, np.ndarray]:
-        hits_t = np.zeros(len(grid), dtype=np.int64)
-        hits_s = np.zeros(len(grid), dtype=np.int64)
-        for r in range(c * chunk, min((c + 1) * chunk, reps)):
-            pattern = simulate_inhomogeneous_poisson(intensity, interval, seed.substream(0, r))
-            counts = _counts_on_grid(pattern.points, grid, h)
-            for g, (x, p) in enumerate(zip(grid, counts)):
-                lo, hi, _, _ = builder.bounds_at(float(x), int(p))
-                if lo <= lam_true[g] <= hi:
-                    hits_t[g] += 1
-                if lo <= lam_smoothed[g] <= hi:
-                    hits_s[g] += 1
-        return hits_t, hits_s
+        patterns = (simulate_inhomogeneous_poisson(intensity, interval, seed.substream(0, r))
+                    for r in range(c * chunk, min((c + 1) * chunk, reps)))
+        lo, hi, _, _ = builder.bounds(np.array([_counts_on_grid(p.points, grid, h)
+                                                for p in patterns]))
+        return (((lo <= lam_true) & (lam_true <= hi)).sum(axis=0),
+                ((lo <= lam_smoothed) & (lam_smoothed <= hi)).sum(axis=0))
 
     # the per-count cache is safe to share: entries are deterministic
     # functions of the count (per-count substreams), so a concurrent

@@ -111,10 +111,6 @@ class MomentSet:
         """4 s3 + 2 s2, the Poisson-cancelled form of the true variance."""
         return 4.0 * self.s3 + 2.0 * self.s2
 
-    def reduced_bootstrap_expectation(self) -> float:
-        """4 s3 + 6 s2, the large-n expectation of the bootstrap limit."""
-        return 4.0 * self.s3 + 6.0 * self.s2
-
 
 def _require_finite(vals: np.ndarray, where: str) -> None:
     if not np.all(np.isfinite(vals)):

@@ -28,9 +28,6 @@ from scipy.spatial import cKDTree
 from .errors import ParameterError
 from .geometry import Interval1, PointPattern, Window2
 
-# numpy renamed trapz to trapezoid in 2.0
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
 # Relative padding of a search radius, so a pair whose distance rounds
 # differently in the tree and in h stays a candidate.
 _REACH_PAD = 1e-9
@@ -67,12 +64,6 @@ class KernelFunction:
     def __call__(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         return _KERNELS[self.kind](u / self.bandwidth) / self.bandwidth
-
-    def integral_check(self, n_nodes: int = 4096) -> float:
-        """Quadrature of K_b over its support; should be 1 to ~1e-6."""
-        b = self.bandwidth
-        u = np.linspace(-b, b, n_nodes)
-        return float(_trapezoid(self(u), u))
 
 
 def _close_pairs(points: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray]:
@@ -190,14 +181,15 @@ def distinct_index_sums(pattern: PointPattern, f: PairFunction) -> TwoPointSums:
     """All four distinct-index sums from the pair list.
 
     Row sums Q_i = sum_{j != i} f(x_i, x_j) and R_i = sum_{j != i} f^2
-    give P = sum Q_i, R = sum R_i, T3 = sum (Q_i^2 - R_i), and Q4 is
-    recovered from the decomposition identity.
+    give R = sum R_i and T3 = sum (Q_i^2 - R_i); P is twice the pair sum,
+    as in ``two_point_statistic``, and Q4 is recovered from the
+    decomposition identity.
     """
     n = pattern.n
     i, j, v = f.pairs(pattern.points)
     q_i = np.bincount(i, v, n) + np.bincount(j, v, n)
     r_i = np.bincount(i, v * v, n) + np.bincount(j, v * v, n)
-    p = float(q_i.sum())
+    p = 2.0 * float(v.sum())
     r = float(r_i.sum())
     t3 = float((q_i * q_i - r_i).sum())
     q4 = p * p - 4.0 * t3 - 2.0 * r

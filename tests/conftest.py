@@ -7,16 +7,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from ppboot import (
-    PairFunction,
-    ParameterError,
-    PointPattern,
-    UndefinedMomentError,
-    Window2,
-    unit_square,
-)
+from ppboot.errors import ParameterError
+from ppboot.geometry import PointPattern, Window2, unit_square
 from ppboot.rng import RngSeed
+from ppboot.twopoint import PairFunction
+
+# Tolerance absorbing float roundoff when a +/- b sits exactly on an
+# integer atom; atoms are >= 1 apart so this cannot over-include.
+_BOUNDARY_EPS = 1e-9
+
+
+class UndefinedMomentError(ParameterError):
+    """A moment references more distinct categories than there are draws."""
 
 
 @pytest.fixture
@@ -123,3 +127,25 @@ def alpha_fractions_from_moments(n: int) -> tuple[Fraction, Fraction, Fraction]:
     alpha3 = multinomial_moment_oracle(n, (2, 1, 1)) - e_ww**2
     alpha4 = multinomial_moment_oracle(n, (1, 1, 1, 1)) - e_ww**2
     return alpha2, alpha3, alpha4
+
+
+def coverage_probability(p: float, h: float, t: float) -> float:
+    """Exact probability that the covered-count interval captures the resampled count.
+
+    The event {|T*| <= t} equals {ceil(a-b) <= p* <= floor(a+b)} for
+    p* ~ Poisson(p), with a = p + h t^2 and b = t sqrt(2 h p + h^2 t^2).
+    Evaluated directly from the Poisson CDF; this is the
+    verification-side formula, independent of the expansion used to
+    construct t*.
+    """
+    if t < 0:
+        return 0.0
+    a = p + h * t * t
+    b = t * math.sqrt(2.0 * h * p + (h * t) ** 2)
+    hi = math.floor(a + b + _BOUNDARY_EPS)
+    lo = math.ceil(a - b - _BOUNDARY_EPS)
+    if hi < lo or hi < 0:
+        return 0.0
+    upper = stats.poisson.cdf(hi, p)
+    lower = stats.poisson.cdf(lo - 1, p) if lo >= 1 else 0.0
+    return float(upper - lower)

@@ -13,32 +13,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ppboot import (
-    KernelFunction,
+from ppboot.bootstrap import alpha_polynomials_exact, bootstrap_variance, bootstrap_variance_limit
+from ppboot.cli import main as cli_main
+from ppboot.errors import UnattainableLevelError
+from ppboot.experiments import midpoint_grid, run_variance_comparison
+from ppboot.geometry import Interval1, linear_intensity, simulate_homogeneous_poisson, unit_square
+from ppboot.intensity import (
     TStarQuery,
-    UnattainableLevelError,
-    alpha_polynomials_exact,
-    bootstrap_variance,
-    bootstrap_variance_limit,
     coverage_experiment,
-    coverage_probability,
-    kernel_pair_function,
-    linear_intensity,
-    run_variance_comparison,
-    simulate_homogeneous_poisson,
     t_star_closed_form,
     t_star_monte_carlo_band,
-    unit_square,
-    write_window,
 )
-from ppboot.cli import main as cli_main
-from ppboot.experiments import midpoint_grid
-from ppboot.geometry import Interval1
+from ppboot.patternio import write_window
 from ppboot.rng import RngSeed
+from ppboot.twopoint import KernelFunction, kernel_pair_function
 
 from conftest import (
     alpha_fractions_from_moments,
     brute_force_sums,
+    coverage_probability,
     pair_values,
     random_pattern,
     random_smooth_pair_function,
@@ -53,7 +46,7 @@ def report(number: int, elapsed: float, budget: float, message: str) -> None:
 def test_criterion_1_distinct_index_decomposition():
     """Brute-force tuple sums satisfy P^2 = Q4 + 4 T3 + 2 R and match the fast path."""
     t0 = time.perf_counter()
-    from ppboot import distinct_index_sums
+    from ppboot.twopoint import distinct_index_sums
 
     rng = np.random.default_rng(160_001)
     worst = 0.0

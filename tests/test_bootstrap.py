@@ -5,27 +5,27 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ppboot import (
-    KernelFunction,
-    ParameterError,
-    PointPattern,
-    UndefinedMomentError,
+from ppboot.bootstrap import (
+    _draw_weights,
     alpha_coefficients,
     alpha_polynomials_exact,
     bootstrap_statistics,
     bootstrap_variance,
     bootstrap_variance_limit,
+)
+from ppboot.errors import ParameterError
+from ppboot.geometry import PointPattern, simulate_homogeneous_poisson, unit_square
+from ppboot.twopoint import (
+    KernelFunction,
     constant_pair_function,
     distinct_index_sums,
     kernel_pair_function,
-    simulate_homogeneous_poisson,
     two_point_statistic,
-    unit_square,
 )
-from ppboot.bootstrap import _draw_weights
 from ppboot.rng import RngSeed
 
 from conftest import (
+    UndefinedMomentError,
     alpha_fractions_from_moments,
     multinomial_moment_oracle,
     random_pattern,

@@ -5,18 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ppboot import (
-    KernelFunction,
-    alpha_coefficients,
-    bootstrap_variance_limit,
-    estimate_product_density,
-    ingest_pattern,
-    kernel_pair_function,
-    unit_square,
-    write_window,
-)
+from ppboot.bootstrap import alpha_coefficients, bootstrap_variance_limit
 from ppboot.cli import main
-from ppboot.geometry import Interval1
+from ppboot.geometry import Interval1, unit_square
+from ppboot.patternio import ingest_pattern, write_window
+from ppboot.twopoint import KernelFunction, estimate_product_density, kernel_pair_function
 
 
 def sha(path) -> str:

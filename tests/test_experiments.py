@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from ppboot import (
-    ConfigError,
-    Interval1,
+from ppboot.errors import ConfigError
+from ppboot.experiments import (
+    midpoint_grid,
+    parse_f_spec,
+    parse_lambda_spec,
     run_ci_suite,
     run_variance_comparison,
-    unit_square,
 )
-from ppboot.experiments import midpoint_grid, parse_f_spec, parse_lambda_spec
+from ppboot.geometry import Interval1, unit_square
 
 UNIT_WINDOW = {"x_min": 0.0, "x_max": 1.0, "y_min": 0.0, "y_max": 1.0}
 
@@ -123,7 +124,7 @@ class TestVarianceComparison:
     def test_rerun_is_byte_identical(self):
         a = run_variance_comparison(variance_config())
         b = run_variance_comparison(variance_config())
-        assert a.digest() == b.digest()
+        assert a.to_json() == b.to_json()
         assert a.to_json() == b.to_json()
 
     def test_sane_small_run(self):
@@ -178,4 +179,4 @@ class TestCiSuite:
     def test_rerun_is_byte_identical(self):
         a = run_ci_suite(ci_config())
         b = run_ci_suite(ci_config())
-        assert a.digest() == b.digest()
+        assert a.to_json() == b.to_json()

@@ -2,22 +2,19 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ppboot import (
-    DuplicatePointError,
+from ppboot.errors import DuplicatePointError, InvalidBoundError, OutOfWindowError, ParameterError
+from ppboot.geometry import (
     IntensityFunction,
     Interval1,
-    InvalidBoundError,
-    OutOfWindowError,
-    ParameterError,
     PointPattern,
     Window2,
     constant_intensity,
-    kernel_intensity_estimate,
     linear_intensity,
     simulate_homogeneous_poisson,
     simulate_inhomogeneous_poisson,
     unit_square,
 )
+from ppboot.intensity import kernel_intensity_estimate
 from ppboot.rng import RngSeed
 
 
@@ -54,10 +51,6 @@ class TestPointPattern:
         assert p2.n == 1 and p2.dim == 2
         p1 = PointPattern(np.array([0.3, 0.7]), Interval1(0, 1))
         assert p1.n == 2 and p1.dim == 1
-
-    def test_translate_moves_window_and_points(self):
-        p = PointPattern(np.array([[0.1, 0.2]]), unit_square()).translate(5.0, -1.0)
-        assert p.window.x_min == 5.0 and p.points[0, 0] == pytest.approx(5.1)
 
 
 class TestHomogeneousSimulation:

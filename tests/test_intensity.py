@@ -4,27 +4,30 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ppboot import (
-    DegenerateCountError,
+from ppboot.errors import DegenerateCountError, ParameterError, UnattainableLevelError
+from ppboot.experiments import midpoint_grid
+from ppboot.geometry import (
     Interval1,
-    ParameterError,
     PointPattern,
-    TStarQuery,
-    UnattainableLevelError,
-    confidence_band,
     constant_intensity,
-    coverage_experiment,
-    coverage_probability,
-    kernel_intensity_estimate,
     linear_intensity,
     simulate_inhomogeneous_poisson,
+)
+from ppboot.intensity import (
+    BAND_METHODS,
+    TStarQuery,
+    _BandBuilder,
+    confidence_band,
+    coverage_experiment,
+    kernel_intensity_estimate,
     t_alpha_oracle,
     t_star_closed_form,
     t_star_monte_carlo,
     t_star_monte_carlo_band,
 )
-from ppboot.experiments import midpoint_grid
 from ppboot.rng import RngSeed
+
+from conftest import coverage_probability
 
 I01 = Interval1(0.0, 1.0)
 
@@ -79,14 +82,6 @@ class TestTStarQuery:
         with pytest.raises(ParameterError):
             TStarQuery(4, 0.1, 1.5)
 
-    def test_interval_quantities_monotone(self):
-        q = TStarQuery(7, 0.05, 0.05)
-        ts = np.linspace(0.0, 20.0, 200)
-        a = np.array([q.a(t) for t in ts])
-        b = np.array([q.b(t) for t in ts])
-        assert np.all(a >= 7) and np.all(b >= 0)
-        assert np.all(np.diff(a) >= 0) and np.all(np.diff(b) >= 0)
-
 
 class TestTStarClosedForm:
     def test_alpha_one_gives_zero(self):
@@ -108,13 +103,12 @@ class TestTStarClosedForm:
                 t_star_closed_form(TStarQuery(p, 0.1, alpha))
 
     def test_spot_case_against_monte_carlo(self):
-        q = TStarQuery(4, 0.1, 0.05)
-        t = t_star_closed_form(q)
+        t = t_star_closed_form(TStarQuery(4, 0.1, 0.05))
         t_mc, lo, hi = t_star_monte_carlo_band(4, 0.1, 0.05, 200_000, RngSeed(606))
         assert lo * (1 - 1e-12) <= t <= hi * (1 + 1e-12)
-        assert q.coverage(t) >= 0.95
+        assert coverage_probability(4, 0.1, t) >= 0.95
         # minimality probe: just below t* the coverage drops under the level
-        assert q.coverage(t * (1 - 1e-6)) < 0.95
+        assert coverage_probability(4, 0.1, t * (1 - 1e-6)) < 0.95
 
     def test_monotone_in_level(self):
         for p in range(5, 51, 5):
@@ -276,6 +270,87 @@ class TestConfidenceBand:
         mc = confidence_band(pat, 0.1, 0.05, grid, "bootstrap_mc",
                              mc_draws=200_000, seed=RngSeed(12))
         np.testing.assert_allclose(mc.t_values, closed.t_values, rtol=0.02)
+
+
+def reference_cell(builder, oracle_t, x, p):
+    """(lo, hi, t, flag) of one grid cell, computed on its own by the scalar formula.
+
+    ``oracle_t`` maps each grid point to its ``t_alpha_oracle`` threshold.
+    """
+    if builder.method != "oracle_true_t":
+        return builder.bounds_for_count(int(p))
+    t = oracle_t[float(x)]
+    lam = int(p) / (2.0 * builder.h)
+    return max(0.0, lam - t * math.sqrt(lam)), lam + t * math.sqrt(lam), t, ""
+
+
+class TestBandPath:
+    """The one band path (``_BandBuilder.bounds``) against a per-cell reference loop.
+
+    The intensity keeps every oracle threshold attainable, yet the counts
+    include zeros and the counts 1 and 2, whose bootstrap level 0.95 is
+    unattainable (exp(-p) >= 0.05).
+    """
+
+    H, ALPHA, MC_DRAWS = 0.05, 0.05, 2000
+    INTENSITY = linear_intensity(30.0, 40.0, I01)
+    # counts 0 (at an edge point and inside), 1, 6, 4 and 2 on the grid below
+    POINTS = [0.29, 0.46, 0.47, 0.48, 0.5, 0.52, 0.53, 0.68, 0.69, 0.71, 0.72, 0.88, 0.9]
+    GRID = [0.02, 0.1, 0.3, 0.5, 0.7, 0.9]
+
+    def builder(self, method, grid, seed):
+        return _BandBuilder(self.H, self.ALPHA, method, np.asarray(grid), mc_draws=self.MC_DRAWS,
+                            seed=seed, intensity=self.INTENSITY)
+
+    def oracle_t(self, grid):
+        return {float(x): t_alpha_oracle(self.INTENSITY, float(x), self.H, self.ALPHA)
+                for x in grid}
+
+    @pytest.mark.parametrize("method", BAND_METHODS)
+    def test_confidence_band_matches_per_cell_loop(self, method):
+        pattern = PointPattern(np.array(self.POINTS), I01)
+        seed = RngSeed(20)
+        band = confidence_band(pattern, self.H, self.ALPHA, self.GRID, method,
+                               intensity=self.INTENSITY, mc_draws=self.MC_DRAWS, seed=seed)
+        counts = kernel_intensity_estimate(pattern, self.H, self.GRID).counts
+        assert list(counts) == [0, 0, 1, 6, 4, 2]
+        builder = self.builder(method, self.GRID, seed)
+        oracle_t = self.oracle_t(self.GRID)
+        cells = [reference_cell(builder, oracle_t, x, p) for x, p in zip(self.GRID, counts)]
+        lo, hi, t, fallback = (list(col) for col in zip(*cells))
+        assert np.array_equal(band.lo, lo) and np.array_equal(band.hi, hi)
+        assert np.array_equal(band.t_values, t, equal_nan=True)
+        edge = ["edge", "", "", "", "", ""]
+        assert band.flags == tuple(";".join(f for f in pair if f) for pair in zip(edge, fallback))
+        if method.startswith("bootstrap"):
+            assert band.flags[:3] == ("edge;zero-count", "zero-count", "level-unattainable")
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("method", BAND_METHODS)
+    def test_coverage_hits_match_per_cell_loop(self, method, threads):
+        grid = midpoint_grid(I01, 8)
+        reps, seed = 300, RngSeed(21)
+        cov = coverage_experiment(self.INTENSITY, I01, self.H, self.ALPHA, method, reps, grid,
+                                  seed, mc_draws=self.MC_DRAWS, threads=threads)
+        builder = self.builder(method, grid, seed)
+        oracle_t = self.oracle_t(grid)
+        lam_true = self.INTENSITY(grid)
+        lam_smoothed = np.array([self.INTENSITY.integral(x - self.H, x + self.H)
+                                 for x in grid]) / (2 * self.H)
+        hits_true = np.zeros(len(grid), dtype=np.int64)
+        hits_smoothed = np.zeros(len(grid), dtype=np.int64)
+        seen = set()
+        for r in range(reps):
+            pattern = simulate_inhomogeneous_poisson(self.INTENSITY, I01, seed.substream(0, r))
+            counts = kernel_intensity_estimate(pattern, self.H, grid).counts
+            seen.update(int(p) for p in counts)
+            for g, (x, p) in enumerate(zip(grid, counts)):
+                lo, hi, _, _ = reference_cell(builder, oracle_t, x, p)
+                hits_true[g] += lo <= lam_true[g] <= hi
+                hits_smoothed[g] += lo <= lam_smoothed[g] <= hi
+        assert {0, 1, 2} <= seen
+        assert np.array_equal(cov.coverage_true, hits_true / reps)
+        assert np.array_equal(cov.coverage_smoothed, hits_smoothed / reps)
 
 
 class TestTAlphaOracle:

@@ -3,23 +3,23 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ppboot import (
+from ppboot.bootstrap import alpha_coefficients
+from ppboot.errors import NumericalError, ParameterError
+from ppboot.geometry import simulate_homogeneous_poisson, unit_square
+from ppboot.moments import (
     IntegrationSpec,
-    KernelFunction,
-    NumericalError,
-    PairFunction,
-    ParameterError,
-    alpha_coefficients,
-    constant_pair_function,
     expected_bootstrap_variance,
-    kernel_pair_function,
     s_moments_poisson,
-    simulate_homogeneous_poisson,
     true_variance_poisson,
-    two_point_statistic,
-    unit_square,
 )
 from ppboot.rng import RngSeed
+from ppboot.twopoint import (
+    KernelFunction,
+    PairFunction,
+    constant_pair_function,
+    kernel_pair_function,
+    two_point_statistic,
+)
 
 
 def gaussian_pair_function(scale=0.08, window=None):
@@ -180,7 +180,6 @@ class TestVarianceFormulas:
         assert m.reduced_true_variance() == pytest.approx(6.0, rel=1e-12)
         a_inf = alpha_coefficients(None, "poissonized")
         assert expected_bootstrap_variance(m, a_inf) == pytest.approx(10.0, rel=1e-12)
-        assert m.reduced_bootstrap_expectation() == pytest.approx(10.0, rel=1e-12)
 
     def test_poissonized_expectation_is_reduced_form(self):
         f = gaussian_pair_function()

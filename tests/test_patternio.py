@@ -1,19 +1,9 @@
 import numpy as np
 import pytest
 
-from ppboot import (
-    DataError,
-    DuplicatePointError,
-    Interval1,
-    OutOfWindowError,
-    PointPattern,
-    Window2,
-    ingest_pattern,
-    read_window,
-    unit_square,
-    write_pattern,
-    write_window,
-)
+from ppboot.errors import DataError, DuplicatePointError, OutOfWindowError
+from ppboot.geometry import Interval1, PointPattern, Window2, unit_square
+from ppboot.patternio import ingest_pattern, read_window, write_pattern, write_window
 
 
 def test_round_trip_planar(tmp_path):

@@ -14,8 +14,9 @@ import ppboot.cli
 import ppboot.intensity
 import ppboot.rng
 import ppboot.twopoint
-from ppboot import PointPattern, unit_square, write_pattern
 from ppboot.experiments import parse_f_spec
+from ppboot.geometry import PointPattern, unit_square
+from ppboot.patternio import write_pattern
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
