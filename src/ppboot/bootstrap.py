@@ -31,6 +31,8 @@ from .twopoint import PairFunction, TwoPointSums, distinct_index_sums
 
 SCHEMES = ("multinomial", "poissonized")
 
+# Resamples per parallel task
+_CHUNK = 4096
 # Bound on rows x pairs of one quadratic-form sub-block (8 MB per temporary)
 _QUADFORM_ENTRIES = 1 << 20
 
@@ -42,17 +44,11 @@ def _check_scheme(scheme: str) -> None:
 
 @dataclass(frozen=True)
 class AlphaCoefficients:
-    """The three weight-moment differences scaling R, T3 and Q4.
-
-    ``n`` is None for the n -> infinity (equivalently poissonized)
-    case, where (alpha2, alpha3, alpha4) = (3, 1, 0) exactly.
-    """
+    """The three weight-moment differences scaling R, T3 and Q4."""
 
     alpha2: float
     alpha3: float
     alpha4: float
-    n: int | None
-    scheme: str
 
 
 def _draw_weights(n: int, scheme: str, seed: RngSeed, first: int, count: int) -> np.ndarray:
@@ -99,7 +95,6 @@ def bootstrap_statistics(
     scheme: str,
     seed: RngSeed,
     threads: int = 1,
-    chunk: int = 4096,
 ) -> np.ndarray:
     """All N bootstrap statistics, in resample order (deterministic given seed)."""
     _check_scheme(scheme)
@@ -108,11 +103,11 @@ def bootstrap_statistics(
     if pattern.n == 0:
         return np.zeros(n_resamples)
     i, j, v = f.pairs(pattern.points)
-    sizes = chunk_sizes(n_resamples, chunk)
+    sizes = chunk_sizes(n_resamples, _CHUNK)
     rows = max(1, _QUADFORM_ENTRIES // max(len(v), 1))
 
     def run_chunk(c: int) -> np.ndarray:
-        w = _draw_weights(pattern.n, scheme, seed, c * chunk, sizes[c])
+        w = _draw_weights(pattern.n, scheme, seed, c * _CHUNK, sizes[c])
         # w^T F w = 2 sum over pairs i < j of w(i) w(j) f(x_i, x_j)
         return np.concatenate([2.0 * ((ws[:, i] * ws[:, j]) @ v)
                                for ws in np.split(w, range(rows, len(w), rows))])
@@ -140,9 +135,9 @@ def alpha_coefficients(n: int | None, scheme: str) -> AlphaCoefficients:
     """
     _check_scheme(scheme)
     if scheme == "poissonized" or n is None:
-        return AlphaCoefficients(3.0, 1.0, 0.0, None if n is None else int(n), scheme)
+        return AlphaCoefficients(3.0, 1.0, 0.0)
     a2, a3, a4 = alpha_polynomials_exact(int(n))
-    return AlphaCoefficients(float(a2), float(a3), float(a4), int(n), scheme)
+    return AlphaCoefficients(float(a2), float(a3), float(a4))
 
 
 def bootstrap_variance_limit(pattern: PointPattern, f: PairFunction, scheme: str) -> float:

@@ -16,12 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bootstrap import (
-    SCHEMES,
-    alpha_coefficients,
-    bootstrap_statistics,
-    bootstrap_variance_limit,
-)
+from .bootstrap import SCHEMES, _limit_from_sums, alpha_coefficients, bootstrap_statistics
 from .errors import ConfigError, DataError, NumericalError, ParameterError, PpbootError
 from .experiments import (
     midpoint_grid,
@@ -41,7 +36,7 @@ from .intensity import confidence_band, coverage_experiment
 from .moments import IntegrationSpec, s_moments_poisson
 from .patternio import ingest_pattern, parse_window, read_window, write_pattern
 from .rng import RngSeed
-from .twopoint import KernelFunction, estimate_product_density, two_point_statistic
+from .twopoint import KernelFunction, distinct_index_sums, estimate_product_density
 
 _CLI_METHODS = {"mc": "bootstrap_mc", "closed": "bootstrap_closed_form", "exact": "exact_poisson"}
 
@@ -135,16 +130,16 @@ def _cmd_boot_var(args) -> int:
     stats = bootstrap_statistics(pattern, f, args.n_resamples, args.scheme,
                                  seed, threads=args.threads)
     v_n, v_n_err = variance_with_error(stats)
-    limit = bootstrap_variance_limit(pattern, f, args.scheme)
+    sums = distinct_index_sums(pattern, f)
     doc = {
         "n": pattern.n,
         "N": args.n_resamples,
         "scheme": args.scheme,
         "seed": args.seed,
-        "theta_hat": two_point_statistic(pattern, f),
+        "theta_hat": sums.P,
         "v_star_N": v_n,
         "v_star_N_err": v_n_err,
-        "limit_closed_form": limit,
+        "limit_closed_form": _limit_from_sums(sums, pattern.n, args.scheme),
     }
     _write_text(args.out, json.dumps(doc, sort_keys=True, indent=2) + "\n")
     return 0
@@ -155,9 +150,7 @@ def _cmd_moments(args) -> int:
     if not isinstance(window, Window2):
         raise ConfigError("moments needs a planar window file")
     f = parse_f_spec(args.f_spec, window)
-    method = {"mc": "monte_carlo", "quad": "product_quadrature"}.get(args.method)
-    if method is None:
-        raise ConfigError(f"unknown method {args.method!r}; use mc or quad")
+    method = {"mc": "monte_carlo", "quad": "product_quadrature"}[args.method]
     spec = IntegrationSpec(method=method, sample_count=args.samples,
                            nodes_per_axis=args.nodes, seed=RngSeed(args.seed),
                            threads=args.threads)
@@ -173,11 +166,8 @@ def _cmd_ci_band(args) -> int:
     pattern = ingest_pattern(args.input, args.window)
     if pattern.dim != 1:
         raise ConfigError("ci-band needs a one-dimensional pattern")
-    method = _CLI_METHODS.get(args.method)
-    if method is None:
-        raise ConfigError(f"unknown method {args.method!r}; use mc, closed, or exact")
     grid = midpoint_grid(pattern.window, args.grid_steps)
-    band = confidence_band(pattern, args.h, args.alpha, grid, method,
+    band = confidence_band(pattern, args.h, args.alpha, grid, _CLI_METHODS[args.method],
                            mc_draws=args.mc_draws, seed=RngSeed(args.seed))
     rows = [
         [x, lam, lo, hi, flag if flag else "ok"]
@@ -199,29 +189,15 @@ def _cmd_coverage(args) -> int:
     cov = coverage_experiment(intensity, interval, args.h, args.alpha, method,
                               args.reps, grid, RngSeed(args.seed),
                               mc_draws=args.mc_draws, threads=args.threads)
-    rows = [
-        [x, ct, se_t, cs, se_s]
-        for x, ct, se_t, cs, se_s in zip(cov.grid, cov.coverage_true, cov.se_true,
-                                         cov.coverage_smoothed, cov.se_smoothed)
-    ]
-    _write_csv(args.out, ["x", "coverage_true_lambda", "coverage_true_lambda_se",
-                          "coverage_e_lambda_hat", "coverage_e_lambda_hat_se"], rows)
+    columns = cov.columns()
+    _write_csv(args.out, list(columns), [list(row) for row in zip(*columns.values())])
     return 0
 
 
-def _cmd_variance_comparison(args) -> int:
-    config = _load_config(args.config)
-    record = run_variance_comparison(config, threads=args.threads)
+def _cmd_experiment(args) -> int:
+    record = args.run(_load_config(args.config), threads=args.threads)
     _write_text(args.out, record.to_json())
-    sys.stderr.write(f"variance-comparison done in {record.wall_clock_s:.2f}s\n")
-    return 0
-
-
-def _cmd_ci_suite(args) -> int:
-    config = _load_config(args.config)
-    record = run_ci_suite(config, threads=args.threads)
-    _write_text(args.out, record.to_json())
-    sys.stderr.write(f"ci-suite done in {record.wall_clock_s:.2f}s\n")
+    sys.stderr.write(f"{args.command} done in {record.wall_clock_s:.2f}s\n")
     return 0
 
 
@@ -300,16 +276,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_coverage)
 
-    p = sub.add_parser("variance-comparison",
-                       help="bootstrap limit vs true variance experiment (config-driven)")
-    p.add_argument("--config", required=True)
-    _add_common(p, seed=False)
-    p.set_defaults(func=_cmd_variance_comparison)
-
-    p = sub.add_parser("ci-suite", help="bands + coverage tables for all methods (config-driven)")
-    p.add_argument("--config", required=True)
-    _add_common(p, seed=False)
-    p.set_defaults(func=_cmd_ci_suite)
+    # the runners are looked up per parser build, so a wrapper that replaces
+    # one of these names in this module after import is the one that runs
+    for name, run, text in (
+        ("variance-comparison", run_variance_comparison,
+         "bootstrap limit vs true variance experiment (config-driven)"),
+        ("ci-suite", run_ci_suite, "bands + coverage tables for all methods (config-driven)"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", required=True)
+        _add_common(p, seed=False)
+        p.set_defaults(func=_cmd_experiment, run=run)
 
     return parser
 

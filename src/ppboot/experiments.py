@@ -21,12 +21,11 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any
 
 import numpy as np
 
 from .bootstrap import SCHEMES, _limit_from_sums, alpha_coefficients
-from .errors import ConfigError, UnattainableLevelError
+from .errors import ConfigError, ParameterError, UnattainableLevelError
 from .geometry import (
     Interval1,
     IntensityFunction,
@@ -38,7 +37,6 @@ from .geometry import (
 )
 from .intensity import (
     BAND_METHODS,
-    TStarQuery,
     confidence_band,
     coverage_experiment,
     kernel_intensity_estimate,
@@ -89,26 +87,17 @@ def parse_lambda_spec(spec: str, interval: Interval1) -> IntensityFunction:
     raise ConfigError(f"unknown lambda-spec kind in {spec!r}; use const:c or linear:a,b")
 
 
-def _canonical_json(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 @dataclass(frozen=True)
 class ResultRecord:
     """One experiment's outputs: config echo, named results, error estimates.
 
-    ``wall_clock_s`` is informational and excluded from the serialized
-    record so identical (config, seed) runs produce byte-identical
-    files.
+    The serialized record adds ``input_digest``, the sha256 of the config's
+    canonical JSON.  ``wall_clock_s`` is informational and excluded from
+    it, so identical (config, seed) runs produce byte-identical files.
     """
 
     experiment: str
     config: dict
-    input_digest: str
     results: dict
     errors: dict
     series: dict
@@ -116,10 +105,11 @@ class ResultRecord:
     wall_clock_s: float = field(compare=False)
 
     def to_json(self) -> str:
+        canonical = json.dumps(self.config, sort_keys=True, separators=(",", ":"))
         doc = {
             "experiment": self.experiment,
             "config": self.config,
-            "input_digest": self.input_digest,
+            "input_digest": hashlib.sha256(canonical.encode()).hexdigest(),
             "results": self.results,
             "errors": self.errors,
             "series": self.series,
@@ -129,10 +119,15 @@ class ResultRecord:
 
 
 def _validate_config(config: dict, schema: dict[str, tuple], experiment: str) -> dict:
-    """Apply a {key: (checker, required, default)} schema; reject unknown keys."""
+    """Apply a {key: (checker, required, default)} schema; reject unknown keys.
+
+    An optional ``experiment`` key must name ``experiment``.
+    """
     if not isinstance(config, dict):
         raise ConfigError(f"{experiment} config must be an object, got {type(config).__name__}")
-    unknown = set(config) - set(schema)
+    if config.get("experiment", experiment) != experiment:
+        raise ConfigError(f"experiment must be {experiment!r}, got {config['experiment']!r}")
+    unknown = set(config) - set(schema) - {"experiment"}
     if unknown:
         raise ConfigError(f"unknown {experiment} config keys: {sorted(unknown)}")
     out = {}
@@ -201,7 +196,6 @@ def _methods_list(v) -> list[str]:
 
 
 _VARIANCE_SCHEMA = {
-    "experiment": (str, False, "variance_comparison"),
     "lambda": (_positive_float, True, None),
     "window": (parse_window, True, None),
     "f_spec": (str, True, None),
@@ -212,7 +206,6 @@ _VARIANCE_SCHEMA = {
 }
 
 _CI_SUITE_SCHEMA = {
-    "experiment": (str, False, "ci_suite"),
     "lambda_spec": (str, True, None),
     "interval": (parse_window, True, None),
     "h": (_positive_float, True, None),
@@ -235,6 +228,8 @@ def variance_with_error(x: np.ndarray) -> tuple[float, float]:
 
 def midpoint_grid(interval: Interval1, steps: int) -> np.ndarray:
     """Cell-midpoint grid of the interval (steps points)."""
+    if steps < 1:
+        raise ParameterError(f"need at least 1 grid step, got {steps}")
     edges = np.linspace(interval.lo, interval.hi, steps + 1)
     return 0.5 * (edges[:-1] + edges[1:])
 
@@ -243,8 +238,6 @@ def run_variance_comparison(config: dict, threads: int = 1) -> ResultRecord:
     """Bootstrap limit versus true variance for a homogeneous Poisson truth."""
     t0 = time.perf_counter()
     cfg = _validate_config(config, _VARIANCE_SCHEMA, "variance_comparison")
-    if cfg["experiment"] != "variance_comparison":
-        raise ConfigError(f"experiment must be 'variance_comparison', got {cfg['experiment']!r}")
     window = cfg["window"]
     if not isinstance(window, Window2):
         raise ConfigError("variance_comparison needs a planar window")
@@ -292,7 +285,6 @@ def run_variance_comparison(config: dict, threads: int = 1) -> ResultRecord:
     return ResultRecord(
         experiment="variance_comparison",
         config=dict(config),
-        input_digest=_sha256(_canonical_json(config)),
         results=results,
         errors=errors,
         series=series,
@@ -305,8 +297,6 @@ def run_ci_suite(config: dict, threads: int = 1) -> ResultRecord:
     """Bands on one realization plus coverage tables, for every configured method."""
     t0 = time.perf_counter()
     cfg = _validate_config(config, _CI_SUITE_SCHEMA, "ci_suite")
-    if cfg["experiment"] != "ci_suite":
-        raise ConfigError(f"experiment must be 'ci_suite', got {cfg['experiment']!r}")
     interval = cfg["interval"]
     if not isinstance(interval, Interval1):
         raise ConfigError("ci_suite needs a one-dimensional interval")
@@ -335,13 +325,7 @@ def run_ci_suite(config: dict, threads: int = 1) -> ResultRecord:
             cov = coverage_experiment(intensity, interval, h, alpha, method,
                                       cfg["reps"], grid, seed.substream(3, k),
                                       mc_draws=cfg["mc_draws"], threads=threads)
-            coverage[method] = {
-                "x": cov.grid.tolist(),
-                "coverage_true_lambda": cov.coverage_true.tolist(),
-                "coverage_true_lambda_se": cov.se_true.tolist(),
-                "coverage_e_lambda_hat": cov.coverage_smoothed.tolist(),
-                "coverage_e_lambda_hat_se": cov.se_smoothed.tolist(),
-            }
+            coverage[method] = {key: col.tolist() for key, col in cov.columns().items()}
 
     # closed-form vs Monte Carlo thresholds at the counts seen on the grid
     ref_counts = kernel_intensity_estimate(reference, h, grid).counts
@@ -351,7 +335,7 @@ def run_ci_suite(config: dict, threads: int = 1) -> ResultRecord:
     for j, p in enumerate(distinct_counts):
         if alpha >= 1.0 or np.exp(-p) >= alpha:
             continue
-        t_closed = t_star_closed_form(TStarQuery(p, h, alpha))
+        t_closed = t_star_closed_form(p, h, alpha)
         try:
             t_mc, t_lo, t_hi = t_star_monte_carlo_band(p, h, alpha, cfg["mc_draws"],
                                                        seed.substream(4, j))
@@ -366,7 +350,6 @@ def run_ci_suite(config: dict, threads: int = 1) -> ResultRecord:
     return ResultRecord(
         experiment="ci_suite",
         config=dict(config),
-        input_digest=_sha256(_canonical_json(config)),
         results=results,
         errors=errors,
         series={},

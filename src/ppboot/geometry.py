@@ -2,8 +2,9 @@
 
 Planar homogeneous processes live on a rectangle :class:`Window2`;
 one-dimensional inhomogeneous processes live on an :class:`Interval1`.
-Patterns are immutable and validated on construction: every point lies
-inside its window and points are pairwise distinct.
+Patterns are immutable and validated on construction, and only there:
+points have the window's shape, every point lies inside its window, and
+points are pairwise distinct.
 """
 from __future__ import annotations
 
@@ -83,22 +84,29 @@ class PointPattern:
     window: Window2 | Interval1
 
     def __post_init__(self) -> None:
+        planar = isinstance(self.window, Window2)
         pts = np.asarray(self.points, dtype=float)
-        if isinstance(self.window, Window2):
-            pts = pts.reshape(-1, 2) if pts.size else pts.reshape(0, 2)
-        else:
-            pts = pts.reshape(-1) if pts.size else pts.reshape(0)
+        if pts.size == 0:
+            pts = pts.reshape((0, 2) if planar else (0,))
+        elif pts.ndim == 0 or pts.shape[1:] != ((2,) if planar else ()):
+            raise ParameterError(f"points must have shape {'(n, 2)' if planar else '(n,)'} "
+                                 f"for this window, got {pts.shape}")
         pts = np.ascontiguousarray(pts)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        inside = self.window.contains(pts) if len(pts) else np.ones(0, bool)
-        if not bool(np.all(inside)):
-            row = int(np.flatnonzero(~inside)[0])
-            raise OutOfWindowError(f"point at row {row} lies outside the window")
+        outside = np.flatnonzero(~self.window.contains(pts)) if len(pts) else ()
+        if len(outside):
+            raise _point_error(OutOfWindowError, int(outside[0]), "lies outside the window")
         if len(pts) > 1:
-            rows = pts if pts.ndim == 2 else pts[:, None]
-            if len(np.unique(rows, axis=0)) != len(rows):
-                raise DuplicatePointError("points must be pairwise distinct")
+            # a stable sort puts equal points next to each other in index order,
+            # so each adjacent equal pair's second index repeats an earlier point
+            rows = pts.reshape(len(pts), -1)
+            order = np.lexsort(rows.T[::-1])
+            repeats = np.flatnonzero(np.all(rows[order[1:]] == rows[order[:-1]], axis=1))
+            if len(repeats):
+                k = repeats[np.argmin(order[repeats + 1])]
+                raise _point_error(DuplicatePointError, int(order[k + 1]),
+                                   f"repeats point {order[k]}; points must be pairwise distinct")
 
     @property
     def n(self) -> int:
@@ -107,6 +115,13 @@ class PointPattern:
     @property
     def dim(self) -> int:
         return 2 if isinstance(self.window, Window2) else 1
+
+
+def _point_error(cls: type[Exception], index: int, what: str) -> Exception:
+    """A ``cls`` error about point ``index``, which it also carries as ``.index``."""
+    exc = cls(f"point {index} {what}")
+    exc.index = index
+    return exc
 
 
 @dataclass(frozen=True)
@@ -128,9 +143,9 @@ class IntensityFunction:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
 
-    def integral(self, lo: float, hi: float, n_nodes: int = 256) -> float:
-        """Integral of lambda over [lo, hi] by Gauss-Legendre quadrature."""
-        nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    def integral(self, lo: float, hi: float) -> float:
+        """Integral of lambda over [lo, hi] by 256-node Gauss-Legendre quadrature."""
+        nodes, weights = np.polynomial.legendre.leggauss(256)
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         return float(half * np.sum(weights * self(mid + half * nodes)))
 

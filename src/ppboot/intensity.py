@@ -70,25 +70,20 @@ class ConfidenceBand:
     flags: tuple[str, ...]  # "", "edge", "zero-count", or "edge;zero-count"
 
 
-@dataclass(frozen=True)
-class TStarQuery:
-    """Inputs of the closed-form bootstrap threshold at one grid point.
+def _check_bandwidth(h: float) -> None:
+    if not (h > 0 and math.isfinite(h)):
+        raise ParameterError(f"bandwidth must be positive and finite, got {h}")
 
-    The covered-count interval at threshold t is [a(t) - b(t), a(t) + b(t)]
-    with a(t) = p + h t^2 and b(t) = t sqrt(2 h p + h^2 t^2).
-    """
 
-    p: int
-    h: float
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if int(self.p) != self.p or self.p < 0:
-            raise ParameterError(f"count p must be a nonnegative integer, got {self.p}")
-        if not (self.h > 0 and math.isfinite(self.h)):
-            raise ParameterError(f"bandwidth must be positive and finite, got {self.h}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ParameterError(f"alpha must lie in [0, 1], got {self.alpha}")
+def _check_t_star_args(p: int, h: float, alpha: float) -> None:
+    """Preconditions shared by the closed-form and Monte Carlo bootstrap thresholds."""
+    if int(p) != p or p < 0:
+        raise ParameterError(f"count p must be a nonnegative integer, got {p}")
+    _check_bandwidth(h)
+    if not 0.0 <= alpha <= 1.0:
+        raise ParameterError(f"alpha must lie in [0, 1], got {alpha}")
+    if p < 1:
+        raise DegenerateCountError("t* is undefined at a zero observed count")
 
 
 def _abs_t_squared_key(m: int, center: float, exact: bool) -> Fraction | float:
@@ -150,19 +145,17 @@ def _min_t_threshold(mean: float, center: float, two_h: float, alpha: float,
     return threshold
 
 
-def t_star_closed_form(query: TStarQuery) -> float:
-    """The bootstrap threshold t*_alpha without simulation.
+def t_star_closed_form(p: int, h: float, alpha: float) -> float:
+    """The bootstrap threshold t*_alpha at observed count p, without simulation.
 
     Conditional on the data, the resampled count p* at this grid point
     is Poisson(p); t* is the minimal t whose covered-count interval
-    [a(t) - b(t), a(t) + b(t)] holds probability at least 1 - alpha.
+    [a(t) - b(t), a(t) + b(t)], with a(t) = p + h t^2 and
+    b(t) = t sqrt(2 h p + h^2 t^2), holds probability at least 1 - alpha.
     """
-    if query.p < 1:
-        raise DegenerateCountError("t* is undefined at a zero observed count")
-    return _min_t_threshold(
-        mean=float(query.p), center=float(query.p), two_h=2.0 * query.h,
-        alpha=query.alpha, exact=True,
-    )
+    _check_t_star_args(p, h, alpha)
+    return _min_t_threshold(mean=float(p), center=float(p), two_h=2.0 * h,
+                            alpha=alpha, exact=True)
 
 
 def t_star_monte_carlo(p: int, h: float, alpha: float, n_draws: int, seed: RngSeed) -> float:
@@ -176,18 +169,16 @@ def t_star_monte_carlo(p: int, h: float, alpha: float, n_draws: int, seed: RngSe
 
 
 def t_star_monte_carlo_band(
-    p: int, h: float, alpha: float, n_draws: int, seed: RngSeed, z: float = 3.0
+    p: int, h: float, alpha: float, n_draws: int, seed: RngSeed
 ) -> tuple[float, float, float]:
-    """(quantile, lower, upper): distribution-free z-sigma bracket for the MC threshold.
+    """(quantile, lower, upper): distribution-free 3-sigma bracket for the MC threshold.
 
     The bracket takes the order statistics at rank
-    ceil((1-alpha) n) -+ z sqrt(n alpha (1-alpha)), the binomial
+    ceil((1-alpha) n) -+ 3 sqrt(n alpha (1-alpha)), the binomial
     uncertainty of the empirical CDF at the target level.  At alpha = 1
     every threshold covers, and all three are 0.
     """
-    TStarQuery(p, h, alpha)  # validates p, h, alpha
-    if p < 1:
-        raise DegenerateCountError("t* is undefined at a zero observed count")
+    _check_t_star_args(p, h, alpha)
     if n_draws < 1000:
         raise ParameterError(f"need at least 1000 draws, got {n_draws}")
     if alpha >= 1.0:
@@ -199,7 +190,7 @@ def t_star_monte_carlo_band(
     t_abs[p_star == 0] = np.inf
     t_abs.sort()
     k = math.ceil((1.0 - alpha) * n_draws)
-    margin = z * math.sqrt(n_draws * alpha * (1.0 - alpha))
+    margin = 3.0 * math.sqrt(n_draws * alpha * (1.0 - alpha))
     k_lo = max(1, math.floor(k - margin))
     k_hi = min(n_draws, math.ceil(k + margin))
     value = float(t_abs[k - 1])
@@ -218,8 +209,7 @@ def t_alpha_oracle(intensity: IntensityFunction, x: float, h: float, alpha: floa
     estimator's own mean m/(2h).  Same minimization as the bootstrap
     closed form, with Poisson(m) in place of Poisson(p).
     """
-    if not (h > 0 and math.isfinite(h)):
-        raise ParameterError(f"bandwidth must be positive and finite, got {h}")
+    _check_bandwidth(h)
     if not 0.0 <= alpha <= 1.0:
         raise ParameterError(f"alpha must lie in [0, 1], got {alpha}")
     m = intensity.integral(x - h, x + h)
@@ -230,8 +220,7 @@ def t_alpha_oracle(intensity: IntensityFunction, x: float, h: float, alpha: floa
 
 def kernel_intensity_estimate(pattern: PointPattern, h: float, grid: np.ndarray) -> IntensityEstimate:
     """Rectangular-kernel estimate lambda_hat(x) = p(x) / (2h) on a grid."""
-    if not (h > 0 and math.isfinite(h)):
-        raise ParameterError(f"bandwidth must be positive and finite, got {h}")
+    _check_bandwidth(h)
     if pattern.dim != 1:
         raise ParameterError("kernel intensity estimation expects a one-dimensional pattern")
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
@@ -280,8 +269,7 @@ class _BandBuilder:
                  intensity: IntensityFunction | None = None):
         if method not in BAND_METHODS:
             raise ParameterError(f"unknown band method {method!r}; use one of {BAND_METHODS}")
-        if not (h > 0 and math.isfinite(h)):
-            raise ParameterError(f"bandwidth must be positive and finite, got {h}")
+        _check_bandwidth(h)
         if not 0.0 < alpha <= 1.0:
             raise ParameterError(f"alpha must lie in (0, 1] for bands, got {alpha}")
         if method == "bootstrap_mc" and seed is None:
@@ -300,7 +288,7 @@ class _BandBuilder:
 
     def _threshold(self, p: int) -> float:
         if self.method == "bootstrap_closed_form":
-            return t_star_closed_form(TStarQuery(p, self.h, self.alpha))
+            return t_star_closed_form(p, self.h, self.alpha)
         assert self.method == "bootstrap_mc"
         return t_star_monte_carlo(p, self.h, self.alpha, self.mc_draws,
                                   self.seed.substream(1, p))
@@ -399,15 +387,16 @@ class CoverageResult:
     alpha: float
     flags: tuple[str, ...]
 
-    @property
-    def se_true(self) -> np.ndarray:
-        c = self.coverage_true
-        return np.sqrt(c * (1.0 - c) / self.reps)
+    def columns(self) -> dict[str, np.ndarray]:
+        """The coverage table by column: grid, then each coverage and its standard error."""
+        def se(c: np.ndarray) -> np.ndarray:
+            return np.sqrt(c * (1.0 - c) / self.reps)
 
-    @property
-    def se_smoothed(self) -> np.ndarray:
-        c = self.coverage_smoothed
-        return np.sqrt(c * (1.0 - c) / self.reps)
+        return {"x": self.grid,
+                "coverage_true_lambda": self.coverage_true,
+                "coverage_true_lambda_se": se(self.coverage_true),
+                "coverage_e_lambda_hat": self.coverage_smoothed,
+                "coverage_e_lambda_hat_se": se(self.coverage_smoothed)}
 
 
 def coverage_experiment(

@@ -6,8 +6,9 @@ patterns), one point per row.  The sidecar declares the window::
     {"window": {"x_min": 0.0, "x_max": 1.0, "y_min": 0.0, "y_max": 1.0}}
     {"window": {"lo": 0.0, "hi": 1.0}}
 
-Ingestion validates that points parse, lie inside the window, and are
-pairwise distinct; failures carry the offending row number.
+Ingestion parses the header and every row; :class:`PointPattern` then
+checks that points lie inside the window and are pairwise distinct.
+Failures carry the offending row number.
 """
 from __future__ import annotations
 
@@ -99,20 +100,10 @@ def ingest_pattern(csv_path: str | Path, window_path: str | Path | None = None) 
     arr = np.asarray(points, dtype=float)
     if isinstance(window, Interval1):
         arr = arr.reshape(-1)
-
-    inside = window.contains(arr) if len(arr) else np.ones(0, bool)
-    if not bool(np.all(inside)):
-        row = int(np.flatnonzero(~inside)[0]) + 2
-        raise OutOfWindowError(f"row {row}: point lies outside the declared window")
-    seen: set[tuple[float, ...]] = set()
-    for i, p in enumerate(arr):
-        key = tuple(p) if arr.ndim == 2 else (float(p),)
-        if key in seen:
-            raise DuplicatePointError(
-                f"row {i + 2}: duplicate point; patterns must have pairwise-distinct points"
-            )
-        seen.add(key)
-    return PointPattern(arr, window)
+    try:
+        return PointPattern(arr, window)
+    except (DuplicatePointError, OutOfWindowError) as exc:
+        raise type(exc)(f"row {exc.index + 2}: {exc}") from exc
 
 
 def write_pattern(pattern: PointPattern, csv_path: str | Path,

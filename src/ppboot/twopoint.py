@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ParameterError
+from .errors import NumericalError, ParameterError
 from .geometry import Interval1, PointPattern, Window2
 
 # Relative padding of a search radius, so a pair whose distance rounds
@@ -105,7 +105,8 @@ class PairFunction:
         """The pairs i < j with f(x_i, x_j) != 0, as sorted arrays (i, j, v).
 
         h runs only on the pairs within ``reach``, and pairs with a point
-        outside ``window`` are dropped, as the indicators of f demand.
+        outside ``window`` are dropped, as the indicators of f demand.  A
+        non-finite value of h raises :class:`NumericalError`.
         """
         pts = np.asarray(points, dtype=float)
         i, j = _close_pairs(pts, self.reach)
@@ -113,6 +114,8 @@ class PairFunction:
         keep = inside[i] & inside[j]
         i, j = i[keep], j[keep]
         v = np.asarray(self.h(pts[i], pts[j]), dtype=float)
+        if not np.all(np.isfinite(v)):
+            raise NumericalError(f"pair function {self.label} has a non-finite value")
         nonzero = v != 0.0
         return i[nonzero], j[nonzero], v[nonzero]
 

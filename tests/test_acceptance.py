@@ -19,7 +19,6 @@ from ppboot.errors import UnattainableLevelError
 from ppboot.experiments import midpoint_grid, run_variance_comparison
 from ppboot.geometry import Interval1, linear_intensity, simulate_homogeneous_poisson, unit_square
 from ppboot.intensity import (
-    TStarQuery,
     coverage_experiment,
     t_star_closed_form,
     t_star_monte_carlo_band,
@@ -147,10 +146,10 @@ def test_criterion_5_closed_form_threshold_sweep():
                     # exact-CDF fact and the documented error
                     assert 1.0 - math.exp(-p) < 1.0 - alpha
                     with pytest.raises(UnattainableLevelError):
-                        t_star_closed_form(TStarQuery(p, h, alpha))
+                        t_star_closed_form(p, h, alpha)
                     infeasible += 1
                     continue
-                t = t_star_closed_form(TStarQuery(p, h, alpha))
+                t = t_star_closed_form(p, h, alpha)
                 assert coverage_probability(p, h, t) >= 1 - alpha
                 # preceding jump of the coverage step function, found by
                 # independent enumeration of candidate thresholds
@@ -163,7 +162,7 @@ def test_criterion_5_closed_form_threshold_sweep():
                 checked += 1
     for h in (0.02, 0.1):
         for alpha in (0.05, 0.10):
-            t = t_star_closed_form(TStarQuery(4, h, alpha))
+            t = t_star_closed_form(4, h, alpha)
             seed = RngSeed(5000 + int(1000 * h) + int(1000 * alpha))
             _, lo, hi = t_star_monte_carlo_band(4, h, alpha, 10**6, seed)
             # 1e-12 slack: tied atoms (counts 1 and 16 at p = 4) have equal
@@ -205,7 +204,7 @@ def test_criterion_7_exact_band_coverage_and_clt():
         f"min coverage {cov.coverage_true.min():.4f} below {floor:.4f}"
     )
     # with 2h = 1 the studentized deviation is asymptotically standard normal
-    t400 = t_star_closed_form(TStarQuery(400, 0.5, 0.05))
+    t400 = t_star_closed_form(400, 0.5, 0.05)
     assert abs(t400 / 1.959964 - 1.0) < 0.05
     report(7, time.perf_counter() - t0, 300.0,
            f"min pointwise coverage {cov.coverage_true.min():.4f} >= {floor:.4f}; "

@@ -261,14 +261,45 @@ class TestConfigDriven:
                      "--out", str(tmp_path / "x.json")]) == 2
 
 
+_CI_BAND = ["ci-band", "--input", "{interval}", "--h", "0.1", "--alpha", "0.1"]
+_COVERAGE = ["coverage", "--lambda-spec", "const:40", "--h", "0.1", "--alpha", "0.1",
+             "--method", "exact", "--reps", "200"]
+_BOOT_VAR = ["boot-var", "--input", "{planar}"]
+
+EXIT_CODES = [
+    pytest.param(_BOOT_VAR + ["--f-spec", "ones", "--N", "0"], 2, id="boot-var-N-0"),
+    pytest.param(_BOOT_VAR + ["--f-spec", "ones", "--N", "10", "--seed", "-1"], 2,
+                 id="boot-var-seed--1"),
+    pytest.param(_BOOT_VAR + ["--f-spec", "const:nan", "--N", "10"], 3, id="boot-var-const-nan"),
+    pytest.param(["ci-band", "--input", "{interval}", "--h", "-0.1", "--alpha", "0.1",
+                  "--method", "closed"], 2, id="ci-band-h--0.1"),
+    pytest.param(["ci-band", "--input", "{interval}", "--h", "0.1", "--alpha", "2",
+                  "--method", "closed"], 2, id="ci-band-alpha-2"),
+    pytest.param(_CI_BAND + ["--method", "mc", "--mc-draws", "5"], 2, id="ci-band-mc-draws-5"),
+    pytest.param(_CI_BAND + ["--method", "closed", "--grid-steps", "0"], 2,
+                 id="ci-band-grid-steps-0"),
+    pytest.param(_CI_BAND + ["--method", "closed", "--grid-steps", "-2"], 2,
+                 id="ci-band-grid-steps--2"),
+    pytest.param(_COVERAGE + ["--grid-steps", "0"], 2, id="coverage-grid-steps-0"),
+    pytest.param(_COVERAGE + ["--grid-steps", "-2"], 2, id="coverage-grid-steps--2"),
+    pytest.param(["moments", "--lambda", "2", "--window", "{square}", "--f-spec", "ones",
+                  "--samples", "10"], 2, id="moments-samples-10"),
+    pytest.param(["pcf", "--input", "{duplicate}", "--window", "{square}", "--rmin", "0.01",
+                  "--rmax", "0.1", "--rsteps", "3", "--bandwidth", "0.01"], 4,
+                 id="pcf-duplicate-row"),
+]
+
+
 class TestExitCodes:
-    def test_duplicate_data_exit_4(self, tmp_path, square_window):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("x,y\n0.1,0.2\n0.1,0.2\n")
-        rc = main(["pcf", "--input", str(bad), "--window", square_window,
-                   "--rmin", "0.01", "--rmax", "0.1", "--rsteps", "3",
-                   "--bandwidth", "0.01", "--out", str(tmp_path / "o.csv")])
-        assert rc == 4
+    @pytest.mark.parametrize("argv, code", EXIT_CODES)
+    def test_exit_code_table(self, tmp_path, planar_pattern, interval_pattern, square_window,
+                             argv, code):
+        duplicate = tmp_path / "dup.csv"
+        duplicate.write_text("x,y\n0.1,0.2\n0.1,0.2\n")
+        paths = {"planar": planar_pattern, "interval": interval_pattern,
+                 "square": square_window, "duplicate": str(duplicate)}
+        argv = [arg.format(**paths) for arg in argv] + ["--out", str(tmp_path / "out")]
+        assert main(argv) == code
 
     @pytest.mark.parametrize("interval", ["0,x", "0,1,2", "1", "1,0"])
     def test_bad_coverage_interval_exit_2(self, tmp_path, interval):

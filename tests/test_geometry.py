@@ -52,6 +52,40 @@ class TestPointPattern:
         p1 = PointPattern(np.array([0.3, 0.7]), Interval1(0, 1))
         assert p1.n == 2 and p1.dim == 1
 
+    def test_first_outside_point_named(self):
+        with pytest.raises(OutOfWindowError, match="point 1 lies outside") as info:
+            PointPattern(np.array([[0.5, 0.5], [1.2, 0.1], [-1.0, 0.0]]), unit_square())
+        assert info.value.index == 1
+
+    @pytest.mark.parametrize("points, window, index, earlier", [
+        ([0.3, 0.1, 0.5, 0.1], Interval1(0, 1), 3, 1),
+        ([0.5, 0.2, 0.5, 0.5], Interval1(0, 1), 2, 0),  # three-way repeat
+        ([0.0, 0.3, -0.0], Interval1(-1, 1), 2, 0),  # 0.0 and -0.0 coincide
+        ([[0.1, 0.2], [0.3, 0.4], [0.3, 0.4], [0.1, 0.2]], unit_square(), 2, 1),
+        ([[0.2, 0.5], [0.5, 0.2], [0.2, 0.5], [0.2, 0.5]], unit_square(), 2, 0),
+        ([[0.0, 0.5], [0.5, 0.0], [-0.0, 0.5]], Window2(-1, 1, -1, 1), 2, 0),
+    ], ids=["1d", "1d-three-way", "1d-signed-zero", "2d", "2d-three-way", "2d-signed-zero"])
+    def test_first_repeat_named(self, points, window, index, earlier):
+        with pytest.raises(DuplicatePointError, match=f"point {index} repeats point {earlier};") as info:
+            PointPattern(np.array(points), window)
+        assert info.value.index == index
+
+    @pytest.mark.parametrize("points, window", [
+        (np.array([[0.1, 0.2], [0.3, 0.4]]), Interval1(0, 1)),
+        (np.full((2, 3), 0.5), unit_square()),
+        (np.array([0.1, 0.2, 0.3]), unit_square()),
+        (np.array([[0.1], [0.2]]), unit_square()),
+        (np.float64(0.5), Interval1(0, 1)),
+    ], ids=["n-by-2-on-interval", "n-by-3-on-square", "odd-1d-on-square", "n-by-1-on-square",
+            "scalar-on-interval"])
+    def test_wrong_shape_rejected(self, points, window):
+        with pytest.raises(ParameterError, match="shape"):
+            PointPattern(points, window)
+
+    def test_empty_points_of_any_shape_accepted(self):
+        assert PointPattern(np.empty(0), unit_square()).points.shape == (0, 2)
+        assert PointPattern(np.empty((0, 2)), Interval1(0, 1)).points.shape == (0,)
+
 
 class TestHomogeneousSimulation:
     def test_zero_intensity_gives_empty_pattern(self):

@@ -15,7 +15,6 @@ from ppboot.geometry import (
 )
 from ppboot.intensity import (
     BAND_METHODS,
-    TStarQuery,
     _BandBuilder,
     confidence_band,
     coverage_experiment,
@@ -73,37 +72,40 @@ class TestKernelIntensityEstimate:
         assert abs(values.mean() - lam) < 3 * se
 
 
-class TestTStarQuery:
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            TStarQuery(-1, 0.1, 0.05)
-        with pytest.raises(ParameterError):
-            TStarQuery(4, 0.0, 0.05)
-        with pytest.raises(ParameterError):
-            TStarQuery(4, 0.1, 1.5)
+class TestTStarArguments:
+    def test_validation_in_both_routines(self):
+        routines = (t_star_closed_form,
+                    lambda p, h, alpha: t_star_monte_carlo_band(p, h, alpha, 1000, RngSeed(1)))
+        for threshold in routines:
+            for p, h, alpha in [(-1, 0.1, 0.05), (2.5, 0.1, 0.05), (4, 0.0, 0.05),
+                                (4, math.inf, 0.05), (4, 0.1, 1.5), (4, 0.1, -0.1)]:
+                with pytest.raises(ParameterError):
+                    threshold(p, h, alpha)
+            with pytest.raises(DegenerateCountError):
+                threshold(0, 0.1, 0.05)
 
 
 class TestTStarClosedForm:
     def test_alpha_one_gives_zero(self):
-        assert t_star_closed_form(TStarQuery(4, 0.1, 1.0)) == 0.0
+        assert t_star_closed_form(4, 0.1, 1.0) == 0.0
 
     def test_zero_count_rejected(self):
         with pytest.raises(DegenerateCountError):
-            t_star_closed_form(TStarQuery(0, 0.1, 0.05))
+            t_star_closed_form(0, 0.1, 0.05)
 
     def test_alpha_zero_unattainable(self):
         with pytest.raises(UnattainableLevelError):
-            t_star_closed_form(TStarQuery(4, 0.1, 0.0))
+            t_star_closed_form(4, 0.1, 0.0)
 
     def test_small_count_levels_unattainable(self):
         # the resampled count is zero with probability exp(-p), which no
         # finite threshold covers, so 1 - alpha > 1 - exp(-p) is infeasible
         for p, alpha in [(1, 0.05), (1, 0.10), (2, 0.05), (2, 0.10)]:
             with pytest.raises(UnattainableLevelError):
-                t_star_closed_form(TStarQuery(p, 0.1, alpha))
+                t_star_closed_form(p, 0.1, alpha)
 
     def test_spot_case_against_monte_carlo(self):
-        t = t_star_closed_form(TStarQuery(4, 0.1, 0.05))
+        t = t_star_closed_form(4, 0.1, 0.05)
         t_mc, lo, hi = t_star_monte_carlo_band(4, 0.1, 0.05, 200_000, RngSeed(606))
         assert lo * (1 - 1e-12) <= t <= hi * (1 + 1e-12)
         assert coverage_probability(4, 0.1, t) >= 0.95
@@ -112,15 +114,15 @@ class TestTStarClosedForm:
 
     def test_monotone_in_level(self):
         for p in range(5, 51, 5):
-            t_strict = t_star_closed_form(TStarQuery(p, 0.1, 0.01))
-            t_loose = t_star_closed_form(TStarQuery(p, 0.1, 0.10))
+            t_strict = t_star_closed_form(p, 0.1, 0.01)
+            t_loose = t_star_closed_form(p, 0.1, 0.10)
             assert t_strict >= t_loose
 
     def test_tight_levels_raise_for_tiny_counts(self):
         for p in (1, 2, 3, 4):
             if math.exp(-p) >= 0.01:
                 with pytest.raises(UnattainableLevelError):
-                    t_star_closed_form(TStarQuery(p, 0.1, 0.01))
+                    t_star_closed_form(p, 0.1, 0.01)
 
     def test_coverage_probability_step_function(self):
         ts = np.linspace(0, 25, 600)
@@ -150,7 +152,7 @@ class TestTStarMonteCarlo:
         # p = 3 at alpha = 0.05 sits 2e-4 from the feasibility edge, where
         # the empirical quantile is legitimately unstable; start at p = 4
         for p in (4, 7, 20, 45):
-            t = t_star_closed_form(TStarQuery(p, 0.1, 0.05))
+            t = t_star_closed_form(p, 0.1, 0.05)
             t_mc, lo, hi = t_star_monte_carlo_band(p, 0.1, 0.05, 100_000, RngSeed(3, (p,)))
             assert lo * (1 - 1e-12) <= t <= hi * (1 + 1e-12)
 
@@ -167,7 +169,7 @@ class TestTStarMonteCarlo:
                 for p in range(1, 51):
                     if math.exp(-p) >= alpha or (p == 3 and alpha == 0.05):
                         continue
-                    t = t_star_closed_form(TStarQuery(p, h, alpha))
+                    t = t_star_closed_form(p, h, alpha)
                     _, lo, hi = t_star_monte_carlo_band(
                         p, h, alpha, draws,
                         RngSeed(8800, (p, int(1000 * h), int(100 * alpha))))
@@ -361,7 +363,7 @@ class TestTAlphaOracle:
         # constant 40 on [x-h, x+h] with h = 0.05 gives integral 4; the
         # minimization is then identical to the bootstrap closed form at p = 4
         t_oracle = t_alpha_oracle(constant_intensity(40.0), 0.5, 0.05, 0.05)
-        t_boot = t_star_closed_form(TStarQuery(4, 0.05, 0.05))
+        t_boot = t_star_closed_form(4, 0.05, 0.05)
         assert t_oracle == pytest.approx(t_boot, rel=1e-9)
 
     def test_zero_mass_rejected(self):
