@@ -220,6 +220,8 @@ _CI_SUITE_SCHEMA = {
 
 def variance_with_error(x: np.ndarray) -> tuple[float, float]:
     """Sample variance (ddof=1) of x and its 3-sigma error from the fourth central moment."""
+    if len(x) < 2:
+        raise ParameterError(f"a sample variance needs at least 2 values, got {len(x)}")
     var = float(np.var(x, ddof=1))
     dev = x - x.mean()
     m4 = float(np.mean(dev**4))
@@ -253,13 +255,13 @@ def run_variance_comparison(config: dict, threads: int = 1) -> ResultRecord:
         thetas[r] = sums.P
         limits[r] = _limit_from_sums(sums, pattern.n, cfg["scheme"])
 
-    spec = replace(cfg["integration"], seed=seed.substream(1), threads=threads)
-    moments = s_moments_poisson(lam, window, f, spec)
-
     reps = cfg["reps"]
     mc_var, mc_var_err = variance_with_error(thetas)
     mean_limit = float(np.mean(limits))
     mean_limit_se = float(np.std(limits, ddof=1) / np.sqrt(reps))
+
+    spec = replace(cfg["integration"], seed=seed.substream(1), threads=threads)
+    moments = s_moments_poisson(lam, window, f, spec)
 
     target_boot = expected_bootstrap_variance(moments, alpha_coefficients(None, "poissonized"))
     target_true = moments.reduced_true_variance()

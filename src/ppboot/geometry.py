@@ -8,6 +8,7 @@ points are pairwise distinct.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -117,6 +118,18 @@ class PointPattern:
         return 2 if isinstance(self.window, Window2) else 1
 
 
+@functools.cache
+def gauss_legendre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per size.
+
+    The arrays are shared between callers and therefore read-only.
+    """
+    rule = np.polynomial.legendre.leggauss(nodes)
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
+
+
 def _point_error(cls: type[Exception], index: int, what: str) -> Exception:
     """A ``cls`` error about point ``index``, which it also carries as ``.index``."""
     exc = cls(f"point {index} {what}")
@@ -145,7 +158,7 @@ class IntensityFunction:
 
     def integral(self, lo: float, hi: float) -> float:
         """Integral of lambda over [lo, hi] by 256-node Gauss-Legendre quadrature."""
-        nodes, weights = np.polynomial.legendre.leggauss(256)
+        nodes, weights = gauss_legendre_rule(256)
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         return float(half * np.sum(weights * self(mid + half * nodes)))
 

@@ -13,7 +13,9 @@ Four routes to a pointwise band of level 1-alpha:
     The same quantile computed exactly: conditional on the data, p* is
     Poisson(p), so the quantile needs only Poisson tail sums.  The
     minimal t with P{|T*| <= t} >= 1-alpha is found by expanding the
-    covered count range outward, atom by atom, in order of |T*|.
+    covered count range outward, atom by atom, in order of |T*|; the
+    walk's states are taken in doubling blocks, and one vectorised
+    Poisson cdf call gives the coverage of every state in a block.
 ``exact_poisson``
     No resampling: 2h*lambda_hat(x) is Poisson with mean 2h*lambda(x)
     when lambda is close to linear across the kernel span, so a
@@ -28,6 +30,7 @@ t * sqrt(lambda_hat), and the lower edge is clipped at zero.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -95,24 +98,13 @@ def _abs_t_squared_key(m: int, center: float, exact: bool) -> Fraction | float:
     return d * d / m
 
 
-def _min_t_threshold(mean: float, center: float, two_h: float, alpha: float,
-                     exact: bool) -> float:
-    """Minimal t >= 0 with P{|count - center| / sqrt(two_h * count) <= t} >= 1 - alpha.
+def _walk_states(center: float, two_h: float, exact: bool):
+    """The (lo, hi, threshold) states of the outward walk over count atoms.
 
-    The count is Poisson(mean); count 0 gives |T| = +infinity and is
-    never covered.  Expands the covered range outward from the most
-    central atom in order of |T|, handling exact ties (possible when
-    ``center`` is an integer) as a single step.
+    Starts at the most central atom and adds atoms in order of |T|,
+    taking exact ties (possible when ``center`` is an integer) as a
+    single step; count 0 gives |T| = +infinity and is never reached.
     """
-    if alpha >= 1.0:
-        return 0.0
-    if alpha <= 0.0 or math.exp(-mean) >= alpha:
-        raise UnattainableLevelError(
-            f"coverage {1 - alpha} is not attainable: the resampled count is 0 "
-            f"with probability {math.exp(-mean):.6g}, which is never covered"
-        )
-    target = 1.0 - alpha
-
     def t_at(m: int) -> float:
         # float path kept identical to the Monte Carlo |T| computation so
         # the two routes agree to the last bit on a shared atom
@@ -122,13 +114,8 @@ def _min_t_threshold(mean: float, center: float, two_h: float, alpha: float,
     if _abs_t_squared_key(start + 1, center, exact) < _abs_t_squared_key(start, center, exact):
         start += 1
     lo = hi = start
-    threshold = t_at(start)
-
-    def cdf(m: int) -> float:
-        return float(stats.poisson.cdf(m, mean)) if m >= 0 else 0.0
-
-    coverage = cdf(hi) - cdf(lo - 1)
-    while coverage < target:
+    yield lo, hi, t_at(start)
+    while True:
         left = _abs_t_squared_key(lo - 1, center, exact) if lo > 1 else None
         right = _abs_t_squared_key(hi + 1, center, exact)
         if left is not None and left < right:
@@ -141,8 +128,37 @@ def _min_t_threshold(mean: float, center: float, two_h: float, alpha: float,
         else:
             hi += 1
             threshold = t_at(hi)
-        coverage = cdf(hi) - cdf(lo - 1)
-    return threshold
+        yield lo, hi, threshold
+
+
+def _min_t_threshold(mean: float, center: float, two_h: float, alpha: float,
+                     exact: bool) -> float:
+    """Minimal t >= 0 with P{|count - center| / sqrt(two_h * count) <= t} >= 1 - alpha.
+
+    The count is Poisson(mean).  Returns the threshold of the first walk
+    state whose covered range [lo, hi] holds probability 1 - alpha.  The
+    states come in doubling blocks, each scored by one vectorised cdf
+    call, so the answer is the atom-by-atom scan's without assuming the
+    rounded coverage grows monotonically along the walk.
+    """
+    if alpha >= 1.0:
+        return 0.0
+    if alpha <= 0.0 or math.exp(-mean) >= alpha:
+        raise UnattainableLevelError(
+            f"coverage {1 - alpha} is not attainable: the resampled count is 0 "
+            f"with probability {math.exp(-mean):.6g}, which is never covered"
+        )
+    target = 1.0 - alpha
+    states = _walk_states(center, two_h, exact)
+    block = 16
+    while True:
+        los, his, thresholds = zip(*itertools.islice(states, block))
+        cdf = stats.poisson.cdf(np.array(his + tuple(lo - 1 for lo in los)), mean)
+        coverage = cdf[:block] - cdf[block:]
+        covered = np.flatnonzero(~(coverage < target))
+        if len(covered):
+            return thresholds[covered[0]]
+        block *= 2
 
 
 def t_star_closed_form(p: int, h: float, alpha: float) -> float:
@@ -185,20 +201,24 @@ def t_star_monte_carlo_band(
         return 0.0, 0.0, 0.0
     rng = seed.generator()
     p_star = rng.poisson(float(p), n_draws)
+    # |T*| is a function of the atom, so the sorted draws are the atoms in
+    # |T*| order, each repeated as often as it was drawn
+    atoms = np.arange(p_star.min(), p_star.max() + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_abs = np.abs(p_star - p) / np.sqrt(2.0 * h * p_star)
-    t_abs[p_star == 0] = np.inf
-    t_abs.sort()
+        t_atom = np.abs(atoms - p) / np.sqrt(2.0 * h * atoms)
+    t_atom[atoms == 0] = np.inf
+    order = np.argsort(t_atom, kind="stable")
+    cum = np.cumsum(np.bincount(p_star - atoms[0])[order])
     k = math.ceil((1.0 - alpha) * n_draws)
     margin = 3.0 * math.sqrt(n_draws * alpha * (1.0 - alpha))
     k_lo = max(1, math.floor(k - margin))
     k_hi = min(n_draws, math.ceil(k + margin))
-    value = float(t_abs[k - 1])
+    value, lo, hi = t_atom[order[np.searchsorted(cum, [k, k_lo, k_hi])]].tolist()
     if not math.isfinite(value):
         raise UnattainableLevelError(
             f"coverage {1 - alpha} not attained by any finite threshold in {n_draws} draws"
         )
-    return value, float(t_abs[k_lo - 1]), float(t_abs[k_hi - 1])
+    return value, lo, hi
 
 
 def t_alpha_oracle(intensity: IntensityFunction, x: float, h: float, alpha: float) -> float:

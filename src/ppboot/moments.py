@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .geometry import Window2
+from .geometry import Window2, gauss_legendre_rule
 from .rng import RngSeed, chunk_sizes, parallel_map
 from .twopoint import PairFunction
 
@@ -213,7 +213,7 @@ def _quadrature_components(window: Window2, f: PairFunction, nodes: int) -> dict
     ``a2`` and ``a3`` are the same sums over |f|, the sum|terms| scale of
     the rounding floor (the weights are positive, so I(f^2) is its own).
     """
-    gx, wx = np.polynomial.legendre.leggauss(nodes)
+    gx, wx = gauss_legendre_rule(nodes)
     xs = 0.5 * (window.x_max + window.x_min) + 0.5 * (window.x_max - window.x_min) * gx
     ys = 0.5 * (window.y_max + window.y_min) + 0.5 * (window.y_max - window.y_min) * gx
     wxs = 0.5 * (window.x_max - window.x_min) * wx

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ppboot.errors import ParameterError
-from ppboot.geometry import PointPattern, Window2, unit_square
+from ppboot.errors import DegenerateCountError, ParameterError, UnattainableLevelError
+from ppboot.geometry import IntensityFunction, PointPattern, Window2, unit_square
+from ppboot.intensity import _check_bandwidth, _check_t_star_args
 from ppboot.rng import RngSeed
 from ppboot.twopoint import PairFunction
 
@@ -149,3 +150,101 @@ def coverage_probability(p: float, h: float, t: float) -> float:
     upper = stats.poisson.cdf(hi, p)
     lower = stats.poisson.cdf(lo - 1, p) if lo >= 1 else 0.0
     return float(upper - lower)
+
+
+def reference_min_t_threshold(mean: float, center: float, two_h: float, alpha: float,
+                              exact: bool) -> float:
+    """Atom-by-atom scan for the minimal covering t, one scalar Poisson cdf per atom.
+
+    The plain form of ``intensity._min_t_threshold``: it expands the
+    covered range outward from the most central atom in order of |T|,
+    takes exact ties as one step, and re-evaluates the coverage after
+    every step.  The block-evaluated walk must return exactly this.
+    """
+    if alpha >= 1.0:
+        return 0.0
+    if alpha <= 0.0 or math.exp(-mean) >= alpha:
+        raise UnattainableLevelError(
+            f"coverage {1 - alpha} is not attainable: the resampled count is 0 "
+            f"with probability {math.exp(-mean):.6g}, which is never covered"
+        )
+    target = 1.0 - alpha
+
+    def key(m: int) -> Fraction | float:
+        if exact:
+            c = int(center)
+            return Fraction((m - c) * (m - c), m)
+        d = m - center
+        return d * d / m
+
+    def t_at(m: int) -> float:
+        return abs(m - center) / math.sqrt(two_h * m)
+
+    def cdf(m: int) -> float:
+        return float(stats.poisson.cdf(m, mean)) if m >= 0 else 0.0
+
+    start = max(1, int(math.floor(center)))
+    if key(start + 1) < key(start):
+        start += 1
+    lo = hi = start
+    threshold = t_at(start)
+    coverage = cdf(hi) - cdf(lo - 1)
+    while coverage < target:
+        left = key(lo - 1) if lo > 1 else None
+        right = key(hi + 1)
+        if left is not None and left < right:
+            lo -= 1
+            threshold = t_at(lo)
+        elif left is not None and left == right:
+            lo -= 1
+            hi += 1
+            threshold = max(t_at(lo), t_at(hi))
+        else:
+            hi += 1
+            threshold = t_at(hi)
+        coverage = cdf(hi) - cdf(lo - 1)
+    return threshold
+
+
+def reference_t_star_closed_form(p: int, h: float, alpha: float) -> float:
+    """``t_star_closed_form`` by the atom-by-atom scan."""
+    _check_t_star_args(p, h, alpha)
+    return reference_min_t_threshold(float(p), float(p), 2.0 * h, alpha, exact=True)
+
+
+def reference_t_alpha_oracle(intensity: IntensityFunction, x: float, h: float,
+                             alpha: float) -> float:
+    """``t_alpha_oracle`` by the atom-by-atom scan, with a freshly computed quadrature rule."""
+    _check_bandwidth(h)
+    if not 0.0 <= alpha <= 1.0:
+        raise ParameterError(f"alpha must lie in [0, 1], got {alpha}")
+    nodes, weights = np.polynomial.legendre.leggauss(256)
+    lo, hi = x - h, x + h
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    m = float(half * np.sum(weights * intensity(mid + half * nodes)))
+    if m <= 0:
+        raise DegenerateCountError(f"expected count over [{x - h}, {x + h}] is zero")
+    return reference_min_t_threshold(m, m, 2.0 * h, alpha, exact=False)
+
+
+def reference_t_star_monte_carlo_band(p: int, h: float, alpha: float, n_draws: int,
+                                      seed: RngSeed) -> tuple[float, float, float]:
+    """``t_star_monte_carlo_band`` by sorting |T*| over every draw."""
+    _check_t_star_args(p, h, alpha)
+    if alpha >= 1.0:
+        return 0.0, 0.0, 0.0
+    p_star = seed.generator().poisson(float(p), n_draws)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_abs = np.abs(p_star - p) / np.sqrt(2.0 * h * p_star)
+    t_abs[p_star == 0] = np.inf
+    t_abs.sort()
+    k = math.ceil((1.0 - alpha) * n_draws)
+    margin = 3.0 * math.sqrt(n_draws * alpha * (1.0 - alpha))
+    k_lo = max(1, math.floor(k - margin))
+    k_hi = min(n_draws, math.ceil(k + margin))
+    value = float(t_abs[k - 1])
+    if not math.isfinite(value):
+        raise UnattainableLevelError(
+            f"coverage {1 - alpha} not attained by any finite threshold in {n_draws} draws"
+        )
+    return value, float(t_abs[k_lo - 1]), float(t_abs[k_hi - 1])

@@ -271,6 +271,9 @@ EXIT_CODES = [
     pytest.param(_BOOT_VAR + ["--f-spec", "ones", "--N", "10", "--seed", "-1"], 2,
                  id="boot-var-seed--1"),
     pytest.param(_BOOT_VAR + ["--f-spec", "const:nan", "--N", "10"], 3, id="boot-var-const-nan"),
+    pytest.param(_BOOT_VAR + ["--f-spec", "ones", "--N", "1"], 2, id="boot-var-N-1"),
+    pytest.param(["variance-comparison", "--config", "{variance_reps_1}"], 2,
+                 id="variance-comparison-reps-1"),
     pytest.param(["ci-band", "--input", "{interval}", "--h", "-0.1", "--alpha", "0.1",
                   "--method", "closed"], 2, id="ci-band-h--0.1"),
     pytest.param(["ci-band", "--input", "{interval}", "--h", "0.1", "--alpha", "2",
@@ -296,8 +299,15 @@ class TestExitCodes:
                              argv, code):
         duplicate = tmp_path / "dup.csv"
         duplicate.write_text("x,y\n0.1,0.2\n0.1,0.2\n")
+        variance_reps_1 = tmp_path / "vc.json"
+        variance_reps_1.write_text(json.dumps({
+            "experiment": "variance_comparison", "lambda": 25.0,
+            "window": {"x_min": 0.0, "x_max": 1.0, "y_min": 0.0, "y_max": 1.0},
+            "f_spec": "ones", "scheme": "poissonized", "reps": 1,
+            "integration": {"method": "monte_carlo", "sample_count": 100000}, "seed": 1}))
         paths = {"planar": planar_pattern, "interval": interval_pattern,
-                 "square": square_window, "duplicate": str(duplicate)}
+                 "square": square_window, "duplicate": str(duplicate),
+                 "variance_reps_1": str(variance_reps_1)}
         argv = [arg.format(**paths) for arg in argv] + ["--out", str(tmp_path / "out")]
         assert main(argv) == code
 

@@ -9,6 +9,7 @@ from ppboot.geometry import (
     PointPattern,
     Window2,
     constant_intensity,
+    gauss_legendre_rule,
     linear_intensity,
     simulate_homogeneous_poisson,
     simulate_inhomogeneous_poisson,
@@ -219,6 +220,15 @@ class TestIntensityFunctions:
     def test_integral(self):
         intensity = linear_intensity(50.0, 20.0, Interval1(0, 1))
         assert intensity.integral(0.0, 1.0) == pytest.approx(60.0, rel=1e-12)
+
+    def test_quadrature_rule_cached_and_read_only(self):
+        nodes, weights = gauss_legendre_rule(16)
+        assert gauss_legendre_rule(16)[0] is nodes
+        fresh_nodes, fresh_weights = np.polynomial.legendre.leggauss(16)
+        assert np.array_equal(nodes, fresh_nodes) and np.array_equal(weights, fresh_weights)
+        for arr in (nodes, weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
     def test_lambda_max_validation(self):
         with pytest.raises(ParameterError):

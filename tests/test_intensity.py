@@ -26,7 +26,12 @@ from ppboot.intensity import (
 )
 from ppboot.rng import RngSeed
 
-from conftest import coverage_probability
+from conftest import (
+    coverage_probability,
+    reference_t_alpha_oracle,
+    reference_t_star_closed_form,
+    reference_t_star_monte_carlo_band,
+)
 
 I01 = Interval1(0.0, 1.0)
 
@@ -187,6 +192,41 @@ class TestTStarMonteCarlo:
         for alpha in (0.0, 0.05, 0.5):
             t = t_star_monte_carlo(400, 0.5, alpha, 20_000, RngSeed(6))
             assert t == t_star_monte_carlo_band(400, 0.5, alpha, 20_000, RngSeed(6))[0]
+
+
+def outcome(fn, *args):
+    """The repr of fn's result, or the type and message of what it raised."""
+    try:
+        return repr(fn(*args))
+    except (DegenerateCountError, UnattainableLevelError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestAgainstAtomScan:
+    """Bit equality with the atom-by-atom scan and the sort-based quantile."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.05, 0.01, 1e-3])
+    @pytest.mark.parametrize("h", [0.05, 0.01, 1 / 3])
+    def test_closed_form(self, h, alpha):
+        for p in [*range(0, 121), 333, 999, 10007]:
+            assert outcome(t_star_closed_form, p, h, alpha) == \
+                outcome(reference_t_star_closed_form, p, h, alpha), p
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.05, 1e-3])
+    @pytest.mark.parametrize("a, b", [(20.0, 2000.0), (100.0, -50.0)])
+    def test_oracle(self, a, b, alpha):
+        intensity = linear_intensity(a, b, I01)
+        for h in (0.05, 0.01):
+            for x in np.linspace(0.0, 1.0, 41).tolist():
+                assert outcome(t_alpha_oracle, intensity, x, h, alpha) == \
+                    outcome(reference_t_alpha_oracle, intensity, x, h, alpha), (h, x)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.05, 0.01])
+    def test_monte_carlo_band(self, alpha):
+        for p in [*range(0, 61), 150, 999]:
+            seed = RngSeed(5).substream(1, p)
+            assert outcome(t_star_monte_carlo_band, p, 0.05, alpha, 20_000, seed) == \
+                outcome(reference_t_star_monte_carlo_band, p, 0.05, alpha, 20_000, seed), p
 
 
 class TestAlgebraicEquivalence:
