@@ -4,7 +4,9 @@ A resample is encoded by occurrence counts w = (w(1), ..., w(n)): the
 ``multinomial`` scheme draws w ~ Multinomial(n; 1/n, ..., 1/n) (classic
 with-replacement resampling of all n points), the ``poissonized`` scheme
 draws w(i) i.i.d. Poisson(1), equivalent to resampling a Poisson(n)
-number of points.
+number of points.  Both are drawn alike: a resample draws its size (n,
+or Poisson(n)) of point indices uniformly with replacement, and w counts
+them.
 
 As the number of resamples N grows, the usual variance estimator over
 the bootstrap statistics converges, conditionally on the pattern, to
@@ -31,8 +33,10 @@ from .twopoint import PairFunction, TwoPointSums, distinct_index_sums
 
 SCHEMES = ("multinomial", "poissonized")
 
-# Resamples per parallel task
+# Resamples per parallel task, and per generator
 _CHUNK = 4096
+# Bound on rows x points of one weight-draw sub-block
+_DRAW_ENTRIES = 1 << 16
 # Bound on rows x pairs of one quadratic-form sub-block (8 MB per temporary)
 _QUADFORM_ENTRIES = 1 << 20
 
@@ -51,20 +55,26 @@ class AlphaCoefficients:
     alpha4: float
 
 
-def _draw_weights(n: int, scheme: str, seed: RngSeed, first: int, count: int) -> np.ndarray:
-    """Weights of resamples first .. first+count-1 as a (count, n) block.
+def _draw_weights(n: int, scheme: str, seed: RngSeed, chunk: int, count: int) -> np.ndarray:
+    """Weights of the ``count`` resamples of chunk ``chunk`` as a (count, n) block.
 
-    Resample k always uses substream k of the seed, so a block's rows do
-    not depend on how the resamples are split into blocks.  The caller
-    checks ``scheme``; anything but multinomial draws Poisson(1) weights.
+    The whole chunk draws from one generator, substream ``chunk`` of the
+    seed, in sub-blocks whose layout depends only on (n, count).  Each
+    resample draws its size, then that many point indices uniformly with
+    replacement; its weights are the index counts.  The caller checks
+    ``scheme``; anything but multinomial draws a Poisson(n) size.
     """
     if n < 1:
         raise ParameterError(f"need n >= 1 to resample, got {n}")
+    rng = seed.substream(chunk).generator()
     w = np.empty((count, n))
-    prob = np.full(n, 1.0 / n)
-    for j in range(count):
-        rng = seed.substream(first + j).generator()
-        w[j] = rng.multinomial(n, prob) if scheme == "multinomial" else rng.poisson(1.0, n)
+    step = max(1, _DRAW_ENTRIES // n)
+    for lo in range(0, count, step):
+        rows = min(step, count - lo)
+        sizes = np.full(rows, n) if scheme == "multinomial" else rng.poisson(n, rows)
+        cells = rng.integers(0, n, int(sizes.sum()))
+        cells += np.repeat(np.arange(rows) * n, sizes)
+        w[lo:lo + rows] = np.bincount(cells, minlength=rows * n).reshape(rows, n)
     return w
 
 
@@ -79,8 +89,8 @@ def bootstrap_variance(
     """Sample variance of the bootstrap statistic over N independent resamples.
 
     The usual ddof=1 estimator over ``bootstrap_statistics``, whose
-    resample k always uses substream k of the seed, so the result is
-    identical for any thread count.
+    chunk c of resamples always uses substream c of the seed, so the
+    result is identical for any thread count.
     """
     if n_resamples < 2:
         raise ParameterError(f"need at least 2 resamples, got {n_resamples}")
@@ -107,7 +117,7 @@ def bootstrap_statistics(
     rows = max(1, _QUADFORM_ENTRIES // max(len(v), 1))
 
     def run_chunk(c: int) -> np.ndarray:
-        w = _draw_weights(pattern.n, scheme, seed, c * _CHUNK, sizes[c])
+        w = _draw_weights(pattern.n, scheme, seed, c, sizes[c])
         # w^T F w = 2 sum over pairs i < j of w(i) w(j) f(x_i, x_j)
         return np.concatenate([2.0 * ((ws[:, i] * ws[:, j]) @ v)
                                for ws in np.split(w, range(rows, len(w), rows))])

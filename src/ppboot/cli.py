@@ -296,8 +296,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParameterError) as exc:
+    except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
+        return 2
+    except ParameterError as exc:
+        sys.stderr.write(f"parameter error: {exc}\n")
         return 2
     except NumericalError as exc:
         sys.stderr.write(f"numerical error: {exc}\n")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ppboot.bootstrap import (
+    _CHUNK,
     _draw_weights,
     alpha_coefficients,
     alpha_polynomials_exact,
@@ -28,6 +29,7 @@ from conftest import (
     UndefinedMomentError,
     alpha_fractions_from_moments,
     multinomial_moment_oracle,
+    pair_values,
     random_pattern,
     random_smooth_pair_function,
 )
@@ -97,11 +99,67 @@ class TestDrawWeights:
         b = _draw_weights(50, "multinomial", RngSeed(7, (3,)), 0, 4)
         assert np.array_equal(a, b)
 
-    def test_resample_keeps_its_substream_across_blocks(self):
-        seed = RngSeed(8)
-        whole = _draw_weights(30, "poissonized", seed, 0, 10)
-        parts = np.vstack([_draw_weights(30, "poissonized", seed, first, 5) for first in (0, 5)])
-        assert np.array_equal(whole, parts)
+    def test_multinomial_rows_above_sub_block_size_sum_to_n(self):
+        # n > 2**16 draws one row per sub-block
+        n = 70_000
+        w = _draw_weights(n, "multinomial", RngSeed(9), 0, 3)
+        assert w.shape == (3, n) and w.dtype == np.float64
+        assert np.all(w.sum(axis=1) == n)
+
+
+class TestWeightLaw:
+    """Factorial moments of the drawn weights against their exact values, within 4 sigma."""
+
+    ROWS = 200_000
+    N = 10
+
+    @staticmethod
+    def assert_mean_within_4_sigma(values: np.ndarray, want: float) -> None:
+        se = values.std(ddof=1) / math.sqrt(len(values))
+        assert abs(values.mean() - want) < 4 * se
+
+    @pytest.mark.parametrize("scheme, want", [("multinomial", (N - 1) / N), ("poissonized", 1.0)])
+    def test_factorial_moments(self, scheme, want):
+        w = _draw_weights(self.N, scheme, RngSeed(505), 0, self.ROWS)
+        self.assert_mean_within_4_sigma(w[:, 0] * w[:, 1], want)
+        self.assert_mean_within_4_sigma(w[:, 0] * (w[:, 0] - 1), want)
+
+    def test_poissonized_row_sums_are_poisson_n(self):
+        n, rows = self.N, self.ROWS
+        sums = _draw_weights(n, "poissonized", RngSeed(506), 0, rows).sum(axis=1)
+        assert abs(sums.mean() - n) < 4 * math.sqrt(n / rows)
+        # Poisson(n): fourth central moment n + 3n^2, so var(s^2) ~ (n + 2n^2) / rows
+        assert abs(sums.var(ddof=1) - n) < 4 * math.sqrt((n + 2 * n * n) / rows)
+
+
+class TestChunkStreams:
+    """Chunk c of the resamples draws its weights from substream c of the seed."""
+
+    @pytest.mark.parametrize("scheme", ["multinomial", "poissonized"])
+    def test_statistics_identical_for_one_and_two_threads(self, scheme):
+        rng = np.random.default_rng(44)
+        pat = random_pattern(12, rng)
+        f = random_smooth_pair_function(rng)
+        n_resamples = 2 * _CHUNK + 17
+        one = bootstrap_statistics(pat, f, n_resamples, scheme, RngSeed(13), threads=1)
+        two = bootstrap_statistics(pat, f, n_resamples, scheme, RngSeed(13), threads=2)
+        assert one.tobytes() == two.tobytes()
+
+    @pytest.mark.parametrize("scheme", ["multinomial", "poissonized"])
+    def test_chunk_slice_is_quadratic_form_of_its_weights(self, scheme):
+        rng = np.random.default_rng(45)
+        pat = random_pattern(12, rng)
+        f = random_smooth_pair_function(rng)
+        mat = pair_values(pat, f)
+        n_resamples = 2 * _CHUNK + 17
+        seed = RngSeed(14)
+        stats = bootstrap_statistics(pat, f, n_resamples, scheme, seed)
+        blocks = [_draw_weights(pat.n, scheme, seed, c, size)
+                  for c, size in enumerate((_CHUNK, _CHUNK, 17))]
+        assert not np.array_equal(blocks[0], blocks[1])
+        for c, w in enumerate(blocks):
+            want = np.einsum("ki,ij,kj->k", w, mat, w)
+            assert stats[c * _CHUNK:c * _CHUNK + len(w)] == pytest.approx(want, rel=1e-12)
 
 
 class TestBootstrapStatistic:

@@ -266,37 +266,43 @@ _COVERAGE = ["coverage", "--lambda-spec", "const:40", "--h", "0.1", "--alpha", "
              "--method", "exact", "--reps", "200"]
 _BOOT_VAR = ["boot-var", "--input", "{planar}"]
 
+_PARAM, _CONFIG = "parameter error: ", "config error: "
+
 EXIT_CODES = [
-    pytest.param(_BOOT_VAR + ["--f-spec", "ones", "--N", "0"], 2, id="boot-var-N-0"),
-    pytest.param(_BOOT_VAR + ["--f-spec", "ones", "--N", "10", "--seed", "-1"], 2,
+    pytest.param(_BOOT_VAR + ["--f-spec", "ones", "--N", "0"], 2, _PARAM, id="boot-var-N-0"),
+    pytest.param(_BOOT_VAR + ["--f-spec", "ones", "--N", "10", "--seed", "-1"], 2, _PARAM,
                  id="boot-var-seed--1"),
-    pytest.param(_BOOT_VAR + ["--f-spec", "const:nan", "--N", "10"], 3, id="boot-var-const-nan"),
-    pytest.param(_BOOT_VAR + ["--f-spec", "ones", "--N", "1"], 2, id="boot-var-N-1"),
-    pytest.param(["variance-comparison", "--config", "{variance_reps_1}"], 2,
+    pytest.param(_BOOT_VAR + ["--f-spec", "const:nan", "--N", "10"], 3, "numerical error: ",
+                 id="boot-var-const-nan"),
+    pytest.param(_BOOT_VAR + ["--f-spec", "ones", "--N", "1"], 2, _PARAM, id="boot-var-N-1"),
+    pytest.param(["variance-comparison", "--config", "{variance_reps_1}"], 2, _PARAM,
                  id="variance-comparison-reps-1"),
+    pytest.param(["variance-comparison", "--config", "{missing}"], 2, _CONFIG,
+                 id="variance-comparison-missing-config"),
     pytest.param(["ci-band", "--input", "{interval}", "--h", "-0.1", "--alpha", "0.1",
-                  "--method", "closed"], 2, id="ci-band-h--0.1"),
+                  "--method", "closed"], 2, _PARAM, id="ci-band-h--0.1"),
     pytest.param(["ci-band", "--input", "{interval}", "--h", "0.1", "--alpha", "2",
-                  "--method", "closed"], 2, id="ci-band-alpha-2"),
-    pytest.param(_CI_BAND + ["--method", "mc", "--mc-draws", "5"], 2, id="ci-band-mc-draws-5"),
-    pytest.param(_CI_BAND + ["--method", "closed", "--grid-steps", "0"], 2,
+                  "--method", "closed"], 2, _PARAM, id="ci-band-alpha-2"),
+    pytest.param(_CI_BAND + ["--method", "mc", "--mc-draws", "5"], 2, _PARAM,
+                 id="ci-band-mc-draws-5"),
+    pytest.param(_CI_BAND + ["--method", "closed", "--grid-steps", "0"], 2, _PARAM,
                  id="ci-band-grid-steps-0"),
-    pytest.param(_CI_BAND + ["--method", "closed", "--grid-steps", "-2"], 2,
+    pytest.param(_CI_BAND + ["--method", "closed", "--grid-steps", "-2"], 2, _PARAM,
                  id="ci-band-grid-steps--2"),
-    pytest.param(_COVERAGE + ["--grid-steps", "0"], 2, id="coverage-grid-steps-0"),
-    pytest.param(_COVERAGE + ["--grid-steps", "-2"], 2, id="coverage-grid-steps--2"),
+    pytest.param(_COVERAGE + ["--grid-steps", "0"], 2, _PARAM, id="coverage-grid-steps-0"),
+    pytest.param(_COVERAGE + ["--grid-steps", "-2"], 2, _PARAM, id="coverage-grid-steps--2"),
     pytest.param(["moments", "--lambda", "2", "--window", "{square}", "--f-spec", "ones",
-                  "--samples", "10"], 2, id="moments-samples-10"),
+                  "--samples", "10"], 2, _PARAM, id="moments-samples-10"),
     pytest.param(["pcf", "--input", "{duplicate}", "--window", "{square}", "--rmin", "0.01",
-                  "--rmax", "0.1", "--rsteps", "3", "--bandwidth", "0.01"], 4,
+                  "--rmax", "0.1", "--rsteps", "3", "--bandwidth", "0.01"], 4, "data error: ",
                  id="pcf-duplicate-row"),
 ]
 
 
 class TestExitCodes:
-    @pytest.mark.parametrize("argv, code", EXIT_CODES)
-    def test_exit_code_table(self, tmp_path, planar_pattern, interval_pattern, square_window,
-                             argv, code):
+    @pytest.mark.parametrize("argv, code, prefix", EXIT_CODES)
+    def test_exit_code_table(self, tmp_path, capsys, planar_pattern, interval_pattern,
+                             square_window, argv, code, prefix):
         duplicate = tmp_path / "dup.csv"
         duplicate.write_text("x,y\n0.1,0.2\n0.1,0.2\n")
         variance_reps_1 = tmp_path / "vc.json"
@@ -307,9 +313,11 @@ class TestExitCodes:
             "integration": {"method": "monte_carlo", "sample_count": 100000}, "seed": 1}))
         paths = {"planar": planar_pattern, "interval": interval_pattern,
                  "square": square_window, "duplicate": str(duplicate),
-                 "variance_reps_1": str(variance_reps_1)}
+                 "variance_reps_1": str(variance_reps_1), "missing": str(tmp_path / "none.json")}
         argv = [arg.format(**paths) for arg in argv] + ["--out", str(tmp_path / "out")]
+        capsys.readouterr()
         assert main(argv) == code
+        assert capsys.readouterr().err.startswith(prefix)
 
     @pytest.mark.parametrize("interval", ["0,x", "0,1,2", "1", "1,0"])
     def test_bad_coverage_interval_exit_2(self, tmp_path, interval):
