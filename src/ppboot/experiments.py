@@ -153,18 +153,14 @@ def _positive_float(v) -> float:
     return x
 
 
-def _positive_int(v) -> int:
-    x = int(v)
-    if x != v or x <= 0:
-        raise ValueError(f"must be a positive integer, got {v}")
-    return x
-
-
-def _seed_int(v) -> int:
-    x = int(v)
-    if x != v or x < 0:
-        raise ValueError(f"must be a nonnegative integer, got {v}")
-    return x
+def _int_at_least(least: int):
+    """A checker for integers no smaller than ``least``."""
+    def check(v) -> int:
+        x = int(v)
+        if x != v or x < least:
+            raise ValueError(f"must be an integer >= {least}, got {v}")
+        return x
+    return check
 
 
 def _scheme(v) -> str:
@@ -200,9 +196,9 @@ _VARIANCE_SCHEMA = {
     "window": (parse_window, True, None),
     "f_spec": (str, True, None),
     "scheme": (_scheme, True, None),
-    "reps": (_positive_int, True, None),
+    "reps": (_int_at_least(2), True, None),
     "integration": (_integration, False, IntegrationSpec()),
-    "seed": (_seed_int, True, None),
+    "seed": (_int_at_least(0), True, None),
 }
 
 _CI_SUITE_SCHEMA = {
@@ -211,10 +207,10 @@ _CI_SUITE_SCHEMA = {
     "h": (_positive_float, True, None),
     "alpha": (float, True, None),
     "methods": (_methods_list, True, None),
-    "reps": (_positive_int, True, None),
-    "grid_steps": (_positive_int, True, None),
-    "mc_draws": (_positive_int, False, 100_000),
-    "seed": (_seed_int, True, None),
+    "reps": (_int_at_least(100), True, None),
+    "grid_steps": (_int_at_least(1), True, None),
+    "mc_draws": (_int_at_least(1000), False, 100_000),
+    "seed": (_int_at_least(0), True, None),
 }
 
 

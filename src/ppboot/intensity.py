@@ -8,7 +8,8 @@ Four routes to a pointwise band of level 1-alpha:
 
 ``bootstrap_mc``
     Resample the count Poisson-style and take the empirical quantile of
-    the studentized deviation |T*| = |p* - p| / sqrt(2h p*).
+    the studentized deviation |T*| = |p* - p| / sqrt(2h p*).  The
+    resampled counts are drawn as atom counts, by one multinomial draw.
 ``bootstrap_closed_form``
     The same quantile computed exactly: conditional on the data, p* is
     Poisson(p), so the quantile needs only Poisson tail sums.  The
@@ -33,10 +34,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
-from scipy import stats
+from scipy import special, stats
 
 from .errors import (
     DegenerateCountError,
@@ -47,6 +47,10 @@ from .geometry import Interval1, IntensityFunction, PointPattern, simulate_inhom
 from .rng import RngSeed, parallel_map
 
 BAND_METHODS = ("bootstrap_mc", "bootstrap_closed_form", "exact_poisson", "oracle_true_t")
+
+# Monte Carlo draws are counted on the atoms p -+ (_ATOM_SPAN sqrt(p) + _ATOM_SPAN);
+# the Poisson(p) mass outside is below 1e-26 for every p
+_ATOM_SPAN = 12.0
 
 
 @dataclass(frozen=True)
@@ -89,13 +93,20 @@ def _check_t_star_args(p: int, h: float, alpha: float) -> None:
         raise DegenerateCountError("t* is undefined at a zero observed count")
 
 
-def _abs_t_squared_key(m: int, center: float, exact: bool) -> Fraction | float:
-    """Ordering key (m - center)^2 / m, proportional to |T|^2 at count m."""
+def _compare_abs_t(a: int, b: int, center: float, exact: bool) -> int:
+    """-1, 0 or 1 as |T| at count a is below, equal to or above |T| at count b.
+
+    |T|^2 is proportional to (m - center)^2 / m.  The exact path takes an
+    integer center and cross-multiplies in Python ints,
+    (a - c)^2 b against (b - c)^2 a, so ties are found exactly.
+    """
     if exact:
         c = int(center)
-        return Fraction((m - c) * (m - c), m)
-    d = m - center
-    return d * d / m
+        lhs, rhs = (a - c) * (a - c) * b, (b - c) * (b - c) * a
+    else:
+        da, db = a - center, b - center
+        lhs, rhs = da * da / a, db * db / b
+    return (lhs > rhs) - (lhs < rhs)
 
 
 def _walk_states(center: float, two_h: float, exact: bool):
@@ -104,6 +115,8 @@ def _walk_states(center: float, two_h: float, exact: bool):
     Starts at the most central atom and adds atoms in order of |T|,
     taking exact ties (possible when ``center`` is an integer) as a
     single step; count 0 gives |T| = +infinity and is never reached.
+    The next atoms on either side are compared by ``_compare_abs_t``,
+    in exact integers on the closed-form path.
     """
     def t_at(m: int) -> float:
         # float path kept identical to the Monte Carlo |T| computation so
@@ -111,17 +124,16 @@ def _walk_states(center: float, two_h: float, exact: bool):
         return abs(m - center) / math.sqrt(two_h * m)
 
     start = max(1, int(math.floor(center)))
-    if _abs_t_squared_key(start + 1, center, exact) < _abs_t_squared_key(start, center, exact):
+    if _compare_abs_t(start + 1, start, center, exact) < 0:
         start += 1
     lo = hi = start
     yield lo, hi, t_at(start)
     while True:
-        left = _abs_t_squared_key(lo - 1, center, exact) if lo > 1 else None
-        right = _abs_t_squared_key(hi + 1, center, exact)
-        if left is not None and left < right:
+        order = _compare_abs_t(lo - 1, hi + 1, center, exact) if lo > 1 else 1
+        if order < 0:
             lo -= 1
             threshold = t_at(lo)
-        elif left is not None and left == right:
+        elif order == 0:
             lo -= 1
             hi += 1
             threshold = max(t_at(lo), t_at(hi))
@@ -179,7 +191,9 @@ def t_star_monte_carlo(p: int, h: float, alpha: float, n_draws: int, seed: RngSe
 
     Each draw resamples the p points with i.i.d. Poisson(1) occurrence
     weights, so the resampled count p* is Poisson(p); draws with
-    p* = 0 contribute |T*| = +infinity and are never covered.
+    p* = 0 contribute |T*| = +infinity and are never covered.  Only how
+    often each count is drawn matters, so the draws are taken as atom
+    counts (see ``t_star_monte_carlo_band``).
     """
     return t_star_monte_carlo_band(p, h, alpha, n_draws, seed)[0]
 
@@ -189,8 +203,10 @@ def t_star_monte_carlo_band(
 ) -> tuple[float, float, float]:
     """(quantile, lower, upper): distribution-free 3-sigma bracket for the MC threshold.
 
-    The bracket takes the order statistics at rank
-    ceil((1-alpha) n) -+ 3 sqrt(n alpha (1-alpha)), the binomial
+    The n_draws resampled counts are drawn as how often each atom occurs,
+    by ``_draw_atom_counts``, which has the law of the ``bincount`` of
+    n_draws Poisson(p) draws.  The bracket takes the order statistics at
+    rank ceil((1-alpha) n) -+ 3 sqrt(n alpha (1-alpha)), the binomial
     uncertainty of the empirical CDF at the target level.  At alpha = 1
     every threshold covers, and all three are 0.
     """
@@ -199,16 +215,56 @@ def t_star_monte_carlo_band(
         raise ParameterError(f"need at least 1000 draws, got {n_draws}")
     if alpha >= 1.0:
         return 0.0, 0.0, 0.0
-    rng = seed.generator()
-    p_star = rng.poisson(float(p), n_draws)
+    first, counts = _draw_atom_counts(p, n_draws, seed.generator())
+    return _order_statistic_band(p, h, alpha, first, counts)
+
+
+def _draw_atom_counts(p: int, n_draws: int, rng: np.random.Generator,
+                      span: float = _ATOM_SPAN) -> tuple[int, np.ndarray]:
+    """(first, counts): how often each atom first, first + 1, ... occurs in n_draws Poisson(p) draws.
+
+    One multinomial draw over a tail cell, for the Poisson(p) mass outside
+    lo..hi = p -+ (span sqrt(p) + span), and the atoms lo..hi.  The tail
+    cell holds the tail mass itself, not the rounding deficit of the pmf
+    sum (about 1e-13 at p = 150, against a tail below 1e-26), and it
+    comes first because the multinomial's last cell takes that deficit.
+    Otherwise the tail cell would be drawn far more often than the tail,
+    and each of its draws would need some 1e26 rejection steps.  Tail
+    draws are redrawn from Poisson(p) by rejection until they fall
+    outside lo..hi, so the counts keep the exact law of the draws.
+    """
+    lo = max(0, math.floor(p - span * math.sqrt(p) - span))
+    hi = math.ceil(p + span * math.sqrt(p) + span)
+    tail = float(special.pdtrc(hi, p)) + (float(special.pdtr(lo - 1, p)) if lo > 0 else 0.0)
+    pmf = stats.poisson.pmf(np.arange(lo, hi + 1), p)
+    pmf *= (1.0 - tail) / pmf.sum()
+    cells = rng.multinomial(n_draws, np.concatenate([[tail], pmf]))
+    counts = cells[1:]
+    if cells[0] == 0:
+        return lo, counts
+    outside = np.empty(0, dtype=np.int64)
+    while len(outside) < cells[0]:
+        draws = rng.poisson(p, 1 << 16)
+        outside = np.concatenate([outside, draws[(draws < lo) | (draws > hi)]])
+    outside = outside[:cells[0]]
+    first = min(lo, int(outside.min()))
+    merged = np.bincount(outside - first, minlength=hi + 1 - first)
+    merged[lo - first:hi + 1 - first] += counts
+    return first, merged
+
+
+def _order_statistic_band(p: int, h: float, alpha: float, first: int,
+                          counts: np.ndarray) -> tuple[float, float, float]:
+    """(quantile, lower, upper) of |T*| over draws given as counts of atoms first, first + 1, ..."""
+    n_draws = int(counts.sum())
     # |T*| is a function of the atom, so the sorted draws are the atoms in
     # |T*| order, each repeated as often as it was drawn
-    atoms = np.arange(p_star.min(), p_star.max() + 1)
+    atoms = np.arange(first, first + len(counts))
     with np.errstate(divide="ignore", invalid="ignore"):
         t_atom = np.abs(atoms - p) / np.sqrt(2.0 * h * atoms)
     t_atom[atoms == 0] = np.inf
     order = np.argsort(t_atom, kind="stable")
-    cum = np.cumsum(np.bincount(p_star - atoms[0])[order])
+    cum = np.cumsum(counts[order])
     k = math.ceil((1.0 - alpha) * n_draws)
     margin = 3.0 * math.sqrt(n_draws * alpha * (1.0 - alpha))
     k_lo = max(1, math.floor(k - margin))

@@ -227,13 +227,13 @@ def reference_t_alpha_oracle(intensity: IntensityFunction, x: float, h: float,
     return reference_min_t_threshold(m, m, 2.0 * h, alpha, exact=False)
 
 
-def reference_t_star_monte_carlo_band(p: int, h: float, alpha: float, n_draws: int,
-                                      seed: RngSeed) -> tuple[float, float, float]:
-    """``t_star_monte_carlo_band`` by sorting |T*| over every draw."""
+def reference_t_star_monte_carlo_band(p: int, h: float, alpha: float,
+                                      p_star: np.ndarray) -> tuple[float, float, float]:
+    """``t_star_monte_carlo_band`` on the resampled counts p_star, by sorting |T*| over every draw."""
     _check_t_star_args(p, h, alpha)
     if alpha >= 1.0:
         return 0.0, 0.0, 0.0
-    p_star = seed.generator().poisson(float(p), n_draws)
+    n_draws = len(p_star)
     with np.errstate(divide="ignore", invalid="ignore"):
         t_abs = np.abs(p_star - p) / np.sqrt(2.0 * h * p_star)
     t_abs[p_star == 0] = np.inf

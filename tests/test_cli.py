@@ -267,6 +267,9 @@ _COVERAGE = ["coverage", "--lambda-spec", "const:40", "--h", "0.1", "--alpha", "
 _BOOT_VAR = ["boot-var", "--input", "{planar}"]
 
 _PARAM, _CONFIG = "parameter error: ", "config error: "
+_CI_SUITE_CONFIG = {"experiment": "ci_suite", "lambda_spec": "const:40",
+                    "interval": {"lo": 0.0, "hi": 1.0}, "h": 0.1, "alpha": 0.1,
+                    "methods": ["exact_poisson"], "reps": 100, "grid_steps": 3, "seed": 1}
 
 EXIT_CODES = [
     pytest.param(_BOOT_VAR + ["--f-spec", "ones", "--N", "0"], 2, _PARAM, id="boot-var-N-0"),
@@ -275,8 +278,11 @@ EXIT_CODES = [
     pytest.param(_BOOT_VAR + ["--f-spec", "const:nan", "--N", "10"], 3, "numerical error: ",
                  id="boot-var-const-nan"),
     pytest.param(_BOOT_VAR + ["--f-spec", "ones", "--N", "1"], 2, _PARAM, id="boot-var-N-1"),
-    pytest.param(["variance-comparison", "--config", "{variance_reps_1}"], 2, _PARAM,
+    pytest.param(["variance-comparison", "--config", "{variance_reps_1}"], 2, _CONFIG,
                  id="variance-comparison-reps-1"),
+    pytest.param(["ci-suite", "--config", "{ci_reps_50}"], 2, _CONFIG, id="ci-suite-reps-50"),
+    pytest.param(["ci-suite", "--config", "{ci_mc_draws_10}"], 2, _CONFIG,
+                 id="ci-suite-mc-draws-10"),
     pytest.param(["variance-comparison", "--config", "{missing}"], 2, _CONFIG,
                  id="variance-comparison-missing-config"),
     pytest.param(["ci-band", "--input", "{interval}", "--h", "-0.1", "--alpha", "0.1",
@@ -305,15 +311,21 @@ class TestExitCodes:
                              square_window, argv, code, prefix):
         duplicate = tmp_path / "dup.csv"
         duplicate.write_text("x,y\n0.1,0.2\n0.1,0.2\n")
-        variance_reps_1 = tmp_path / "vc.json"
-        variance_reps_1.write_text(json.dumps({
-            "experiment": "variance_comparison", "lambda": 25.0,
-            "window": {"x_min": 0.0, "x_max": 1.0, "y_min": 0.0, "y_max": 1.0},
-            "f_spec": "ones", "scheme": "poissonized", "reps": 1,
-            "integration": {"method": "monte_carlo", "sample_count": 100000}, "seed": 1}))
+        configs = {
+            "variance_reps_1": {
+                "experiment": "variance_comparison", "lambda": 25.0,
+                "window": {"x_min": 0.0, "x_max": 1.0, "y_min": 0.0, "y_max": 1.0},
+                "f_spec": "ones", "scheme": "poissonized", "reps": 1,
+                "integration": {"method": "monte_carlo", "sample_count": 100000}, "seed": 1},
+            "ci_reps_50": {**_CI_SUITE_CONFIG, "reps": 50},
+            "ci_mc_draws_10": {**_CI_SUITE_CONFIG, "mc_draws": 10},
+        }
         paths = {"planar": planar_pattern, "interval": interval_pattern,
                  "square": square_window, "duplicate": str(duplicate),
-                 "variance_reps_1": str(variance_reps_1), "missing": str(tmp_path / "none.json")}
+                 "missing": str(tmp_path / "none.json")}
+        for name, cfg in configs.items():
+            paths[name] = str(tmp_path / f"{name}.json")
+            (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
         argv = [arg.format(**paths) for arg in argv] + ["--out", str(tmp_path / "out")]
         capsys.readouterr()
         assert main(argv) == code

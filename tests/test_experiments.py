@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ppboot.errors import ConfigError
+from ppboot.errors import ConfigError, UnattainableLevelError
 from ppboot.experiments import (
     midpoint_grid,
     parse_f_spec,
@@ -10,6 +10,8 @@ from ppboot.experiments import (
     run_variance_comparison,
 )
 from ppboot.geometry import Interval1, unit_square
+from ppboot.intensity import t_star_monte_carlo_band
+from ppboot.rng import RngSeed
 
 UNIT_WINDOW = {"x_min": 0.0, "x_max": 1.0, "y_min": 0.0, "y_max": 1.0}
 
@@ -101,6 +103,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             run_ci_suite(ci_config(alpha=0.0))
 
+    @pytest.mark.parametrize("run, config, key", [
+        (run_variance_comparison, variance_config(reps=1), "reps"),
+        (run_ci_suite, ci_config(reps=99), "reps"),
+        (run_ci_suite, ci_config(mc_draws=999), "mc_draws"),
+    ])
+    def test_minima_checked_before_any_work(self, run, config, key):
+        with pytest.raises(ConfigError, match=f"bad value for '{key}'"):
+            run(config)
+
     def test_window_kind_checked(self):
         with pytest.raises(ConfigError):
             run_variance_comparison(variance_config(window={"lo": 0.0, "hi": 1.0}))
@@ -162,12 +173,28 @@ class TestCiSuite:
             assert abs(row["t_mc"] - row["t_closed"]) <= row["t_mc_err"] + 1e-12
 
     def test_unattainable_monte_carlo_count_is_listed(self):
-        # exp(-3) = 0.0498 is just under alpha, so at p = 3 more than alpha
-        # of the Monte Carlo draws can be 0; that count leaves the table
-        record = run_ci_suite(ci_config(lambda_spec="const:30", methods=["exact_poisson"],
-                                        reps=100, mc_draws=100_000, seed=6))
-        assert record.results["t_star_unattainable"] == [3]
-        assert [row["p"] for row in record.results["t_star_table"]] == [6]
+        # exp(-3) = 0.0498 is just under alpha, so at p = 3 the share of zero
+        # draws falls on either side of alpha from seed to seed.  A count is
+        # listed exactly when its own Monte Carlo band raises, and is in the
+        # table otherwise; counts below the level are in neither.
+        h, alpha = 0.05, 0.05
+        for seed in range(8):
+            record = run_ci_suite(ci_config(lambda_spec="const:30", methods=["exact_poisson"],
+                                            reps=100, mc_draws=100_000, seed=seed))
+            lam_hat = record.results["bands"]["exact_poisson"]["lambda_hat"]
+            counts = sorted({round(v * 2 * h) for v in lam_hat} - {0})
+            unattainable, tabled = [], []
+            for j, p in enumerate(counts):
+                if np.exp(-p) >= alpha:
+                    continue
+                try:
+                    t_star_monte_carlo_band(p, h, alpha, 100_000, RngSeed(seed).substream(4, j))
+                except UnattainableLevelError:
+                    unattainable.append(p)
+                else:
+                    tabled.append(p)
+            assert record.results["t_star_unattainable"] == unattainable, seed
+            assert [row["p"] for row in record.results["t_star_table"]] == tabled, seed
 
     def test_exact_coverage_near_nominal(self):
         record = run_ci_suite(ci_config(methods=["exact_poisson"], reps=400))

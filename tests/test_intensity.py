@@ -16,6 +16,7 @@ from ppboot.geometry import (
 from ppboot.intensity import (
     BAND_METHODS,
     _BandBuilder,
+    _draw_atom_counts,
     confidence_band,
     coverage_experiment,
     kernel_intensity_estimate,
@@ -208,7 +209,8 @@ class TestAgainstAtomScan:
     @pytest.mark.parametrize("alpha", [0.5, 0.05, 0.01, 1e-3])
     @pytest.mark.parametrize("h", [0.05, 0.01, 1 / 3])
     def test_closed_form(self, h, alpha):
-        for p in [*range(0, 121), 333, 999, 10007]:
+        # at p = 10**6 the walk's integer keys reach about 1e12
+        for p in [*range(0, 121), 333, 999, 10007, *([10**6] if alpha == 0.05 else [])]:
             assert outcome(t_star_closed_form, p, h, alpha) == \
                 outcome(reference_t_star_closed_form, p, h, alpha), p
 
@@ -223,10 +225,53 @@ class TestAgainstAtomScan:
 
     @pytest.mark.parametrize("alpha", [0.5, 0.05, 0.01])
     def test_monte_carlo_band(self, alpha):
+        # the reference sorts |T*| over the same atom counts, expanded to draws
         for p in [*range(0, 61), 150, 999]:
             seed = RngSeed(5).substream(1, p)
+            first, counts = _draw_atom_counts(p, 20_000, seed.generator())
+            p_star = np.repeat(np.arange(first, first + len(counts)), counts)
             assert outcome(t_star_monte_carlo_band, p, 0.05, alpha, 20_000, seed) == \
-                outcome(reference_t_star_monte_carlo_band, p, 0.05, alpha, 20_000, seed), p
+                outcome(reference_t_star_monte_carlo_band, p, 0.05, alpha, p_star), p
+
+
+class TestAtomCountDraw:
+    N_DRAWS = 200_000
+
+    @pytest.mark.parametrize("p", [0, 1, 4, 37, 999, 12_345])
+    def test_counts_follow_the_poisson_law(self, p):
+        first, counts = _draw_atom_counts(p, self.N_DRAWS, RngSeed(21).substream(p).generator())
+        assert counts.sum() == self.N_DRAWS and np.all(counts >= 0)
+        atoms = np.arange(first, first + len(counts))
+        mean = counts @ atoms / self.N_DRAWS
+        var = counts @ (atoms - mean) ** 2 / (self.N_DRAWS - 1)
+        # sampling sd of the mean is sqrt(p / n), of the variance
+        # sqrt((mu4 - p^2) / n) with the Poisson mu4 = p + 3 p^2
+        assert abs(mean - p) <= 4 * math.sqrt(p / self.N_DRAWS)
+        assert abs(var - p) <= 4 * math.sqrt((p + 2 * p * p) / self.N_DRAWS)
+
+    def test_counts_match_the_pmf(self):
+        p = 7
+        first, counts = _draw_atom_counts(p, self.N_DRAWS, RngSeed(22).generator())
+        pmf = stats.poisson.pmf(np.arange(first, first + len(counts)), p)
+        expected = self.N_DRAWS * pmf
+        assert np.all(np.abs(counts - expected) <= 4 * np.sqrt(expected) + 1)
+
+    def test_tail_cell_draws_land_outside_the_range_and_are_counted(self):
+        # span 0.5 keeps only 94..106 at p = 100, so about half the draws
+        # fall in the tail cell and are redrawn outside that range
+        p, lo, hi = 100, 94, 106
+        first, counts = _draw_atom_counts(p, self.N_DRAWS, RngSeed(23).generator(), span=0.5)
+        atoms = np.arange(first, first + len(counts))
+        inside = (atoms >= lo) & (atoms <= hi)
+        outside_share = stats.poisson.cdf(lo - 1, p) + stats.poisson.sf(hi, p)
+        assert counts.sum() == self.N_DRAWS
+        assert first < lo and atoms[-1] > hi
+        for drawn, share in [(counts[~inside].sum(), outside_share),
+                             (counts[atoms < lo].sum(), stats.poisson.cdf(lo - 1, p))]:
+            assert abs(drawn - self.N_DRAWS * share) <= \
+                4 * math.sqrt(self.N_DRAWS * share * (1 - share))
+        mean = counts @ atoms / self.N_DRAWS
+        assert abs(mean - p) <= 4 * math.sqrt(p / self.N_DRAWS)
 
 
 class TestAlgebraicEquivalence:
