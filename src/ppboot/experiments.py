@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -146,20 +148,33 @@ def _validate_config(config: dict, schema: dict[str, tuple], experiment: str) ->
     return out
 
 
+def _number(v) -> float:
+    """A finite JSON number; strings, booleans and infinities are refused."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+        raise ValueError(f"must be a finite number, got {v!r}")
+    return float(v)
+
+
 def _positive_float(v) -> float:
-    x = float(v)
+    x = _number(v)
     if not x > 0:
         raise ValueError(f"must be > 0, got {x}")
+    return x
+
+
+def _level(v) -> float:
+    x = _number(v)
+    if not 0.0 < x <= 1.0:
+        raise ValueError(f"must lie in (0, 1], got {x}")
     return x
 
 
 def _int_at_least(least: int):
     """A checker for integers no smaller than ``least``."""
     def check(v) -> int:
-        x = int(v)
-        if x != v or x < least:
-            raise ValueError(f"must be an integer >= {least}, got {v}")
-        return x
+        if _number(v) != int(v) or v < least:
+            raise ValueError(f"must be an integer >= {least}, got {v!r}")
+        return int(v)
     return check
 
 
@@ -176,7 +191,8 @@ def _integration(v) -> IntegrationSpec:
     unknown = set(v) - allowed
     if unknown:
         raise ConfigError(f"unknown integration keys: {sorted(unknown)}")
-    counts = {key: int(v[key]) for key in ("sample_count", "nodes_per_axis") if key in v}
+    count = _int_at_least(1)
+    counts = {key: count(v[key]) for key in ("sample_count", "nodes_per_axis") if key in v}
     return IntegrationSpec(**{**v, **counts})
 
 
@@ -205,7 +221,7 @@ _CI_SUITE_SCHEMA = {
     "lambda_spec": (str, True, None),
     "interval": (parse_window, True, None),
     "h": (_positive_float, True, None),
-    "alpha": (float, True, None),
+    "alpha": (_level, True, None),
     "methods": (_methods_list, True, None),
     "reps": (_int_at_least(100), True, None),
     "grid_steps": (_int_at_least(1), True, None),
@@ -299,9 +315,7 @@ def run_ci_suite(config: dict, threads: int = 1) -> ResultRecord:
     if not isinstance(interval, Interval1):
         raise ConfigError("ci_suite needs a one-dimensional interval")
     intensity = parse_lambda_spec(cfg["lambda_spec"], interval)
-    h, alpha = cfg["h"], float(cfg["alpha"])
-    if not 0.0 < alpha <= 1.0:
-        raise ConfigError(f"alpha must lie in (0, 1], got {alpha}")
+    h, alpha = cfg["h"], cfg["alpha"]
     seed = RngSeed(cfg["seed"])
     grid = midpoint_grid(interval, cfg["grid_steps"])
 

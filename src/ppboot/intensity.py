@@ -12,11 +12,11 @@ Four routes to a pointwise band of level 1-alpha:
     resampled counts are drawn as atom counts, by one multinomial draw.
 ``bootstrap_closed_form``
     The same quantile computed exactly: conditional on the data, p* is
-    Poisson(p), so the quantile needs only Poisson tail sums.  The
-    minimal t with P{|T*| <= t} >= 1-alpha is found by expanding the
-    covered count range outward, atom by atom, in order of |T*|; the
-    walk's states are taken in doubling blocks, and one vectorised
-    Poisson cdf call gives the coverage of every state in a block.
+    Poisson(p).  The atoms near p are sorted by |T*|, as on the Monte
+    Carlo route; the first k cover the counts between their extremes, and
+    t* is the |T*| of the first prefix holding probability 1-alpha, scored
+    in doubling blocks, one Poisson cdf call each.  At integer p, atoms a
+    and p^2/a tie exactly, and a tied step takes the larger rounded |T*|.
 ``exact_poisson``
     No resampling: 2h*lambda_hat(x) is Poisson with mean 2h*lambda(x)
     when lambda is close to linear across the kernel span, so a
@@ -31,7 +31,6 @@ t * sqrt(lambda_hat), and the lower edge is clipped at zero.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -82,76 +81,55 @@ def _check_bandwidth(h: float) -> None:
         raise ParameterError(f"bandwidth must be positive and finite, got {h}")
 
 
+def _check_level(h: float, alpha: float) -> None:
+    """Preconditions shared by every t* route: the bandwidth and alpha in [0, 1]."""
+    _check_bandwidth(h)
+    if not 0.0 <= alpha <= 1.0:
+        raise ParameterError(f"alpha must lie in [0, 1], got {alpha}")
+
+
 def _check_t_star_args(p: int, h: float, alpha: float) -> None:
     """Preconditions shared by the closed-form and Monte Carlo bootstrap thresholds."""
     if int(p) != p or p < 0:
         raise ParameterError(f"count p must be a nonnegative integer, got {p}")
-    _check_bandwidth(h)
-    if not 0.0 <= alpha <= 1.0:
-        raise ParameterError(f"alpha must lie in [0, 1], got {alpha}")
+    _check_level(h, alpha)
     if p < 1:
         raise DegenerateCountError("t* is undefined at a zero observed count")
 
 
-def _compare_abs_t(a: int, b: int, center: float, exact: bool) -> int:
-    """-1, 0 or 1 as |T| at count a is below, equal to or above |T| at count b.
+def _atom_range(center: float, span: float = _ATOM_SPAN) -> tuple[int, int]:
+    """(first, last): the count atoms center -+ (span sqrt(center) + span), first >= 0."""
+    root = math.sqrt(center)
+    return max(0, math.floor(center - span * root - span)), math.ceil(center + span * root + span)
 
-    |T|^2 is proportional to (m - center)^2 / m.  The exact path takes an
-    integer center and cross-multiplies in Python ints,
-    (a - c)^2 b against (b - c)^2 a, so ties are found exactly.
+
+def _atoms_by_t(first: int, last: int, center: float,
+                two_h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(atoms, t): atoms first..last sorted by |T| = |m - center| / sqrt(two_h m), and their |T|.
+
+    Count 0 gets |T| = +infinity.  The sort is stable, so atoms with equal
+    rounded |T| keep their natural order.
     """
-    if exact:
-        c = int(center)
-        lhs, rhs = (a - c) * (a - c) * b, (b - c) * (b - c) * a
-    else:
-        da, db = a - center, b - center
-        lhs, rhs = da * da / a, db * db / b
-    return (lhs > rhs) - (lhs < rhs)
+    atoms = np.arange(first, last + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_atom = np.abs(atoms - center) / np.sqrt(two_h * atoms)
+    t_atom[atoms == 0] = np.inf
+    order = np.argsort(t_atom, kind="stable")
+    return atoms[order], t_atom[order]
 
 
-def _walk_states(center: float, two_h: float, exact: bool):
-    """The (lo, hi, threshold) states of the outward walk over count atoms.
+def _min_t_threshold(mean: float, two_h: float, alpha: float) -> float:
+    """Minimal t >= 0 with P{|count - mean| / sqrt(two_h * count) <= t} >= 1 - alpha.
 
-    Starts at the most central atom and adds atoms in order of |T|,
-    taking exact ties (possible when ``center`` is an integer) as a
-    single step; count 0 gives |T| = +infinity and is never reached.
-    The next atoms on either side are compared by ``_compare_abs_t``,
-    in exact integers on the closed-form path.
-    """
-    def t_at(m: int) -> float:
-        # float path kept identical to the Monte Carlo |T| computation so
-        # the two routes agree to the last bit on a shared atom
-        return abs(m - center) / math.sqrt(two_h * m)
-
-    start = max(1, int(math.floor(center)))
-    if _compare_abs_t(start + 1, start, center, exact) < 0:
-        start += 1
-    lo = hi = start
-    yield lo, hi, t_at(start)
-    while True:
-        order = _compare_abs_t(lo - 1, hi + 1, center, exact) if lo > 1 else 1
-        if order < 0:
-            lo -= 1
-            threshold = t_at(lo)
-        elif order == 0:
-            lo -= 1
-            hi += 1
-            threshold = max(t_at(lo), t_at(hi))
-        else:
-            hi += 1
-            threshold = t_at(hi)
-        yield lo, hi, threshold
-
-
-def _min_t_threshold(mean: float, center: float, two_h: float, alpha: float,
-                     exact: bool) -> float:
-    """Minimal t >= 0 with P{|count - center| / sqrt(two_h * count) <= t} >= 1 - alpha.
-
-    The count is Poisson(mean).  Returns the threshold of the first walk
-    state whose covered range [lo, hi] holds probability 1 - alpha.  The
-    states come in doubling blocks, each scored by one vectorised cdf
-    call, so the answer is the atom-by-atom scan's without assuming the
-    rounded coverage grows monotonically along the walk.
+    The count is Poisson(mean), and count 0 is never covered.  |T| falls
+    towards the mean on both sides, so the first k atoms of ``_atoms_by_t``
+    cover the counts from their smallest to their largest atom.  The
+    answer is the |T| of the first such prefix whose range holds
+    probability 1 - alpha.  Prefixes come in doubling blocks, each scored
+    by one vectorised cdf call, so no monotone growth of the rounded
+    coverage is assumed.  At an integer mean c, atoms a and c^2/a have
+    exactly equal |T|, and the covering step takes both, also when c^2/a
+    lies outside the table: the threshold is the larger of their rounded |T|.
     """
     if alpha >= 1.0:
         return 0.0
@@ -161,16 +139,23 @@ def _min_t_threshold(mean: float, center: float, two_h: float, alpha: float,
             f"with probability {math.exp(-mean):.6g}, which is never covered"
         )
     target = 1.0 - alpha
-    states = _walk_states(center, two_h, exact)
-    block = 16
-    while True:
-        los, his, thresholds = zip(*itertools.islice(states, block))
-        cdf = stats.poisson.cdf(np.array(his + tuple(lo - 1 for lo in los)), mean)
-        coverage = cdf[:block] - cdf[block:]
-        covered = np.flatnonzero(~(coverage < target))
+    first, last = _atom_range(mean)
+    atoms, t_atom = _atoms_by_t(max(1, first), last, mean, two_h)
+    lo, hi = np.minimum.accumulate(atoms), np.maximum.accumulate(atoms)
+    start, block = 0, 16
+    while start < len(atoms):
+        stop = min(start + block, len(atoms))
+        cdf = stats.poisson.cdf(np.concatenate([hi[start:stop], lo[start:stop] - 1]), mean)
+        covered = np.flatnonzero(~(cdf[:stop - start] - cdf[stop - start:] < target))
         if len(covered):
-            return thresholds[covered[0]]
-        block *= 2
+            k = start + int(covered[0])
+            t, a, c = float(t_atom[k]), int(atoms[k]), int(mean)
+            if c == mean and c * c % a == 0:
+                tie = c * c // a
+                t = max(t, abs(tie - mean) / math.sqrt(two_h * tie))
+            return t
+        start, block = stop, 2 * block
+    raise UnattainableLevelError(f"coverage {target} is not attained by any finite threshold")
 
 
 def t_star_closed_form(p: int, h: float, alpha: float) -> float:
@@ -182,8 +167,7 @@ def t_star_closed_form(p: int, h: float, alpha: float) -> float:
     b(t) = t sqrt(2 h p + h^2 t^2), holds probability at least 1 - alpha.
     """
     _check_t_star_args(p, h, alpha)
-    return _min_t_threshold(mean=float(p), center=float(p), two_h=2.0 * h,
-                            alpha=alpha, exact=True)
+    return _min_t_threshold(float(p), 2.0 * h, alpha)
 
 
 def t_star_monte_carlo(p: int, h: float, alpha: float, n_draws: int, seed: RngSeed) -> float:
@@ -233,8 +217,7 @@ def _draw_atom_counts(p: int, n_draws: int, rng: np.random.Generator,
     draws are redrawn from Poisson(p) by rejection until they fall
     outside lo..hi, so the counts keep the exact law of the draws.
     """
-    lo = max(0, math.floor(p - span * math.sqrt(p) - span))
-    hi = math.ceil(p + span * math.sqrt(p) + span)
+    lo, hi = _atom_range(p, span)
     tail = float(special.pdtrc(hi, p)) + (float(special.pdtr(lo - 1, p)) if lo > 0 else 0.0)
     pmf = stats.poisson.pmf(np.arange(lo, hi + 1), p)
     pmf *= (1.0 - tail) / pmf.sum()
@@ -259,17 +242,13 @@ def _order_statistic_band(p: int, h: float, alpha: float, first: int,
     n_draws = int(counts.sum())
     # |T*| is a function of the atom, so the sorted draws are the atoms in
     # |T*| order, each repeated as often as it was drawn
-    atoms = np.arange(first, first + len(counts))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_atom = np.abs(atoms - p) / np.sqrt(2.0 * h * atoms)
-    t_atom[atoms == 0] = np.inf
-    order = np.argsort(t_atom, kind="stable")
-    cum = np.cumsum(counts[order])
+    atoms, t_atom = _atoms_by_t(first, first + len(counts) - 1, p, 2.0 * h)
+    cum = np.cumsum(counts[atoms - first])
     k = math.ceil((1.0 - alpha) * n_draws)
     margin = 3.0 * math.sqrt(n_draws * alpha * (1.0 - alpha))
     k_lo = max(1, math.floor(k - margin))
     k_hi = min(n_draws, math.ceil(k + margin))
-    value, lo, hi = t_atom[order[np.searchsorted(cum, [k, k_lo, k_hi])]].tolist()
+    value, lo, hi = t_atom[np.searchsorted(cum, [k, k_lo, k_hi])].tolist()
     if not math.isfinite(value):
         raise UnattainableLevelError(
             f"coverage {1 - alpha} not attained by any finite threshold in {n_draws} draws"
@@ -285,13 +264,11 @@ def t_alpha_oracle(intensity: IntensityFunction, x: float, h: float, alpha: floa
     estimator's own mean m/(2h).  Same minimization as the bootstrap
     closed form, with Poisson(m) in place of Poisson(p).
     """
-    _check_bandwidth(h)
-    if not 0.0 <= alpha <= 1.0:
-        raise ParameterError(f"alpha must lie in [0, 1], got {alpha}")
+    _check_level(h, alpha)
     m = intensity.integral(x - h, x + h)
     if m <= 0:
         raise DegenerateCountError(f"expected count over [{x - h}, {x + h}] is zero")
-    return _min_t_threshold(mean=m, center=m, two_h=2.0 * h, alpha=alpha, exact=False)
+    return _min_t_threshold(m, 2.0 * h, alpha)
 
 
 def kernel_intensity_estimate(pattern: PointPattern, h: float, grid: np.ndarray) -> IntensityEstimate:

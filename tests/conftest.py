@@ -11,7 +11,7 @@ from scipy import stats
 
 from ppboot.errors import DegenerateCountError, ParameterError, UnattainableLevelError
 from ppboot.geometry import IntensityFunction, PointPattern, Window2, unit_square
-from ppboot.intensity import _check_bandwidth, _check_t_star_args
+from ppboot.intensity import _check_level, _check_t_star_args
 from ppboot.rng import RngSeed
 from ppboot.twopoint import PairFunction
 
@@ -159,7 +159,10 @@ def reference_min_t_threshold(mean: float, center: float, two_h: float, alpha: f
     The plain form of ``intensity._min_t_threshold``: it expands the
     covered range outward from the most central atom in order of |T|,
     takes exact ties as one step, and re-evaluates the coverage after
-    every step.  The block-evaluated walk must return exactly this.
+    every step.  With ``exact`` the order is kept in exact rationals, so
+    atoms a and c^2/a at an integer center c tie.  The sorted atom table,
+    scored in blocks and taking the larger rounded |T| of such a pair,
+    must return exactly this.
     """
     if alpha >= 1.0:
         return 0.0
@@ -215,9 +218,7 @@ def reference_t_star_closed_form(p: int, h: float, alpha: float) -> float:
 def reference_t_alpha_oracle(intensity: IntensityFunction, x: float, h: float,
                              alpha: float) -> float:
     """``t_alpha_oracle`` by the atom-by-atom scan, with a freshly computed quadrature rule."""
-    _check_bandwidth(h)
-    if not 0.0 <= alpha <= 1.0:
-        raise ParameterError(f"alpha must lie in [0, 1], got {alpha}")
+    _check_level(h, alpha)
     nodes, weights = np.polynomial.legendre.leggauss(256)
     lo, hi = x - h, x + h
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)

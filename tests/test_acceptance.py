@@ -165,8 +165,10 @@ def test_criterion_5_closed_form_threshold_sweep():
             t = t_star_closed_form(4, h, alpha)
             seed = RngSeed(5000 + int(1000 * h) + int(1000 * alpha))
             _, lo, hi = t_star_monte_carlo_band(4, h, alpha, 10**6, seed)
-            # 1e-12 slack: tied atoms (counts 1 and 16 at p = 4) have equal
-            # real |T| but may round one ulp apart between the two routes
+            # 1e-12 slack: counts a and p^2/a tie in real |T| (1 and 16 at
+            # p = 4, as 1 * 16 = 4^2); the closed form takes the larger of the
+            # two rounded |T|, while the Monte Carlo order statistic may land
+            # on either atom of the pair, and the two may be one ulp apart
             assert lo * (1 - 1e-12) <= t <= hi * (1 + 1e-12)
     report(5, time.perf_counter() - t0, 300.0,
            f"{checked} feasible (p, h, alpha) combos: coverage >= 1-alpha and minimal; "

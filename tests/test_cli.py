@@ -267,9 +267,18 @@ _COVERAGE = ["coverage", "--lambda-spec", "const:40", "--h", "0.1", "--alpha", "
 _BOOT_VAR = ["boot-var", "--input", "{planar}"]
 
 _PARAM, _CONFIG = "parameter error: ", "config error: "
+_VARIANCE_CONFIG = {"experiment": "variance_comparison", "lambda": 25.0,
+                    "window": {"x_min": 0.0, "x_max": 1.0, "y_min": 0.0, "y_max": 1.0},
+                    "f_spec": "ones", "scheme": "poissonized", "reps": 2,
+                    "integration": {"method": "monte_carlo", "sample_count": 100000}, "seed": 1}
 _CI_SUITE_CONFIG = {"experiment": "ci_suite", "lambda_spec": "const:40",
                     "interval": {"lo": 0.0, "hi": 1.0}, "h": 0.1, "alpha": 0.1,
                     "methods": ["exact_poisson"], "reps": 100, "grid_steps": 3, "seed": 1}
+
+# numbers that are not finite JSON numbers, and an alpha outside (0, 1]
+_CI_SUITE_BAD_NUMBERS = [("h", "string", "0.05"), ("alpha", "string", "0.05"),
+                         ("seed", "true", True), ("h", "infinity", float("inf")),
+                         ("alpha", "zero", 0.0), ("alpha", "above-one", 1.5)]
 
 EXIT_CODES = [
     pytest.param(_BOOT_VAR + ["--f-spec", "ones", "--N", "0"], 2, _PARAM, id="boot-var-N-0"),
@@ -285,6 +294,11 @@ EXIT_CODES = [
                  id="ci-suite-mc-draws-10"),
     pytest.param(["variance-comparison", "--config", "{missing}"], 2, _CONFIG,
                  id="variance-comparison-missing-config"),
+    pytest.param(["variance-comparison", "--config", "{variance_samples_string}"], 2,
+                 f"{_CONFIG}bad value for 'integration'", id="variance-comparison-samples-string"),
+    *(pytest.param(["ci-suite", "--config", f"{{ci_{key}_{name}}}"], 2,
+                   f"{_CONFIG}bad value for '{key}'", id=f"ci-suite-{key}-{name}")
+      for key, name, _ in _CI_SUITE_BAD_NUMBERS),
     pytest.param(["ci-band", "--input", "{interval}", "--h", "-0.1", "--alpha", "0.1",
                   "--method", "closed"], 2, _PARAM, id="ci-band-h--0.1"),
     pytest.param(["ci-band", "--input", "{interval}", "--h", "0.1", "--alpha", "2",
@@ -312,13 +326,13 @@ class TestExitCodes:
         duplicate = tmp_path / "dup.csv"
         duplicate.write_text("x,y\n0.1,0.2\n0.1,0.2\n")
         configs = {
-            "variance_reps_1": {
-                "experiment": "variance_comparison", "lambda": 25.0,
-                "window": {"x_min": 0.0, "x_max": 1.0, "y_min": 0.0, "y_max": 1.0},
-                "f_spec": "ones", "scheme": "poissonized", "reps": 1,
-                "integration": {"method": "monte_carlo", "sample_count": 100000}, "seed": 1},
+            "variance_reps_1": {**_VARIANCE_CONFIG, "reps": 1},
+            "variance_samples_string": {**_VARIANCE_CONFIG, "integration": {
+                "method": "monte_carlo", "sample_count": "100000"}},
             "ci_reps_50": {**_CI_SUITE_CONFIG, "reps": 50},
             "ci_mc_draws_10": {**_CI_SUITE_CONFIG, "mc_draws": 10},
+            **{f"ci_{key}_{name}": {**_CI_SUITE_CONFIG, key: value}
+               for key, name, value in _CI_SUITE_BAD_NUMBERS},
         }
         paths = {"planar": planar_pattern, "interval": interval_pattern,
                  "square": square_window, "duplicate": str(duplicate),

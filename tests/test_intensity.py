@@ -110,6 +110,12 @@ class TestTStarClosedForm:
             with pytest.raises(UnattainableLevelError):
                 t_star_closed_form(p, 0.1, alpha)
 
+    def test_level_lost_to_rounding_raises(self):
+        # alpha one ulp above exp(-1) is feasible in exact arithmetic, but
+        # the rounded coverage of counts 1, 2, ... never reaches 1 - alpha
+        with pytest.raises(UnattainableLevelError, match="not attained"):
+            t_star_closed_form(1, 0.05, math.nextafter(math.exp(-1), 1))
+
     def test_spot_case_against_monte_carlo(self):
         t = t_star_closed_form(4, 0.1, 0.05)
         t_mc, lo, hi = t_star_monte_carlo_band(4, 0.1, 0.05, 200_000, RngSeed(606))
@@ -206,11 +212,17 @@ def outcome(fn, *args):
 class TestAgainstAtomScan:
     """Bit equality with the atom-by-atom scan and the sort-based quantile."""
 
-    @pytest.mark.parametrize("alpha", [0.5, 0.05, 0.01, 1e-3])
+    @pytest.mark.parametrize("alpha", [0.5, 0.05, 0.01, 1e-3, 1e-8])
     @pytest.mark.parametrize("h", [0.05, 0.01, 1 / 3])
     def test_closed_form(self, h, alpha):
-        # at p = 10**6 the walk's integer keys reach about 1e12
-        for p in [*range(0, 121), 333, 999, 10007, *([10**6] if alpha == 0.05 else [])]:
+        # at alpha = 1e-8 the covering step can be a tie whose partner lies
+        # outside the atom table (atoms 5 and 180 at p = 30, as 5 * 180 = 30^2);
+        # the reference scan is too slow there beyond p = 120
+        if alpha == 1e-8:
+            ps = range(0, 121)
+        else:
+            ps = [*range(0, 121), 333, 999, 10007, *([10**6] if alpha == 0.05 else [])]
+        for p in ps:
             assert outcome(t_star_closed_form, p, h, alpha) == \
                 outcome(reference_t_star_closed_form, p, h, alpha), p
 
