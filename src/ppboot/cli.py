@@ -26,12 +26,7 @@ from .experiments import (
     run_variance_comparison,
     variance_with_error,
 )
-from .geometry import (
-    Interval1,
-    Window2,
-    simulate_homogeneous_poisson,
-    simulate_inhomogeneous_poisson,
-)
+from .geometry import simulate_homogeneous_poisson, simulate_inhomogeneous_poisson
 from .intensity import confidence_band, coverage_experiment
 from .moments import IntegrationSpec, s_moments_poisson
 from .patternio import ingest_pattern, parse_window, read_window, write_pattern
@@ -86,12 +81,8 @@ def _cmd_simulate(args) -> int:
         raise ConfigError("simulate needs exactly one of --lambda or --lambda-spec")
     window = read_window(args.window)
     if args.intensity is not None:
-        if not isinstance(window, Window2):
-            raise ConfigError("--lambda (homogeneous) needs a planar window file")
         pattern = simulate_homogeneous_poisson(args.intensity, window, seed)
     else:
-        if not isinstance(window, Interval1):
-            raise ConfigError("--lambda-spec (inhomogeneous) needs an interval window file")
         intensity = parse_lambda_spec(args.lambda_spec, window)
         pattern = simulate_inhomogeneous_poisson(intensity, window, seed)
     if args.out is None:
@@ -147,8 +138,6 @@ def _cmd_boot_var(args) -> int:
 
 def _cmd_moments(args) -> int:
     window = read_window(args.window)
-    if not isinstance(window, Window2):
-        raise ConfigError("moments needs a planar window file")
     f = parse_f_spec(args.f_spec, window)
     method = {"mc": "monte_carlo", "quad": "product_quadrature"}[args.method]
     spec = IntegrationSpec(method=method, sample_count=args.samples,
@@ -164,8 +153,6 @@ def _cmd_moments(args) -> int:
 
 def _cmd_ci_band(args) -> int:
     pattern = ingest_pattern(args.input, args.window)
-    if pattern.dim != 1:
-        raise ConfigError("ci-band needs a one-dimensional pattern")
     grid = midpoint_grid(pattern.window, args.grid_steps)
     band = confidence_band(pattern, args.h, args.alpha, grid, _CLI_METHODS[args.method],
                            mc_draws=args.mc_draws, seed=RngSeed(args.seed))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy import linalg
 
 from .errors import DuplicatePointError, InvalidBoundError, OutOfWindowError, ParameterError
 from .rng import RngSeed
@@ -73,6 +74,13 @@ def unit_square() -> Window2:
     return Window2(0.0, 1.0, 0.0, 1.0)
 
 
+def _require_window(window: Window2 | Interval1, kind: type, what: str) -> None:
+    """Raise ParameterError unless ``window`` is of ``kind`` (Window2 or Interval1)."""
+    if not isinstance(window, kind):
+        need = "a planar window" if kind is Window2 else "an interval"
+        raise ParameterError(f"{what} needs {need}, got {type(window).__name__}")
+
+
 @dataclass(frozen=True)
 class PointPattern:
     """A finite pattern of pairwise-distinct points in a window.
@@ -122,12 +130,26 @@ class PointPattern:
 def gauss_legendre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], computed once per size.
 
-    The arrays are shared between callers and therefore read-only.
+    These are the steps of numpy's ``leggauss``, bit for bit, except that
+    the first roots come from the tridiagonal eigensolver: ``leggauss``
+    hands the tridiagonal companion matrix to a dense O(n^3) one.  The
+    arrays are shared between callers and therefore read-only.
     """
-    rule = np.polynomial.legendre.leggauss(nodes)
-    for arr in rule:
+    leg = np.polynomial.legendre
+    c = np.array([0] * nodes + [1])
+    companion = leg.legcompanion(c)
+    x = linalg.eigvalsh_tridiagonal(np.diagonal(companion), np.diagonal(companion, 1))
+    # one Newton step on the roots, then weights from the derivative
+    df = leg.legval(x, leg.legder(c))
+    x -= leg.legval(x, c) / df
+    fm = leg.legval(x, c[1:])
+    w = 1 / ((fm / np.abs(fm).max()) * (df / np.abs(df).max()))
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    for arr in (x, w):
         arr.setflags(write=False)
-    return rule
+    return x, w
 
 
 def _point_error(cls: type[Exception], index: int, what: str) -> Exception:
@@ -172,6 +194,7 @@ def constant_intensity(value: float) -> IntensityFunction:
 
 def linear_intensity(a: float, b: float, interval: Interval1) -> IntensityFunction:
     """lambda(x) = a + b*x, clipped nowhere: must be >= 0 on the interval."""
+    _require_window(interval, Interval1, "a linear intensity")
     ends = [a + b * interval.lo, a + b * interval.hi]
     if min(ends) < 0:
         raise ParameterError(f"linear intensity {a} + {b}x is negative on the interval")
@@ -185,6 +208,7 @@ def simulate_homogeneous_poisson(lam: float, window: Window2, seed: RngSeed) -> 
     The count is Poisson(lam * area) and locations are i.i.d. uniform.
     Deterministic given the seed.
     """
+    _require_window(window, Window2, "homogeneous simulation")
     if not (math.isfinite(lam) and lam >= 0):
         raise ParameterError(f"intensity must be finite and >= 0, got {lam}")
     rng = seed.generator()
@@ -204,6 +228,7 @@ def simulate_inhomogeneous_poisson(
     lambda(x) <= lambda_max everywhere; violations raise
     :class:`InvalidBoundError` when detected at evaluation.
     """
+    _require_window(interval, Interval1, "inhomogeneous simulation")
     rng = seed.generator()
     n_prop = int(rng.poisson(intensity.lambda_max * interval.length))
     proposals = rng.uniform(interval.lo, interval.hi, n_prop)

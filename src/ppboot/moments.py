@@ -6,12 +6,13 @@ pair function:
 
     s2      = lam^2 * I(f^2)          over W^2
     s3      = lam^3 * I(f(x1,x2) f(x1,x3))   over W^3
-    s4      = lam^4 * I(f)^2
     E theta = lam^2 * I(f)
+    s4      = lam^4 * I(f)^2 = (E theta)^2
 
-Two interchangeable integrators are provided: plain Monte Carlo with
-standard-error reporting, and tensor-product Gauss-Legendre quadrature
-with a refinement delta.  Reported error fields are 3-sigma bounds for
+Two interchangeable integrators compute E theta, s2 and s3: plain Monte
+Carlo with standard-error reporting, and tensor-product Gauss-Legendre
+quadrature with a refinement delta.  s4 and its error are derived from
+E theta in one place.  Reported error fields are 3-sigma bounds for
 Monte Carlo and |fine - coarse| refinement deltas for quadrature, each
 plus a floating-point floor: the a-priori summation bound
 gamma_m * sum|terms|, gamma_m = m u / (1 - m u) with u = eps / 2 and m
@@ -22,8 +23,7 @@ error than its rounding, so "agreement within summed errors" is a
 meaningful cross-method check.
 
 The true estimator variance s4 + 4 s3 + 2 s2 - (E theta)^2 collapses to
-4 s3 + 2 s2 under Poisson (s4 cancels against (E theta)^2); the
-residual of that cancellation is surfaced as a consistency diagnostic.
+4 s3 + 2 s2 under Poisson, because s4 cancels against (E theta)^2.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .geometry import Window2, gauss_legendre_rule
+from .geometry import Window2, _require_window, gauss_legendre_rule
 from .rng import RngSeed, chunk_sizes, parallel_map
 from .twopoint import PairFunction
 
@@ -58,9 +58,9 @@ class IntegrationSpec:
     """How to evaluate the moment integrals.
 
     ``sample_count`` is the total Monte Carlo budget (at least 1000),
-    split across components: the triple integral behind s3 has by far
-    the smallest hit rate for short-range pair functions and receives
-    60% of the draws; the four pair integrals get 10% each.
+    split across two draws: 60% to the triple integral behind s3, which
+    has by far the smallest hit rate for short-range pair functions, and
+    40% to one pair draw that gives I(f) and I(f^2) from the same values.
     ``nodes_per_axis`` is the Gauss-Legendre resolution per coordinate
     axis (at least 8).
     """
@@ -89,7 +89,8 @@ class MomentSet:
     ``errors`` maps component name to its error estimate (3-sigma Monte
     Carlo bound or quadrature refinement delta) plus a floating-point
     floor that bounds the rounding in the value; the floor is 0 only
-    when the integrand is 0 everywhere it was evaluated.
+    when the integrand is 0 everywhere it was evaluated.  ``s4`` is
+    ``e_theta ** 2`` with the error propagated from ``e_theta``.
     """
 
     s2: float
@@ -101,11 +102,6 @@ class MomentSet:
     f_label: str
     method: str
     errors: dict[str, float]
-
-    @property
-    def cancellation_gap(self) -> float:
-        """s4 - (E theta)^2; zero for Poisson up to integration error."""
-        return self.s4 - self.e_theta**2
 
     def reduced_true_variance(self) -> float:
         """4 s3 + 2 s2, the Poisson-cancelled form of the true variance."""
@@ -125,86 +121,74 @@ def _gamma(m: int) -> float:
 
 
 def _mc_mean(window: Window2, integrand, n_points: int, samples: int,
-             seed: RngSeed, threads: int, where: str) -> tuple[float, float, float]:
-    """Mean, standard error and mean |integrand| over uniform W^n_points samples.
+             seed: RngSeed, threads: int, where: str) -> list[tuple[float, float, float]]:
+    """Mean, standard error and mean |value| of each integrand component.
 
-    Each chunk reports its count, sum, sum of squared deviations (M2)
-    and sum of |values|; the chunks are merged in task order with the
-    pairwise update of Chan, Golub & LeVeque (1979), so the variance
-    needs no clamp and is the same for every ``threads`` value.
+    ``integrand`` maps n_points uniform W samples to one row of values
+    per component (a 1-D array is one component).  Each chunk reports,
+    per row, its sum, sum of squared deviations (M2) and sum of |values|;
+    the chunks are merged in task order with the pairwise update of Chan,
+    Golub & LeVeque (1979), so the variance needs no clamp and is the
+    same for every ``threads`` value.
     """
     offset = np.array([window.x_min, window.y_min])
     scale = np.array([window.x_max - window.x_min, window.y_max - window.y_min])
     sizes = chunk_sizes(samples, _MC_CHUNK)
 
-    def run_chunk(c: int) -> tuple[int, float, float, float]:
+    def run_chunk(c: int) -> np.ndarray:
         rng = seed.substream(c).generator()
         pts = [offset + scale * rng.random((sizes[c], 2)) for _ in range(n_points)]
-        vals = integrand(*pts)
+        vals = np.atleast_2d(integrand(*pts))
         _require_finite(vals, where)
-        total = float(vals.sum())
-        dev = vals - total / sizes[c]
-        return sizes[c], total, float(dev @ dev), float(np.abs(vals).sum())
+        stats = []
+        for row in vals:
+            total = float(row.sum())
+            dev = row - total / sizes[c]
+            stats.append((total, float(dev @ dev), float(np.abs(row).sum())))
+        return np.array(stats).T
 
     parts = parallel_map(run_chunk, len(sizes), threads=threads)
-    n, total, m2, abs_total = parts[0]
-    for n_b, total_b, m2_b, abs_b in parts[1:]:
+    n = sizes[0]
+    total, m2, abs_total = parts[0]
+    for n_b, (total_b, m2_b, abs_b) in zip(sizes[1:], parts[1:]):
         delta = total_b / n_b - total / n
         m2 += m2_b + delta * delta * (n * n_b / (n + n_b))
         n += n_b
         total += total_b
         abs_total += abs_b
-    return total / n, math.sqrt(m2) / n, abs_total / n
+    return list(zip((total / n).tolist(), (np.sqrt(m2) / n).tolist(), (abs_total / n).tolist()))
 
 
 def _moments_monte_carlo(lam: float, window: Window2, f: PairFunction,
-                         spec: IntegrationSpec) -> MomentSet:
+                         spec: IntegrationSpec) -> tuple[dict[str, float], dict[str, float]]:
     area = window.area
-    m_pair = max(1000, spec.sample_count // 10)
+    m_pair = max(1000, (4 * spec.sample_count) // 10)
     m_triple = max(1000, (6 * spec.sample_count) // 10)
-    seed = spec.seed
-    th = spec.threads
 
     # samples are drawn inside W, so the window indicators of f are
     # identically 1 and the bare h can be evaluated directly
-    def f_val(x, y):
-        return np.asarray(f.h(x, y), dtype=float)
-
-    def f_sq(x, y):
+    def f_and_sq(x, y):
         v = np.asarray(f.h(x, y), dtype=float)
-        return v * v
+        return np.stack([v, v * v])
 
     def f_prod(x1, x2, x3):
         return np.asarray(f.h(x1, x2), dtype=float) * np.asarray(f.h(x1, x3), dtype=float)
 
-    i2_mean, i2_se, i2_abs = _mc_mean(window, f_val, 2, m_pair, seed.substream(0), th, "e_theta")
-    i2b_mean, i2b_se, i2b_abs = _mc_mean(window, f_val, 2, m_pair, seed.substream(1), th,
-                                         "s4 (first factor)")
-    i2c_mean, i2c_se, i2c_abs = _mc_mean(window, f_val, 2, m_pair, seed.substream(2), th,
-                                         "s4 (second factor)")
-    s2_mean, s2_se, s2_abs = _mc_mean(window, f_sq, 2, m_pair, seed.substream(3), th, "s2")
-    s3_mean, s3_se, s3_abs = _mc_mean(window, f_prod, 3, m_triple, seed.substream(4), th, "s3")
-
-    e_theta = lam**2 * area**2 * i2_mean
-    s2 = lam**2 * area**2 * s2_mean
-    s3 = lam**3 * area**3 * s3_mean
-    # product of two independent estimates keeps s4 unbiased for I(f)^2
-    s4 = lam**4 * area**4 * i2b_mean * i2c_mean
-    s4_se = lam**4 * area**4 * math.hypot(i2b_mean * i2c_se, i2c_mean * i2b_se)
-    # rounding floors: a mean of m terms carries m - 1 additions; if a and b
-    # are off by at most g_a A and g_b B with |a| <= A, |b| <= B, then a b is
-    # off by at most (g_a + g_b + g_a g_b) A B <= g_{a+b} A B (Higham, lemma 3.3)
+    (e, e_se, e_abs), (s2, s2_se, s2_abs) = _mc_mean(
+        window, f_and_sq, 2, m_pair, spec.seed.substream(0), spec.threads, "e_theta and s2")
+    [(s3, s3_se, s3_abs)] = _mc_mean(window, f_prod, 3, m_triple, spec.seed.substream(4),
+                                     spec.threads, "s3")
+    # rounding floors: a mean of m terms carries m - 1 additions
     g_pair = _gamma(m_pair + _MC_EXTRA_ROUNDINGS)
     g_triple = _gamma(m_triple + _MC_EXTRA_ROUNDINGS)
-    g_s4 = _gamma(2 * (m_pair + _MC_EXTRA_ROUNDINGS))
+    scale2, scale3 = lam**2 * area**2, lam**3 * area**3
+    values = {"e_theta": scale2 * e, "s2": scale2 * s2, "s3": scale3 * s3}
     errors = {
-        "e_theta": lam**2 * area**2 * (3.0 * i2_se + g_pair * i2_abs),
-        "s2": lam**2 * area**2 * (3.0 * s2_se + g_pair * s2_abs),
-        "s3": lam**3 * area**3 * (3.0 * s3_se + g_triple * s3_abs),
-        "s4": 3.0 * s4_se + lam**4 * area**4 * g_s4 * i2b_abs * i2c_abs,
+        "e_theta": scale2 * (3.0 * e_se + g_pair * e_abs),
+        "s2": scale2 * (3.0 * s2_se + g_pair * s2_abs),
+        "s3": scale3 * (3.0 * s3_se + g_triple * s3_abs),
     }
-    return MomentSet(s2=s2, s3=s3, s4=s4, e_theta=e_theta, lam=lam, window=window,
-                     f_label=f.label, method=spec.method, errors=errors)
+    return values, errors
 
 
 def _quadrature_components(window: Window2, f: PairFunction, nodes: int) -> dict[str, float]:
@@ -233,51 +217,46 @@ def _quadrature_components(window: Window2, f: PairFunction, nodes: int) -> dict
 
 
 def _moments_quadrature(lam: float, window: Window2, f: PairFunction,
-                        spec: IntegrationSpec) -> MomentSet:
+                        spec: IntegrationSpec) -> tuple[dict[str, float], dict[str, float]]:
     fine = _quadrature_components(window, f, spec.nodes_per_axis)
     coarse = _quadrature_components(window, f, max(8, spec.nodes_per_axis // 2))
 
     def assemble(c):
-        return {
-            "e_theta": lam**2 * c["i2"],
-            "s2": lam**2 * c["i2_sq"],
-            "s3": lam**3 * c["i3"],
-            "s4": (lam**2 * c["i2"]) ** 2,
-        }
+        return {"e_theta": lam**2 * c["i2"], "s2": lam**2 * c["i2_sq"], "s3": lam**3 * c["i3"]}
 
     v_fine = assemble(fine)
     v_coarse = assemble(coarse)
-    # rounding floor of the fine rule: two nested dot products over
-    # nodes^2 points each, and s4 squares e_theta
+    # rounding floor of the fine rule: two nested dot products over nodes^2 points each
     g = _gamma(2 * spec.nodes_per_axis**2 + _QUAD_EXTRA_ROUNDINGS)
-    g_s4 = _gamma(2 * (2 * spec.nodes_per_axis**2 + _QUAD_EXTRA_ROUNDINGS) + 1)
     floors = {
         "e_theta": g * lam**2 * fine["a2"],
         "s2": g * lam**2 * fine["i2_sq"],
         "s3": g * lam**3 * fine["a3"],
-        "s4": g_s4 * (lam**2 * fine["a2"]) ** 2,
     }
-    errors = {k: abs(v_fine[k] - v_coarse[k]) + floors[k] for k in v_fine}
-    return MomentSet(s2=v_fine["s2"], s3=v_fine["s3"], s4=v_fine["s4"],
-                     e_theta=v_fine["e_theta"], lam=lam, window=window,
-                     f_label=f.label, method=spec.method, errors=errors)
+    return v_fine, {k: abs(v_fine[k] - v_coarse[k]) + floors[k] for k in v_fine}
 
 
 def s_moments_poisson(lam: float, window: Window2, f: PairFunction,
                       spec: IntegrationSpec) -> MomentSet:
     """Integrate s2, s3, s4 and E theta_hat for intensity ``lam`` on ``window``."""
+    _require_window(window, Window2, "moment integration")
     if not (lam >= 0 and math.isfinite(lam)):
         raise ParameterError(f"intensity must be finite and >= 0, got {lam}")
-    if spec.method == "monte_carlo":
-        return _moments_monte_carlo(lam, window, f, spec)
-    return _moments_quadrature(lam, window, f, spec)
+    integrate = _moments_monte_carlo if spec.method == "monte_carlo" else _moments_quadrature
+    values, errors = integrate(lam, window, f, spec)
+    # s4 = lam^4 I(f)^2 = (E theta)^2 exactly; |E theta - e| <= d gives
+    # |s4 - e^2| <= (2|e| + d) d, and gamma_1 e^2 bounds the rounding of e * e
+    e, d = values["e_theta"], errors["e_theta"]
+    errors["s4"] = (2.0 * abs(e) + d) * d + _gamma(1) * e * e
+    return MomentSet(s4=e * e, lam=lam, window=window, f_label=f.label, method=spec.method,
+                     errors=errors, **values)
 
 
 def true_variance_poisson(moments: MomentSet) -> float:
     """Variance of the two-point statistic: s4 + 4 s3 + 2 s2 - (E theta)^2.
 
-    For a Poisson ground truth this equals 4 s3 + 2 s2 up to the
-    integration error visible in ``moments.cancellation_gap``.
+    For a Poisson ground truth s4 = (E theta)^2, so this equals
+    4 s3 + 2 s2 up to rounding.
     """
     return moments.s4 + 4.0 * moments.s3 + 2.0 * moments.s2 - moments.e_theta**2
 

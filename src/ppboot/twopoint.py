@@ -209,6 +209,8 @@ def estimate_product_density(
     with columns (r, rho_hat).  Only pairs within max(r_grid) + b enter.
     """
     r_grid = np.atleast_1d(np.asarray(r_grid, dtype=float))
+    if r_grid.size == 0:
+        raise ParameterError("need at least one radius")
     if np.any(r_grid <= 0) or not np.all(np.isfinite(r_grid)):
         raise ParameterError("all radii must be positive and finite")
     if pattern.dim != 2:

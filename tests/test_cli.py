@@ -313,6 +313,12 @@ EXIT_CODES = [
     pytest.param(_COVERAGE + ["--grid-steps", "-2"], 2, _PARAM, id="coverage-grid-steps--2"),
     pytest.param(["moments", "--lambda", "2", "--window", "{square}", "--f-spec", "ones",
                   "--samples", "10"], 2, _PARAM, id="moments-samples-10"),
+    pytest.param(["moments", "--lambda", "2", "--window", "{line}", "--f-spec", "ones"], 2,
+                 _PARAM, id="moments-interval-window"),
+    pytest.param(["simulate", "--lambda-spec", "linear:50,20", "--window", "{square}"], 2,
+                 _CONFIG, id="simulate-lambda-spec-planar-window"),
+    pytest.param(["ci-band", "--input", "{planar}", "--h", "0.1", "--alpha", "0.1",
+                  "--method", "closed"], 2, _PARAM, id="ci-band-planar-pattern"),
     pytest.param(["pcf", "--input", "{duplicate}", "--window", "{square}", "--rmin", "0.01",
                   "--rmax", "0.1", "--rsteps", "3", "--bandwidth", "0.01"], 4, "data error: ",
                  id="pcf-duplicate-row"),
@@ -322,7 +328,7 @@ EXIT_CODES = [
 class TestExitCodes:
     @pytest.mark.parametrize("argv, code, prefix", EXIT_CODES)
     def test_exit_code_table(self, tmp_path, capsys, planar_pattern, interval_pattern,
-                             square_window, argv, code, prefix):
+                             square_window, interval_window, argv, code, prefix):
         duplicate = tmp_path / "dup.csv"
         duplicate.write_text("x,y\n0.1,0.2\n0.1,0.2\n")
         configs = {
@@ -335,7 +341,7 @@ class TestExitCodes:
                for key, name, value in _CI_SUITE_BAD_NUMBERS},
         }
         paths = {"planar": planar_pattern, "interval": interval_pattern,
-                 "square": square_window, "duplicate": str(duplicate),
+                 "square": square_window, "line": interval_window, "duplicate": str(duplicate),
                  "missing": str(tmp_path / "none.json")}
         for name, cfg in configs.items():
             paths[name] = str(tmp_path / f"{name}.json")

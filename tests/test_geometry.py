@@ -98,6 +98,10 @@ class TestHomogeneousSimulation:
         with pytest.raises(ParameterError):
             simulate_homogeneous_poisson(float("inf"), unit_square(), RngSeed(1))
 
+    def test_interval_window_rejected(self):
+        with pytest.raises(ParameterError, match="planar window"):
+            simulate_homogeneous_poisson(5.0, Interval1(0, 1), RngSeed(1))
+
     def test_fixed_seed_reproduces_identical_pattern(self):
         a = simulate_homogeneous_poisson(100.0, unit_square(), RngSeed(42))
         b = simulate_homogeneous_poisson(100.0, unit_square(), RngSeed(42))
@@ -132,6 +136,12 @@ class TestInhomogeneousSimulation:
     def test_zero_intensity_gives_empty_pattern(self):
         pat = simulate_inhomogeneous_poisson(constant_intensity(0.0), Interval1(0, 1), RngSeed(3))
         assert pat.n == 0
+
+    def test_planar_window_rejected(self):
+        with pytest.raises(ParameterError, match="an interval"):
+            simulate_inhomogeneous_poisson(constant_intensity(5.0), unit_square(), RngSeed(3))
+        with pytest.raises(ParameterError, match="an interval"):
+            linear_intensity(50.0, 20.0, unit_square())
 
     def test_constant_intensity_count_is_poisson(self):
         # thinning a constant intensity must reduce to the homogeneous law;
@@ -224,11 +234,15 @@ class TestIntensityFunctions:
     def test_quadrature_rule_cached_and_read_only(self):
         nodes, weights = gauss_legendre_rule(16)
         assert gauss_legendre_rule(16)[0] is nodes
-        fresh_nodes, fresh_weights = np.polynomial.legendre.leggauss(16)
-        assert np.array_equal(nodes, fresh_nodes) and np.array_equal(weights, fresh_weights)
         for arr in (nodes, weights):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+    @pytest.mark.parametrize("n", [8, 10, 12, 16, 24, 32, 256])
+    def test_quadrature_rule_matches_leggauss_bits(self, n):
+        nodes, weights = gauss_legendre_rule(n)
+        fresh_nodes, fresh_weights = np.polynomial.legendre.leggauss(n)
+        assert np.array_equal(nodes, fresh_nodes) and np.array_equal(weights, fresh_weights)
 
     def test_lambda_max_validation(self):
         with pytest.raises(ParameterError):

@@ -5,7 +5,7 @@ import pytest
 
 from ppboot.bootstrap import alpha_coefficients
 from ppboot.errors import NumericalError, ParameterError
-from ppboot.geometry import simulate_homogeneous_poisson, unit_square
+from ppboot.geometry import Interval1, simulate_homogeneous_poisson, unit_square
 from ppboot.moments import (
     IntegrationSpec,
     expected_bootstrap_variance,
@@ -112,14 +112,15 @@ class TestMomentValues:
             assert scaled.s4 == pytest.approx(c**4 * base.s4, rel=1e-12)
             assert scaled.e_theta == pytest.approx(c**2 * base.e_theta, rel=1e-12)
 
-    def test_poisson_cancellation(self):
-        for name, build in SMOOTH_SUITE:
-            f = build()
-            m = s_moments_poisson(2.0, unit_square(), f,
-                                  IntegrationSpec("monte_carlo", sample_count=1_000_000,
-                                                  seed=RngSeed(66)))
-            budget = m.errors["s4"] + 2 * abs(m.e_theta) * m.errors["e_theta"]
-            assert abs(m.cancellation_gap) < budget, name
+    def test_s4_is_e_theta_squared(self):
+        # Poisson truth: s4 = lam^4 I(f)^2 = (E theta)^2, with the error of
+        # E theta propagated to first order at least
+        for spec in (IntegrationSpec("monte_carlo", sample_count=100_000, seed=RngSeed(66)),
+                     IntegrationSpec("product_quadrature", nodes_per_axis=16)):
+            for name, build in SMOOTH_SUITE:
+                m = s_moments_poisson(2.0, unit_square(), build(), spec)
+                assert m.s4 == m.e_theta * m.e_theta, (spec.method, name)
+                assert m.errors["s4"] >= 2 * abs(m.e_theta) * m.errors["e_theta"], (spec.method, name)
 
     @pytest.mark.parametrize("method,kw", [
         ("product_quadrature", {"nodes_per_axis": 32}),
@@ -152,6 +153,12 @@ class TestMomentValues:
                                               seed=RngSeed(77)))
         budget = 2 * b * m.errors["s2"] + m.errors["e_theta"]
         assert abs(2 * b * m.s2 - m.e_theta) < budget
+
+    def test_interval_window_rejected(self):
+        f = constant_pair_function(Interval1(0.0, 1.0), 1.0)
+        with pytest.raises(ParameterError, match="planar window"):
+            s_moments_poisson(1.0, Interval1(0.0, 1.0), f,
+                              IntegrationSpec("monte_carlo", sample_count=2000, seed=RngSeed(4)))
 
     def test_nonfinite_integrand_reported(self):
         def bad(x, y):

@@ -128,8 +128,9 @@ class TestProductDensity:
 
     def test_invalid_radius(self):
         pat = random_pattern(5, np.random.default_rng(15))
-        with pytest.raises(ParameterError):
-            estimate_product_density(pat, [0.0, 0.1], KernelFunction("box", 0.01))
+        for radii in ([0.0, 0.1], []):
+            with pytest.raises(ParameterError):
+                estimate_product_density(pat, radii, KernelFunction("box", 0.01))
 
     def test_translation_and_relabeling_invariance(self):
         rng = np.random.default_rng(16)
