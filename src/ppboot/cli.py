@@ -79,14 +79,14 @@ def _cmd_simulate(args) -> int:
     seed = RngSeed(args.seed)
     if (args.intensity is None) == (args.lambda_spec is None):
         raise ConfigError("simulate needs exactly one of --lambda or --lambda-spec")
+    if args.out is None:
+        raise ConfigError("simulate needs --out to name the pattern CSV")
     window = read_window(args.window)
     if args.intensity is not None:
         pattern = simulate_homogeneous_poisson(args.intensity, window, seed)
     else:
         intensity = parse_lambda_spec(args.lambda_spec, window)
         pattern = simulate_inhomogeneous_poisson(intensity, window, seed)
-    if args.out is None:
-        raise ConfigError("simulate needs --out to name the pattern CSV")
     write_pattern(pattern, args.out)
     sys.stderr.write(f"wrote {pattern.n} points to {args.out}\n")
     return 0
@@ -139,10 +139,8 @@ def _cmd_boot_var(args) -> int:
 def _cmd_moments(args) -> int:
     window = read_window(args.window)
     f = parse_f_spec(args.f_spec, window)
-    method = {"mc": "monte_carlo", "quad": "product_quadrature"}[args.method]
-    spec = IntegrationSpec(method=method, sample_count=args.samples,
-                           nodes_per_axis=args.nodes, seed=RngSeed(args.seed),
-                           threads=args.threads)
+    spec = IntegrationSpec(method="monte_carlo", sample_count=args.samples,
+                           seed=RngSeed(args.seed), threads=args.threads)
     m = s_moments_poisson(args.intensity, window, f, spec)
     doc = {"s2": m.s2, "s3": m.s3, "s4": m.s4, "e_theta": m.e_theta,
            "lambda": m.lam, "f_spec": args.f_spec, "method": m.method,
@@ -233,9 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="intensity", type=float, required=True)
     p.add_argument("--window", required=True)
     p.add_argument("--f-spec", required=True)
-    p.add_argument("--method", choices=["mc", "quad"], default="mc")
+    p.add_argument("--method", choices=["mc"], default="mc", help="mc: Monte Carlo")
     p.add_argument("--samples", type=int, default=200_000)
-    p.add_argument("--nodes", type=int, default=32)
     _add_common(p)
     p.set_defaults(func=_cmd_moments)
 

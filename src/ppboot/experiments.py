@@ -188,13 +188,13 @@ def _scheme(v) -> str:
 def _integration(v) -> IntegrationSpec:
     if not isinstance(v, dict):
         raise ValueError("integration must be an object")
-    allowed = {"method", "sample_count", "nodes_per_axis"}
+    allowed = {"method", "sample_count"}
     unknown = set(v) - allowed
     if unknown:
         raise ConfigError(f"unknown integration keys: {sorted(unknown)}")
-    count = _int_at_least(1)
-    counts = {key: count(v[key]) for key in ("sample_count", "nodes_per_axis") if key in v}
-    return IntegrationSpec(**{**v, **counts})
+    if "sample_count" in v:
+        v = {**v, "sample_count": _int_at_least(1)(v["sample_count"])}
+    return IntegrationSpec(**v)
 
 
 def _methods_list(v) -> list[str]:

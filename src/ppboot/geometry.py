@@ -30,10 +30,11 @@ class Window2:
     y_max: float
 
     def __post_init__(self) -> None:
+        bounds = f"[{self.x_min}, {self.x_max}] x [{self.y_min}, {self.y_max}]"
+        if not all(map(math.isfinite, (self.x_min, self.x_max, self.y_min, self.y_max))):
+            raise ParameterError(f"window bounds must be finite, got {bounds}")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
-            raise ParameterError(
-                f"degenerate window: [{self.x_min}, {self.x_max}] x [{self.y_min}, {self.y_max}]"
-            )
+            raise ParameterError(f"degenerate window: {bounds}")
 
     @property
     def area(self) -> float:
@@ -58,6 +59,8 @@ class Interval1:
     hi: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ParameterError(f"interval bounds must be finite, got [{self.lo}, {self.hi}]")
         if not self.lo < self.hi:
             raise ParameterError(f"degenerate interval: [{self.lo}, {self.hi}]")
 

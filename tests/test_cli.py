@@ -68,6 +68,12 @@ class TestSimulate:
                    "--window", square_window, "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    def test_requires_out_before_any_work(self, square_window, tmp_path, capsys):
+        for window in (square_window, str(tmp_path / "missing.json")):
+            capsys.readouterr()
+            assert main(["simulate", "--lambda", "5", "--window", window]) == 2
+            assert capsys.readouterr().err.startswith("config error: ")
+
     def test_window_kind_mismatch(self, interval_window, tmp_path):
         rc = main(["simulate", "--lambda", "5", "--window", interval_window,
                    "--out", str(tmp_path / "x.csv")])
@@ -149,13 +155,20 @@ class TestMoments:
     def test_json_structure(self, tmp_path, square_window):
         out = tmp_path / "m.json"
         rc = main(["moments", "--lambda", "2", "--window", square_window,
-                   "--f-spec", "const:1", "--method", "quad", "--nodes", "10",
+                   "--f-spec", "const:1", "--method", "mc", "--samples", "2000",
                    "--out", str(out)])
         assert rc == 0
         doc = json.loads(out.read_text())
         assert set(doc) >= {"s2", "s3", "s4", "e_theta", "errors"}
         assert doc["s2"] == pytest.approx(4.0)
         assert set(doc["errors"]) == {"s2", "s3", "s4", "e_theta"}
+
+    @pytest.mark.parametrize("flags", [["--method", "quad"], ["--nodes", "10"]])
+    def test_removed_options_rejected_by_parser(self, tmp_path, square_window, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["moments", "--lambda", "2", "--window", square_window, "--f-spec", "ones",
+                  *flags, "--out", str(tmp_path / "m.json")])
+        assert exc.value.code == 2
 
     def test_nonfinite_integrand_exit_code(self, tmp_path, square_window):
         rc = main(["moments", "--lambda", "2", "--window", square_window,
@@ -294,6 +307,10 @@ EXIT_CODES = [
                  id="ci-suite-mc-draws-10"),
     pytest.param(["variance-comparison", "--config", "{missing}"], 2, _CONFIG,
                  id="variance-comparison-missing-config"),
+    pytest.param(["variance-comparison", "--config", "{variance_nodes_per_axis}"], 2,
+                 f"{_CONFIG}unknown integration keys", id="variance-comparison-nodes-per-axis"),
+    pytest.param(["variance-comparison", "--config", "{variance_infinite_window}"], 2,
+                 f"{_CONFIG}bad value for 'window'", id="variance-comparison-infinite-window"),
     pytest.param(["variance-comparison", "--config", "{variance_samples_string}"], 2,
                  f"{_CONFIG}bad value for 'integration'", id="variance-comparison-samples-string"),
     *(pytest.param(["ci-suite", "--config", f"{{ci_{key}_{name}}}"], 2,
@@ -317,6 +334,10 @@ EXIT_CODES = [
                  _PARAM, id="moments-interval-window"),
     pytest.param(["simulate", "--lambda-spec", "linear:50,20", "--window", "{square}"], 2,
                  _CONFIG, id="simulate-lambda-spec-planar-window"),
+    pytest.param(["simulate", "--lambda", "1", "--window", "{infinite}"], 4, "data error: ",
+                 id="simulate-infinite-window"),
+    pytest.param(["moments", "--lambda", "1", "--window", "{infinite}", "--f-spec", "ones",
+                  "--samples", "1000"], 4, "data error: ", id="moments-infinite-window"),
     pytest.param(["ci-band", "--input", "{planar}", "--h", "0.1", "--alpha", "0.1",
                   "--method", "closed"], 2, _PARAM, id="ci-band-planar-pattern"),
     pytest.param(["pcf", "--input", "{duplicate}", "--window", "{square}", "--rmin", "0.01",
@@ -331,10 +352,16 @@ class TestExitCodes:
                              square_window, interval_window, argv, code, prefix):
         duplicate = tmp_path / "dup.csv"
         duplicate.write_text("x,y\n0.1,0.2\n0.1,0.2\n")
+        infinite_window = {**_VARIANCE_CONFIG["window"], "x_max": float("inf")}
+        infinite = tmp_path / "infinite.json"
+        infinite.write_text(json.dumps({"window": infinite_window}))
         configs = {
             "variance_reps_1": {**_VARIANCE_CONFIG, "reps": 1},
             "variance_samples_string": {**_VARIANCE_CONFIG, "integration": {
                 "method": "monte_carlo", "sample_count": "100000"}},
+            "variance_nodes_per_axis": {**_VARIANCE_CONFIG, "integration": {
+                "method": "monte_carlo", "sample_count": 100000, "nodes_per_axis": 32}},
+            "variance_infinite_window": {**_VARIANCE_CONFIG, "window": infinite_window},
             "ci_reps_50": {**_CI_SUITE_CONFIG, "reps": 50},
             "ci_mc_draws_10": {**_CI_SUITE_CONFIG, "mc_draws": 10},
             **{f"ci_{key}_{name}": {**_CI_SUITE_CONFIG, key: value}
@@ -342,6 +369,7 @@ class TestExitCodes:
         }
         paths = {"planar": planar_pattern, "interval": interval_pattern,
                  "square": square_window, "line": interval_window, "duplicate": str(duplicate),
+                 "infinite": str(infinite),
                  "missing": str(tmp_path / "none.json")}
         for name, cfg in configs.items():
             paths[name] = str(tmp_path / f"{name}.json")

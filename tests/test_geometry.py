@@ -23,14 +23,16 @@ class TestWindows:
     def test_area(self):
         assert Window2(0, 2, 0, 3).area == 6
 
-    @pytest.mark.parametrize("bad", [(1, 1, 0, 1), (0, 1, 2, 2), (2, 1, 0, 1)])
+    @pytest.mark.parametrize("bad", [(1, 1, 0, 1), (0, 1, 2, 2), (2, 1, 0, 1),
+                                     (0, np.inf, 0, 1), (-np.inf, 1, 0, 1), (0, 1, 0, np.nan)])
     def test_degenerate_window_rejected(self, bad):
         with pytest.raises(ParameterError):
             Window2(*bad)
 
     def test_degenerate_interval_rejected(self):
-        with pytest.raises(ParameterError):
-            Interval1(0.5, 0.5)
+        for bad in [(0.5, 0.5), (0, np.inf), (-np.inf, 0), (np.nan, 1)]:
+            with pytest.raises(ParameterError):
+                Interval1(*bad)
 
     def test_contains(self):
         w = unit_square()

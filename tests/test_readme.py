@@ -1,15 +1,18 @@
-"""The README library tour runs, and ``import ppboot`` exports exactly what it uses.
+"""The README library tour runs, its commands parse, and ``import ppboot`` exports what it uses.
 
 The package's public names are the names the tour imports plus the
 errors the command line maps to exit codes.  A later export cut or
-rename then fails here before it breaks the documented tour.
+rename then fails here before it breaks the documented tour, and a
+removed command-line flag fails here while the README still names it.
 """
 import ast
 import re
+import shlex
 import types
 from pathlib import Path
 
 import ppboot
+from ppboot.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 CLI_ERRORS = {"PpbootError", "ParameterError", "ConfigError", "DataError", "NumericalError"}
@@ -17,6 +20,17 @@ CLI_ERRORS = {"PpbootError", "ParameterError", "ConfigError", "DataError", "Nume
 
 def python_blocks() -> list[str]:
     return re.findall(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
+
+
+def cli_examples() -> list[list[str]]:
+    """The arguments of every ``ppboot`` line in the sh blocks, continuations joined."""
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.S | re.M):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["ppboot"]:
+                commands.append(words[1:])
+    return commands
 
 
 def tour_imports() -> set[str]:
@@ -34,6 +48,14 @@ def test_tour_blocks_run_in_order():
         exec(compile(block, str(README), "exec"), namespace)
     assert namespace["v_lim"] > 0 and namespace["v_sim"] > 0
     assert len(namespace["band"].lo) == len(namespace["grid"])
+
+
+def test_cli_examples_parse():
+    commands = cli_examples()
+    assert commands
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)  # argparse exits 2 on an unknown flag or choice
 
 
 def test_public_names_are_the_tour_and_the_cli_errors():
