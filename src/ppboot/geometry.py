@@ -205,6 +205,18 @@ def linear_intensity(a: float, b: float, interval: Interval1) -> IntensityFuncti
                              lambda_max=max(ends), label=f"linear:{a:g},{b:g}")
 
 
+# Largest expected point count a simulator draws; a larger one would end
+# in numpy's Poisson sampler or in an allocation that cannot succeed.
+_MAX_EXPECTED_COUNT = 1e8
+
+
+def _require_drawable(mean: float) -> None:
+    if not mean <= _MAX_EXPECTED_COUNT:
+        raise ParameterError(
+            f"expected point count {mean:.6g} exceeds the simulation cap {_MAX_EXPECTED_COUNT:.0e}"
+        )
+
+
 def simulate_homogeneous_poisson(lam: float, window: Window2, seed: RngSeed) -> PointPattern:
     """Homogeneous Poisson process on a rectangle.
 
@@ -214,6 +226,7 @@ def simulate_homogeneous_poisson(lam: float, window: Window2, seed: RngSeed) -> 
     _require_window(window, Window2, "homogeneous simulation")
     if not (math.isfinite(lam) and lam >= 0):
         raise ParameterError(f"intensity must be finite and >= 0, got {lam}")
+    _require_drawable(lam * window.area)
     rng = seed.generator()
     n = int(rng.poisson(lam * window.area))
     xs = rng.uniform(window.x_min, window.x_max, n)
@@ -232,6 +245,7 @@ def simulate_inhomogeneous_poisson(
     :class:`InvalidBoundError` when detected at evaluation.
     """
     _require_window(interval, Interval1, "inhomogeneous simulation")
+    _require_drawable(intensity.lambda_max * interval.length)
     rng = seed.generator()
     n_prop = int(rng.poisson(intensity.lambda_max * interval.length))
     proposals = rng.uniform(interval.lo, interval.hi, n_prop)

@@ -10,7 +10,11 @@ pair function:
     s4      = lam^4 * I(f)^2 = (E theta)^2
 
 Monte Carlo computes E theta, s2 and s3 from uniform draws in W^2 and
-W^3, and s4 and its error are derived from E theta in one place.
+W^3, and s4 and its error are derived from E theta in one place.  The
+draws are sparse: h runs only on the pairs within the pair function's
+reach, x3 is drawn only where h(x1, x2) != 0, and each chunk's
+statistics are formed from the nonzero values, with the zeros added
+analytically.
 Reported error fields are 3-sigma bounds plus a floating-point floor:
 the a-priori summation bound gamma_m * sum|terms|, gamma_m =
 m u / (1 - m u) with u = eps / 2 and m the roundings from the terms to
@@ -107,32 +111,58 @@ def _gamma(m: int) -> float:
     return mu / (1.0 - mu)
 
 
-def _mc_mean(window: Window2, integrand, n_points: int, samples: int,
-             seed: RngSeed, threads: int, where: str) -> list[tuple[float, float, float]]:
-    """Mean, standard error and mean |value| of each integrand component.
+def _uniform_rows(rng: np.random.Generator, window: Window2, m: int) -> np.ndarray:
+    """m uniform points of ``window`` as (2, m) coordinate rows."""
+    pts = rng.random((2, m))
+    pts[0] *= window.x_max - window.x_min
+    pts[0] += window.x_min
+    pts[1] *= window.y_max - window.y_min
+    pts[1] += window.y_min
+    return pts
 
-    ``integrand`` maps n_points uniform W samples to one row of values
-    per component (a 1-D array is one component).  Each chunk reports,
-    per row, its sum, sum of squared deviations (M2) and sum of |values|;
-    the chunks are merged in task order with the pairwise update of Chan,
-    Golub & LeVeque (1979), so the variance needs no clamp and is the
-    same for every ``threads`` value.
+
+def _chunk_stats(vals: np.ndarray, n: int) -> np.ndarray:
+    """(sum, M2, sum |v|) of each row of ``vals`` padded with zeros to n entries.
+
+    ``vals`` holds every nonzero value of a chunk of n samples.  Each of
+    the n - k implicit zeros deviates from the mean by -mean, so
+    M2 = sum (v - mean)^2 + (n - k) mean^2.
     """
-    offset = np.array([window.x_min, window.y_min])
-    scale = np.array([window.x_max - window.x_min, window.y_max - window.y_min])
+    stats = []
+    for row in vals:
+        total = float(row.sum())
+        mean = total / n
+        dev = row - mean
+        stats.append((total, float(dev @ dev) + (n - len(row)) * mean * mean,
+                      float(np.abs(row).sum())))
+    return np.array(stats).T
+
+
+def _mc_mean(window: Window2, f: PairFunction, n_points: int, samples: int, powers: tuple[int, ...],
+             seed: RngSeed, threads: int, where: str) -> list[tuple[float, float, float]]:
+    """Mean, standard error and mean |value| of P**p for each p in ``powers``.
+
+    P = h(x1, x2) h(x1, x3) ... h(x1, x_n_points) for uniform W points.
+    Each sample draws x1 and x2; each further point is drawn only for
+    the samples whose product is still nonzero, and h runs only within
+    its reach (``PairFunction.nonzero_rows``).  Each chunk reports, per
+    power, its sum, sum of squared deviations (M2) and sum of |values|
+    from the nonzero values alone; the chunks are merged in task order
+    with the pairwise update of Chan, Golub & LeVeque (1979), so the
+    variance needs no clamp and is the same for every ``threads`` value.
+    """
     sizes = chunk_sizes(samples, _MC_CHUNK)
 
     def run_chunk(c: int) -> np.ndarray:
         rng = seed.substream(c).generator()
-        pts = [offset + scale * rng.random((sizes[c], 2)) for _ in range(n_points)]
-        vals = np.atleast_2d(integrand(*pts))
-        _require_finite(vals, where)
-        stats = []
-        for row in vals:
-            total = float(row.sum())
-            dev = row - total / sizes[c]
-            stats.append((total, float(dev @ dev), float(np.abs(row).sum())))
-        return np.array(stats).T
+        x1 = _uniform_rows(rng, window, sizes[c])
+        prod = None
+        for _ in range(n_points - 1):
+            rows, v = f.nonzero_rows(x1, _uniform_rows(rng, window, x1.shape[1]))
+            _require_finite(v, where)
+            x1 = x1[:, rows]
+            prod = v if prod is None else prod[rows] * v
+        return _chunk_stats(np.stack([prod**p for p in powers]), sizes[c])
 
     parts = parallel_map(run_chunk, len(sizes), threads=threads)
     n = sizes[0]
@@ -158,16 +188,9 @@ def s_moments_poisson(lam: float, window: Window2, f: PairFunction,
 
     # samples are drawn inside W, so the window indicators of f are
     # identically 1 and the bare h can be evaluated directly
-    def f_and_sq(x, y):
-        v = np.asarray(f.h(x, y), dtype=float)
-        return np.stack([v, v * v])
-
-    def f_prod(x1, x2, x3):
-        return np.asarray(f.h(x1, x2), dtype=float) * np.asarray(f.h(x1, x3), dtype=float)
-
     (e, e_se, e_abs), (s2, s2_se, s2_abs) = _mc_mean(
-        window, f_and_sq, 2, m_pair, spec.seed.substream(0), spec.threads, "e_theta and s2")
-    [(s3, s3_se, s3_abs)] = _mc_mean(window, f_prod, 3, m_triple, spec.seed.substream(4),
+        window, f, 2, m_pair, (1, 2), spec.seed.substream(0), spec.threads, "e_theta and s2")
+    [(s3, s3_se, s3_abs)] = _mc_mean(window, f, 3, m_triple, (1,), spec.seed.substream(4),
                                      spec.threads, "s3")
     # rounding floors: a mean of m terms carries m - 1 additions
     g_pair = _gamma(m_pair + _MC_EXTRA_ROUNDINGS)

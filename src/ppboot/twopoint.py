@@ -119,6 +119,27 @@ class PairFunction:
         nonzero = v != 0.0
         return i[nonzero], j[nonzero], v[nonzero]
 
+    def nonzero_rows(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows k with h(x_k, y_k) != 0 and those values, as arrays (k, v).
+
+        ``x`` and ``y`` hold planar points as (2, m) coordinate rows.  h
+        runs only on the rows within ``reach``, found by squared distance
+        against the same padded radius as ``pairs``; every row of a pair
+        function of unbounded reach is evaluated.  The window indicators
+        of f are not applied.
+        """
+        if math.isinf(self.reach):
+            rows = np.arange(x.shape[1])
+            v = self.h(x.T, y.T)
+        else:
+            d = x - y
+            d *= d
+            rows = np.flatnonzero(d[0] + d[1] <= (self.reach * (1.0 + _REACH_PAD)) ** 2)
+            v = self.h(x[:, rows].T, y[:, rows].T)
+        v = np.asarray(v, dtype=float)
+        nonzero = np.flatnonzero(v)
+        return rows[nonzero], v[nonzero]
+
     def pair_matrix(self, points: np.ndarray) -> np.ndarray:
         """Dense n x n view F[i, j] = f(x_i, x_j) of ``pairs``, with a zero diagonal."""
         n = len(points)

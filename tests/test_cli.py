@@ -336,6 +336,8 @@ EXIT_CODES = [
                  _CONFIG, id="simulate-lambda-spec-planar-window"),
     pytest.param(["simulate", "--lambda", "1", "--window", "{infinite}"], 4, "data error: ",
                  id="simulate-infinite-window"),
+    pytest.param(["simulate", "--lambda", "1", "--window", "{big}"], 2, _PARAM,
+                 id="simulate-huge-expected-count"),
     pytest.param(["moments", "--lambda", "1", "--window", "{infinite}", "--f-spec", "ones",
                   "--samples", "1000"], 4, "data error: ", id="moments-infinite-window"),
     pytest.param(["ci-band", "--input", "{planar}", "--h", "0.1", "--alpha", "0.1",
@@ -355,6 +357,9 @@ class TestExitCodes:
         infinite_window = {**_VARIANCE_CONFIG["window"], "x_max": float("inf")}
         infinite = tmp_path / "infinite.json"
         infinite.write_text(json.dumps({"window": infinite_window}))
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({"window": {**_VARIANCE_CONFIG["window"], "x_max": 1e10,
+                                              "y_max": 1e10}}))
         configs = {
             "variance_reps_1": {**_VARIANCE_CONFIG, "reps": 1},
             "variance_samples_string": {**_VARIANCE_CONFIG, "integration": {
@@ -369,7 +374,7 @@ class TestExitCodes:
         }
         paths = {"planar": planar_pattern, "interval": interval_pattern,
                  "square": square_window, "line": interval_window, "duplicate": str(duplicate),
-                 "infinite": str(infinite),
+                 "infinite": str(infinite), "big": str(big),
                  "missing": str(tmp_path / "none.json")}
         for name, cfg in configs.items():
             paths[name] = str(tmp_path / f"{name}.json")

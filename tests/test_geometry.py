@@ -104,6 +104,12 @@ class TestHomogeneousSimulation:
         with pytest.raises(ParameterError, match="planar window"):
             simulate_homogeneous_poisson(5.0, Interval1(0, 1), RngSeed(1))
 
+    @pytest.mark.parametrize("lam", [1.0, 1e-3])
+    def test_huge_expected_count_rejected_before_the_draw(self, lam):
+        # 1e20 and 1e17 expected points: numpy's sampler or the allocation would fail
+        with pytest.raises(ParameterError, match="simulation cap"):
+            simulate_homogeneous_poisson(lam, Window2(0, 1e10, 0, 1e10), RngSeed(1))
+
     def test_fixed_seed_reproduces_identical_pattern(self):
         a = simulate_homogeneous_poisson(100.0, unit_square(), RngSeed(42))
         b = simulate_homogeneous_poisson(100.0, unit_square(), RngSeed(42))
@@ -138,6 +144,11 @@ class TestInhomogeneousSimulation:
     def test_zero_intensity_gives_empty_pattern(self):
         pat = simulate_inhomogeneous_poisson(constant_intensity(0.0), Interval1(0, 1), RngSeed(3))
         assert pat.n == 0
+
+    def test_huge_expected_count_rejected_before_the_draw(self):
+        with pytest.raises(ParameterError, match="simulation cap"):
+            simulate_inhomogeneous_poisson(constant_intensity(1.0), Interval1(0, 1e20),
+                                           RngSeed(3))
 
     def test_planar_window_rejected(self):
         with pytest.raises(ParameterError, match="an interval"):

@@ -5,9 +5,10 @@ import pytest
 
 from ppboot.bootstrap import alpha_coefficients
 from ppboot.errors import NumericalError, ParameterError
-from ppboot.geometry import Interval1, simulate_homogeneous_poisson, unit_square
+from ppboot.geometry import Interval1, Window2, simulate_homogeneous_poisson, unit_square
 from ppboot.moments import (
     IntegrationSpec,
+    _chunk_stats,
     expected_bootstrap_variance,
     s_moments_poisson,
     true_variance_poisson,
@@ -42,6 +43,17 @@ def separable_pair_function(window=None):
         return 0.4 + gx * gy
 
     return PairFunction(h, window, label="separable")
+
+
+def compact_pair_function(window, reach=0.3):
+    """h = max(0, 1 - d^2/R^2)^4: smooth, and 0 beyond its declared reach R."""
+    def h(x, y):
+        d2 = (x[..., 0] - y[..., 0]) ** 2 + (x[..., 1] - y[..., 1]) ** 2
+        t = np.maximum(1.0 - d2 / reach**2, 0.0)
+        t *= t
+        return t * t
+
+    return PairFunction(h, window, label="compact", reach=reach)
 
 
 # Monte Carlo is exact to rounding on a constant f, whatever the sample count
@@ -106,6 +118,22 @@ class TestMomentValues:
             for comp, value in oracle.items():
                 diff = abs(getattr(mm, comp) - value)
                 assert diff < mm.errors[comp], f"{name}/{comp}: {diff} vs {mm.errors[comp]}"
+
+    @pytest.mark.parametrize("window", [unit_square(), Window2(0.0, 2.0, 0.0, 1.0)],
+                             ids=["unit-square", "2x1"])
+    def test_compact_reach_agrees_with_oracle(self, window):
+        # a finite reach sends the draws through the reach filter and the
+        # x3-on-hits draw; the tensor rule converges on this smooth f
+        f = compact_pair_function(window)
+        oracle = tensor_gauss_legendre_moments(2.0, window, f, 96)
+        coarse = tensor_gauss_legendre_moments(2.0, window, f, 64)
+        mm = s_moments_poisson(2.0, window, f,
+                               IntegrationSpec("monte_carlo", sample_count=2_000_000,
+                                               seed=RngSeed(55)))
+        for comp, value in oracle.items():
+            assert abs(coarse[comp] - value) < 1e-3 * mm.errors[comp], comp
+            diff = abs(getattr(mm, comp) - value)
+            assert diff < mm.errors[comp], f"{comp}: {diff} vs {mm.errors[comp]}"
 
     def test_intensity_scaling_law(self):
         f = gaussian_pair_function()
@@ -174,6 +202,23 @@ class TestMomentValues:
         with pytest.raises(NumericalError):
             s_moments_poisson(1.0, unit_square(), f,
                               IntegrationSpec("monte_carlo", sample_count=2000, seed=RngSeed(4)))
+
+
+class TestChunkStats:
+    @pytest.mark.parametrize("k", [0, 7, 1000])
+    def test_sparse_matches_dense_two_pass(self, k):
+        # the k nonzero values scattered into n slots, the rest zeros
+        n = 1000
+        rng = np.random.default_rng(8)
+        vals = rng.normal(0.6, 1.3, (2, k))
+        dense = np.zeros((2, n))
+        dense[:, rng.permutation(n)[:k]] = vals
+        total, m2, abs_total = _chunk_stats(vals, n)
+        for c in range(2):
+            dev = dense[c] - dense[c].sum() / n
+            assert total[c] == pytest.approx(dense[c].sum(), rel=1e-12, abs=0)
+            assert m2[c] == pytest.approx(dev @ dev, rel=1e-12, abs=0)
+            assert abs_total[c] == pytest.approx(np.abs(dense[c]).sum(), rel=1e-12, abs=0)
 
 
 class TestVarianceFormulas:

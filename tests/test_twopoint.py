@@ -341,3 +341,42 @@ class TestSparsePairs:
         assert sums.T3 == pytest.approx((q * q).sum() - q.sum() / (2 * b), rel=1e-9)
         table = estimate_product_density(pat, [r], KernelFunction("box", b))
         assert table[0, 1] == pytest.approx(q.sum() / (2 * np.pi * r), rel=1e-9)
+
+
+def _rows_near_reach(reach: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(2, m) coordinate rows x, y: half uniform pairs, half at distances around ``reach``."""
+    rng = np.random.default_rng(64)
+    x = rng.random((2, m))
+    y = rng.random((2, m))
+    half = m // 2
+    d = reach * rng.uniform(0.9, 1.1, half)
+    phi = rng.uniform(0.0, 2 * np.pi, half)
+    y[:, half:] = x[:, half:] + d * np.array([np.cos(phi), np.sin(phi)])
+    return x, y
+
+
+class TestNonzeroRows:
+    """The reach prefilter returns exactly the nonzero values of dense h."""
+
+    @pytest.mark.parametrize("r, b", [(0.04, 0.0033), (EDGE_R, EDGE_B)])
+    @pytest.mark.parametrize("kind", ["box", "epanechnikov"])
+    def test_matches_dense_h_bit_for_bit(self, kind, r, b):
+        f = kernel_pair_function(KernelFunction(kind, b), r, unit_square())
+        x, y = _rows_near_reach(f.reach, 1 << 16)
+        plants = np.array([r - b, r + b, f.reach, np.nextafter(f.reach, np.inf),
+                           np.nextafter(f.reach, -np.inf)])
+        y0 = 0.3  # axis-aligned plants: the distance is exact
+        oblique = _edge_points_2d()[4:8]  # squared distance above (EDGE_R + EDGE_B)^2
+        x = np.hstack([x, [np.zeros_like(plants), np.full_like(plants, y0)], oblique[::2].T])
+        y = np.hstack([y, [plants, np.full_like(plants, y0)], oblique[1::2].T])
+        dense = np.asarray(f.h(x.T, y.T), dtype=float)
+        rows, v = f.nonzero_rows(x, y)
+        assert np.array_equal(rows, np.flatnonzero(dense))
+        assert np.array_equal(v, dense[rows])
+
+    def test_unbounded_reach_evaluates_every_row(self):
+        f = constant_pair_function(unit_square(), 0.7)
+        x, y = _rows_near_reach(0.1, 64)
+        rows, v = f.nonzero_rows(x, y)
+        assert np.array_equal(rows, np.arange(64))
+        assert np.array_equal(v, np.full(64, 0.7))
