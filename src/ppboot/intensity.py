@@ -19,9 +19,10 @@ Four routes to a pointwise band of level 1-alpha:
     and p^2/a tie exactly, and a tied step takes the larger rounded |T*|.
 ``exact_poisson``
     No resampling: 2h*lambda_hat(x) is Poisson with mean 2h*lambda(x)
-    when lambda is close to linear across the kernel span, so a
-    chi-square inversion (Garwood-style, conservative) interval for the
-    Poisson mean divides through by 2h.
+    when lambda is close to linear across the kernel span, so the
+    Garwood (conservative) interval for the Poisson mean divides through
+    by 2h.  Its ends are inverse regularized incomplete gamma values,
+    the same interval as the chi-square inversion.
 ``oracle_true_t``
     Test-side reference: the ideal threshold computed from the true
     intensity (which real data never has).
@@ -33,9 +34,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .errors import (
     DegenerateCountError,
@@ -46,6 +48,20 @@ from .geometry import Interval1, IntensityFunction, PointPattern, simulate_inhom
 from .rng import RngSeed, parallel_map
 
 BAND_METHODS = ("bootstrap_mc", "bootstrap_closed_form", "exact_poisson", "oracle_true_t")
+
+
+def _poisson_cdf(k, mu):
+    """P{Poisson(mu) <= k} for k >= 0; the same bits as ``scipy.stats.poisson.cdf``."""
+    return special.pdtr(k, mu)
+
+
+def _poisson_pmf(k, mu):
+    """P{Poisson(mu) = k}, by scipy's own formula for ``scipy.stats.poisson.pmf``."""
+    return np.exp(special.xlogy(k, mu) - special.gammaln(k + 1) - mu)
+
+
+# named ``stats`` only for perfbench's tracer, which wraps stats.poisson.cdf; ROADMAP item 8 drops it
+stats = SimpleNamespace(poisson=SimpleNamespace(cdf=_poisson_cdf, pmf=_poisson_pmf))
 
 # Monte Carlo draws are counted on the atoms p -+ (_ATOM_SPAN sqrt(p) + _ATOM_SPAN);
 # the Poisson(p) mass outside is below 1e-26 for every p
@@ -298,9 +314,14 @@ def _edge_flags(grid: np.ndarray, window: Interval1, h: float) -> list[str]:
 
 
 def _garwood_interval(p: int, alpha: float) -> tuple[float, float]:
-    """Exact (conservative) interval for a Poisson mean from one count p."""
-    lo = 0.0 if p == 0 else 0.5 * float(stats.chi2.ppf(alpha / 2.0, 2 * p))
-    hi = 0.5 * float(stats.chi2.ppf(1.0 - alpha / 2.0, 2 * p + 2))
+    """Exact (conservative) interval for a Poisson mean from one count p.
+
+    The ends are inverse regularized incomplete gamma values, bit for bit
+    the chi-square inversion 0.5 chi2.ppf(alpha/2, 2p) and
+    0.5 chi2.ppf(1 - alpha/2, 2p + 2).
+    """
+    lo = 0.0 if p == 0 else float(special.gammaincinv(p, alpha / 2.0))
+    hi = float(special.gammaincinv(p + 1, 1.0 - alpha / 2.0))
     return lo, hi
 
 
@@ -308,7 +329,7 @@ class _BandBuilder:
     """Maps observed counts on a grid to band bounds, caching per distinct count.
 
     One builder is reused across replications in coverage experiments so
-    chi-square inversions and threshold searches run once per count; the
+    Garwood intervals and threshold searches run once per count; the
     ``oracle_true_t`` threshold depends on the grid point instead, and is
     computed once per point at construction.
 

@@ -59,11 +59,13 @@ def parallel_map(fn: Callable[[int], _T], n_tasks: int, threads: int = 1) -> lis
 
     The task decomposition is fixed by ``n_tasks`` alone, so the result
     is identical for every ``threads`` value; threading only affects
-    wall-clock time.
+    wall-clock time.  ``threads`` must be at least 1.
     """
     if n_tasks < 0:
         raise ParameterError("n_tasks must be nonnegative")
-    if threads <= 1 or n_tasks <= 1:
+    if threads < 1:
+        raise ParameterError(f"threads must be at least 1, got {threads}")
+    if threads == 1 or n_tasks <= 1:
         return [fn(i) for i in range(n_tasks)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, range(n_tasks)))

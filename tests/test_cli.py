@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +49,17 @@ def interval_pattern(tmp_path, interval_window):
                "--seed", "10", "--out", str(out)])
     assert rc == 0
     return str(out)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # conftest imports scipy.stats, so only a fresh interpreter shows what ppboot loads
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = ("import sys, ppboot, ppboot.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"
 
 
 class TestSimulate:
@@ -300,6 +314,10 @@ EXIT_CODES = [
     pytest.param(_BOOT_VAR + ["--f-spec", "const:nan", "--N", "10"], 3, "numerical error: ",
                  id="boot-var-const-nan"),
     pytest.param(_BOOT_VAR + ["--f-spec", "ones", "--N", "1"], 2, _PARAM, id="boot-var-N-1"),
+    pytest.param(_BOOT_VAR + ["--f-spec", "ones", "--N", "10", "--threads", "0"], 2, _PARAM,
+                 id="boot-var-threads-0"),
+    pytest.param(_BOOT_VAR + ["--f-spec", "ones", "--N", "10", "--threads", "-3"], 2, _PARAM,
+                 id="boot-var-threads--3"),
     pytest.param(["variance-comparison", "--config", "{variance_reps_1}"], 2, _CONFIG,
                  id="variance-comparison-reps-1"),
     pytest.param(["ci-suite", "--config", "{ci_reps_50}"], 2, _CONFIG, id="ci-suite-reps-50"),

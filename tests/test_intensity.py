@@ -13,10 +13,13 @@ from ppboot.geometry import (
     linear_intensity,
     simulate_inhomogeneous_poisson,
 )
+from ppboot import intensity
 from ppboot.intensity import (
     BAND_METHODS,
+    _atom_range,
     _BandBuilder,
     _draw_atom_counts,
+    _garwood_interval,
     confidence_band,
     coverage_experiment,
     kernel_intensity_estimate,
@@ -284,6 +287,29 @@ class TestAtomCountDraw:
                 4 * math.sqrt(self.N_DRAWS * share * (1 - share))
         mean = counts @ atoms / self.N_DRAWS
         assert abs(mean - p) <= 4 * math.sqrt(p / self.N_DRAWS)
+
+
+class TestScipySpecialForms:
+    """The scipy.special forms give the same bits as the scipy.stats calls they replace."""
+
+    def test_poisson_cdf_and_pmf_match_scipy_stats(self):
+        means = [*np.geomspace(0.5, 3000.0, 120).tolist(), 6, 20, 150]
+        for mean in means:
+            first, last = _atom_range(mean)
+            k = np.arange(first, last + 1)
+            assert np.array_equal(intensity.stats.poisson.cdf(k, mean),
+                                  stats.poisson.cdf(k, mean)), mean
+            assert np.array_equal(intensity.stats.poisson.pmf(k, mean),
+                                  stats.poisson.pmf(k, mean)), mean
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1, 0.2])
+    def test_garwood_interval_matches_chi_square_inversion(self, alpha):
+        p = np.arange(2000)
+        lo = np.where(p > 0, 0.5 * stats.chi2.ppf(alpha / 2, 2 * p), 0.0)
+        hi = 0.5 * stats.chi2.ppf(1 - alpha / 2, 2 * p + 2)
+        got = np.array([_garwood_interval(int(q), alpha) for q in p])
+        assert np.array_equal(got[:, 0], lo)
+        assert np.array_equal(got[:, 1], hi)
 
 
 class TestAlgebraicEquivalence:

@@ -15,7 +15,7 @@ import ppboot.intensity
 import ppboot.rng
 import ppboot.twopoint
 from ppboot.experiments import parse_f_spec
-from ppboot.geometry import PointPattern, unit_square
+from ppboot.geometry import Interval1, PointPattern, unit_square
 from ppboot.patternio import write_pattern
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,6 +40,8 @@ def test_install_then_uninstall_restores_every_name():
 def test_traced_commands_report_every_layer_metric(tmp_path):
     pattern = PointPattern(np.random.default_rng(5).random((40, 2)), unit_square())
     write_pattern(pattern, tmp_path / "pattern.csv")
+    line = PointPattern(np.random.default_rng(6).random(60), Interval1(0.0, 1.0))
+    write_pattern(line, tmp_path / "line.csv")
     config = {"experiment": "variance_comparison", "lambda": 20.0,
               "window": {"x_min": 0.0, "x_max": 1.0, "y_min": 0.0, "y_max": 1.0},
               "f_spec": "box:r=0.1,b=0.02", "scheme": "poissonized", "reps": 5,
@@ -53,6 +55,8 @@ def test_traced_commands_report_every_layer_metric(tmp_path):
          "--out", str(tmp_path / "bootvar.json")],
         ["variance-comparison", "--config", str(tmp_path / "config.json"),
          "--out", str(tmp_path / "vc.json")],
+        ["ci-band", "--input", str(tmp_path / "line.csv"), "--h", "0.1", "--alpha", "0.1",
+         "--method", "closed", "--out", str(tmp_path / "band.csv")],
     )
     tracer = Tracer()
     install(tracer)
@@ -72,3 +76,5 @@ def test_traced_commands_report_every_layer_metric(tmp_path):
     assert metrics["twopoint.pair_matrix.calls"][0] == 1
     assert metrics["twopoint.pair_matrix.nonzero_frac"][0] > 0
     assert metrics["bootstrap.resamples"][0] == 50
+    # the Poisson cdf the tracer wraps is the one the closed-form threshold calls
+    assert metrics["intensity.poisson_cdf.calls"][0] > 0
