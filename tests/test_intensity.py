@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from ppboot import intensity
 from ppboot.errors import DegenerateCountError, ParameterError, UnattainableLevelError
 from ppboot.experiments import midpoint_grid
 from ppboot.geometry import (
@@ -13,11 +14,10 @@ from ppboot.geometry import (
     linear_intensity,
     simulate_inhomogeneous_poisson,
 )
-from ppboot import intensity
 from ppboot.intensity import (
     BAND_METHODS,
-    _atom_range,
     _BandBuilder,
+    _atom_range,
     _draw_atom_counts,
     _garwood_interval,
     confidence_band,
