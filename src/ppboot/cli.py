@@ -173,7 +173,7 @@ def _cmd_coverage(args) -> int:
     grid = midpoint_grid(interval, args.grid_steps)
     cov = coverage_experiment(intensity, interval, args.h, args.alpha, method,
                               args.reps, grid, RngSeed(args.seed),
-                              mc_draws=args.mc_draws, threads=args.threads)
+                              mc_draws=args.mc_draws)
     columns = cov.columns()
     _write_csv(args.out, list(columns), [list(row) for row in zip(*columns.values())])
     return 0

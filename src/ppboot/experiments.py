@@ -309,7 +309,10 @@ def run_variance_comparison(config: dict, threads: int = 1) -> ResultRecord:
 
 
 def run_ci_suite(config: dict, threads: int = 1) -> ResultRecord:
-    """Bands on one realization plus coverage tables, for every configured method."""
+    """Bands on one realization plus coverage tables, for every configured method.
+
+    Nothing here is threaded; ``threads`` is accepted so every experiment runs alike.
+    """
     t0 = time.perf_counter()
     cfg = _validate_config(config, _CI_SUITE_SCHEMA, "ci_suite")
     interval = cfg["interval"]
@@ -337,7 +340,7 @@ def run_ci_suite(config: dict, threads: int = 1) -> ResultRecord:
         if alpha < 1.0:
             cov = coverage_experiment(intensity, interval, h, alpha, method,
                                       cfg["reps"], grid, seed.substream(3, k),
-                                      mc_draws=cfg["mc_draws"], threads=threads)
+                                      mc_draws=cfg["mc_draws"])
             coverage[method] = {key: col.tolist() for key, col in cov.columns().items()}
 
     # closed-form vs Monte Carlo thresholds at the counts seen on the grid

@@ -45,7 +45,7 @@ from .errors import (
     UnattainableLevelError,
 )
 from .geometry import Interval1, IntensityFunction, PointPattern, simulate_inhomogeneous_poisson
-from .rng import RngSeed, parallel_map
+from .rng import RngSeed
 
 BAND_METHODS = ("bootstrap_mc", "bootstrap_closed_form", "exact_poisson", "oracle_true_t")
 
@@ -450,7 +450,8 @@ class CoverageResult:
 
     ``coverage_true`` counts hits of the true lambda(x);
     ``coverage_smoothed`` counts hits of the estimator's own target
-    E lambda_hat(x) = (integral of lambda over [x-h, x+h]) / (2h).
+    E lambda_hat(x) = (integral of lambda over [x-h, x+h] cut to the
+    interval) / (2h); the count sees no points outside the interval.
     """
 
     grid: np.ndarray
@@ -483,34 +484,29 @@ def coverage_experiment(
     grid: np.ndarray,
     seed: RngSeed,
     mc_draws: int = 100_000,
-    threads: int = 1,
 ) -> CoverageResult:
-    """Simulate fresh patterns and record how often the band captures each target."""
+    """Simulate fresh patterns and record how often the band captures each target.
+
+    Replicates run serially in blocks of 200, so memory does not grow with ``reps``.
+    """
     if reps < 100:
         raise ParameterError(f"need at least 100 replications, got {reps}")
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     builder = _BandBuilder(h, alpha, method, grid, mc_draws=mc_draws,
                            seed=seed, intensity=intensity)
     lam_true = intensity(grid)
-    lam_smoothed = np.array([intensity.integral(x - h, x + h) for x in grid]) / (2.0 * h)
+    lam_smoothed = np.array([intensity.integral(max(x - h, interval.lo), min(x + h, interval.hi))
+                             for x in grid]) / (2.0 * h)
 
-    chunk = 200
-    n_chunks = (reps + chunk - 1) // chunk
-
-    def run_chunk(c: int) -> tuple[np.ndarray, np.ndarray]:
+    block = 200
+    hits_true = hits_smoothed = 0
+    for start in range(0, reps, block):
         patterns = (simulate_inhomogeneous_poisson(intensity, interval, seed.substream(0, r))
-                    for r in range(c * chunk, min((c + 1) * chunk, reps)))
+                    for r in range(start, min(start + block, reps)))
         lo, hi, _, _ = builder.bounds(np.array([_counts_on_grid(p.points, grid, h)
                                                 for p in patterns]))
-        return (((lo <= lam_true) & (lam_true <= hi)).sum(axis=0),
-                ((lo <= lam_smoothed) & (lam_smoothed <= hi)).sum(axis=0))
-
-    # the per-count cache is safe to share: entries are deterministic
-    # functions of the count (per-count substreams), so a concurrent
-    # duplicate computation writes the identical value
-    parts = parallel_map(run_chunk, n_chunks, threads=threads)
-    hits_true = sum(p[0] for p in parts)
-    hits_smoothed = sum(p[1] for p in parts)
+        hits_true += ((lo <= lam_true) & (lam_true <= hi)).sum(axis=0)
+        hits_smoothed += ((lo <= lam_smoothed) & (lam_smoothed <= hi)).sum(axis=0)
     return CoverageResult(
         grid=grid,
         coverage_true=hits_true / reps,

@@ -89,8 +89,6 @@ class MomentSet:
     s4: float
     e_theta: float
     lam: float
-    window: Window2
-    f_label: str
     method: str
     errors: dict[str, float]
 
@@ -207,8 +205,7 @@ def s_moments_poisson(lam: float, window: Window2, f: PairFunction,
     # bounds the rounding of t * t
     t, d = values["e_theta"], errors["e_theta"]
     errors["s4"] = (2.0 * abs(t) + d) * d + _gamma(1) * t * t
-    return MomentSet(s4=t * t, lam=lam, window=window, f_label=f.label, method=spec.method,
-                     errors=errors, **values)
+    return MomentSet(s4=t * t, lam=lam, method=spec.method, errors=errors, **values)
 
 
 def true_variance_poisson(moments: MomentSet) -> float:

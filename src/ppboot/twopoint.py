@@ -124,19 +124,13 @@ class PairFunction:
 
         ``x`` and ``y`` hold planar points as (2, m) coordinate rows.  h
         runs only on the rows within ``reach``, found by squared distance
-        against the same padded radius as ``pairs``; every row of a pair
-        function of unbounded reach is evaluated.  The window indicators
-        of f are not applied.
+        against the same padded radius as ``pairs``, so an unbounded reach
+        keeps every row.  The window indicators of f are not applied.
         """
-        if math.isinf(self.reach):
-            rows = np.arange(x.shape[1])
-            v = self.h(x.T, y.T)
-        else:
-            d = x - y
-            d *= d
-            rows = np.flatnonzero(d[0] + d[1] <= (self.reach * (1.0 + _REACH_PAD)) ** 2)
-            v = self.h(x[:, rows].T, y[:, rows].T)
-        v = np.asarray(v, dtype=float)
+        d = x - y
+        d *= d
+        rows = np.flatnonzero(d[0] + d[1] <= (self.reach * (1.0 + _REACH_PAD)) ** 2)
+        v = np.asarray(self.h(x[:, rows].T, y[:, rows].T), dtype=float)
         nonzero = np.flatnonzero(v)
         return rows[nonzero], v[nonzero]
 

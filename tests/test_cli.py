@@ -281,6 +281,29 @@ class TestConfigDriven:
         doc = json.loads(out.read_text())
         assert "exact_poisson" in doc["results"]["coverage"]
 
+    def test_ci_suite_thread_invariant_bytes(self, tmp_path):
+        # 300 replicates span two blocks of the coverage simulation
+        cfg = {
+            "experiment": "ci_suite",
+            "lambda_spec": "linear:50,20",
+            "interval": {"lo": 0.0, "hi": 1.0},
+            "h": 0.05,
+            "alpha": 0.05,
+            "methods": ["bootstrap_mc", "bootstrap_closed_form", "exact_poisson"],
+            "reps": 300,
+            "grid_steps": 5,
+            "mc_draws": 5000,
+            "seed": 8,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        base = ["ci-suite", "--config", str(cfg_path)]
+        assert main(base + ["--threads", "1", "--out", str(a)]) == 0
+        assert main(base + ["--threads", "2", "--out", str(b)]) == 0
+        assert sha(a) == sha(b)
+        assert sorted(json.loads(a.read_text())["results"]["coverage"]) == sorted(cfg["methods"])
+
     def test_unknown_config_key_exit_2(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"experiment": "ci_suite", "bogus": 1}))
