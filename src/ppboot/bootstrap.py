@@ -92,10 +92,18 @@ def bootstrap_variance(
     chunk c of resamples always uses substream c of the seed, so the
     result is identical for any thread count.
     """
-    if n_resamples < 2:
-        raise ParameterError(f"need at least 2 resamples, got {n_resamples}")
     stats = bootstrap_statistics(pattern, f, n_resamples, scheme, seed, threads=threads)
-    return float(np.var(stats, ddof=1))
+    return variance_with_error(stats)[0]
+
+
+def variance_with_error(x: np.ndarray) -> tuple[float, float]:
+    """Sample variance (ddof=1) of x and its 3-sigma error from the fourth central moment."""
+    if len(x) < 2:
+        raise ParameterError(f"a sample variance needs at least 2 values, got {len(x)}")
+    var = float(np.var(x, ddof=1))
+    dev = x - x.mean()
+    m4 = float(np.mean(dev**4))
+    return var, 3.0 * float(np.sqrt(max(m4 - var**2, 0.0) / len(x)))
 
 
 def bootstrap_statistics(
@@ -122,8 +130,7 @@ def bootstrap_statistics(
         return np.concatenate([2.0 * ((ws[:, i] * ws[:, j]) @ v)
                                for ws in np.split(w, range(rows, len(w), rows))])
 
-    blocks = parallel_map(run_chunk, len(sizes), threads=threads)
-    return np.concatenate(blocks) if blocks else np.zeros(0)
+    return np.concatenate(parallel_map(run_chunk, len(sizes), threads=threads))
 
 
 def alpha_polynomials_exact(n: int) -> tuple[Fraction, Fraction, Fraction]:

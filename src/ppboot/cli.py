@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bootstrap import SCHEMES, _limit_from_sums, alpha_coefficients, bootstrap_statistics
+from .bootstrap import (SCHEMES, _limit_from_sums, alpha_coefficients, bootstrap_statistics,
+                        variance_with_error)
 from .errors import ConfigError, DataError, NumericalError, ParameterError, PpbootError
 from .experiments import (
     midpoint_grid,
@@ -24,7 +25,6 @@ from .experiments import (
     parse_lambda_spec,
     run_ci_suite,
     run_variance_comparison,
-    variance_with_error,
 )
 from .geometry import simulate_homogeneous_poisson, simulate_inhomogeneous_poisson
 from .intensity import confidence_band, coverage_experiment
@@ -279,6 +279,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ParameterError(f"threads must be at least 1, got {args.threads}")
         return args.func(args)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")

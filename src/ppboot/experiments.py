@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bootstrap import SCHEMES, _limit_from_sums, alpha_coefficients
+from .bootstrap import SCHEMES, _limit_from_sums, alpha_coefficients, variance_with_error
 from .errors import ConfigError, ParameterError, UnattainableLevelError
 from .geometry import (
     Interval1,
@@ -42,9 +42,9 @@ from .intensity import (
     BAND_METHODS,
     confidence_band,
     coverage_experiment,
-    kernel_intensity_estimate,
     t_star_closed_form,
     t_star_monte_carlo_band,
+    window_counts,
 )
 from .moments import (IntegrationSpec, expected_bootstrap_variance, s_moments_poisson,
                       true_variance_poisson)
@@ -231,16 +231,6 @@ _CI_SUITE_SCHEMA = {
 }
 
 
-def variance_with_error(x: np.ndarray) -> tuple[float, float]:
-    """Sample variance (ddof=1) of x and its 3-sigma error from the fourth central moment."""
-    if len(x) < 2:
-        raise ParameterError(f"a sample variance needs at least 2 values, got {len(x)}")
-    var = float(np.var(x, ddof=1))
-    dev = x - x.mean()
-    m4 = float(np.mean(dev**4))
-    return var, 3.0 * float(np.sqrt(max(m4 - var**2, 0.0) / len(x)))
-
-
 def midpoint_grid(interval: Interval1, steps: int) -> np.ndarray:
     """Cell-midpoint grid of the interval (steps points)."""
     _require_window(interval, Interval1, "a midpoint grid")
@@ -344,7 +334,7 @@ def run_ci_suite(config: dict, threads: int = 1) -> ResultRecord:
             coverage[method] = {key: col.tolist() for key, col in cov.columns().items()}
 
     # closed-form vs Monte Carlo thresholds at the counts seen on the grid
-    ref_counts = kernel_intensity_estimate(reference, h, grid).counts
+    ref_counts = window_counts(reference, h, grid)
     distinct_counts = sorted({int(p) for p in ref_counts if p >= 1})
     t_rows = []
     unattainable = []  # counts whose Monte Carlo draws miss the level

@@ -172,7 +172,6 @@ class IntensityFunction:
 
     fn: Callable[[np.ndarray], np.ndarray]
     lambda_max: float
-    label: str = "custom"
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.lambda_max) and self.lambda_max >= 0):
@@ -192,7 +191,7 @@ def constant_intensity(value: float) -> IntensityFunction:
     if value < 0 or not math.isfinite(value):
         raise ParameterError(f"intensity must be finite and >= 0, got {value}")
     return IntensityFunction(lambda x: np.full_like(np.asarray(x, float), value),
-                             lambda_max=value, label=f"const:{value:g}")
+                             lambda_max=value)
 
 
 def linear_intensity(a: float, b: float, interval: Interval1) -> IntensityFunction:
@@ -202,7 +201,7 @@ def linear_intensity(a: float, b: float, interval: Interval1) -> IntensityFuncti
     if min(ends) < 0:
         raise ParameterError(f"linear intensity {a} + {b}x is negative on the interval")
     return IntensityFunction(lambda x: a + b * np.asarray(x, float),
-                             lambda_max=max(ends), label=f"linear:{a:g},{b:g}")
+                             lambda_max=max(ends))
 
 
 # Largest expected point count a simulator draws; a larger one would end

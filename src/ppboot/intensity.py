@@ -61,21 +61,11 @@ def _poisson_pmf(k, mu):
 
 
 # named ``stats`` only for perfbench's tracer, which wraps stats.poisson.cdf; ROADMAP item 8 drops it
-stats = SimpleNamespace(poisson=SimpleNamespace(cdf=_poisson_cdf, pmf=_poisson_pmf))
+stats = SimpleNamespace(poisson=SimpleNamespace(cdf=_poisson_cdf))
 
 # Monte Carlo draws are counted on the atoms p -+ (_ATOM_SPAN sqrt(p) + _ATOM_SPAN);
 # the Poisson(p) mass outside is below 1e-26 for every p
 _ATOM_SPAN = 12.0
-
-
-@dataclass(frozen=True)
-class IntensityEstimate:
-    """Rectangular-kernel intensity estimate on a grid."""
-
-    grid: np.ndarray
-    values: np.ndarray
-    counts: np.ndarray
-    h: float
 
 
 @dataclass(frozen=True)
@@ -86,10 +76,8 @@ class ConfidenceBand:
     lambda_hat: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    alpha: float
-    method: str
     t_values: np.ndarray  # threshold per point; nan where not applicable
-    flags: tuple[str, ...]  # "", "edge", "zero-count", or "edge;zero-count"
+    flags: tuple[str, ...]  # "edge" and a fallback ("zero-count", "level-unattainable"), ";"-joined
 
 
 def _check_bandwidth(h: float) -> None:
@@ -235,7 +223,7 @@ def _draw_atom_counts(p: int, n_draws: int, rng: np.random.Generator,
     """
     lo, hi = _atom_range(p, span)
     tail = float(special.pdtrc(hi, p)) + (float(special.pdtr(lo - 1, p)) if lo > 0 else 0.0)
-    pmf = stats.poisson.pmf(np.arange(lo, hi + 1), p)
+    pmf = _poisson_pmf(np.arange(lo, hi + 1), p)
     pmf *= (1.0 - tail) / pmf.sum()
     cells = rng.multinomial(n_draws, np.concatenate([[tail], pmf]))
     counts = cells[1:]
@@ -287,8 +275,8 @@ def t_alpha_oracle(intensity: IntensityFunction, x: float, h: float, alpha: floa
     return _min_t_threshold(m, 2.0 * h, alpha)
 
 
-def kernel_intensity_estimate(pattern: PointPattern, h: float, grid: np.ndarray) -> IntensityEstimate:
-    """Rectangular-kernel estimate lambda_hat(x) = p(x) / (2h) on a grid."""
+def window_counts(pattern: PointPattern, h: float, grid: np.ndarray) -> np.ndarray:
+    """The counts p(x) behind the estimate lambda_hat(x) = p(x) / (2h), on a grid."""
     _check_bandwidth(h)
     if pattern.dim != 1:
         raise ParameterError("kernel intensity estimation expects a one-dimensional pattern")
@@ -296,8 +284,7 @@ def kernel_intensity_estimate(pattern: PointPattern, h: float, grid: np.ndarray)
     win: Interval1 = pattern.window
     if np.any(grid < win.lo) or np.any(grid > win.hi):
         raise ParameterError("grid points must lie inside the observation interval")
-    counts = _counts_on_grid(pattern.points, grid, h)
-    return IntensityEstimate(grid=grid, values=counts / (2.0 * h), counts=counts, h=h)
+    return _counts_on_grid(pattern.points, grid, h)
 
 
 def _counts_on_grid(points: np.ndarray, grid: np.ndarray, h: float) -> np.ndarray:
@@ -331,10 +318,11 @@ class _BandBuilder:
     One builder is reused across replications in coverage experiments so
     Garwood intervals and threshold searches run once per count; the
     ``oracle_true_t`` threshold depends on the grid point instead, and is
-    computed once per point at construction.
+    computed once per point at construction (nan where it is unattainable).
 
     The bootstrap threshold is undefined at a zero count and unattainable
-    whenever exp(-p) >= alpha; both cases substitute the exact interval
+    whenever exp(-p) >= alpha, and the oracle one whenever the expected
+    count m has exp(-m) >= alpha; these cases substitute the exact interval
     and carry a per-point flag ("zero-count" or "level-unattainable").
     """
 
@@ -358,7 +346,13 @@ class _BandBuilder:
         self._by_count: dict[int, tuple[float, float, float, str]] = {}
         self._grid_t = None
         if method == "oracle_true_t":
-            self._grid_t = np.array([t_alpha_oracle(intensity, float(x), h, alpha) for x in grid])
+            self._grid_t = np.array([self._oracle_threshold(intensity, float(x)) for x in grid])
+
+    def _oracle_threshold(self, intensity: IntensityFunction, x: float) -> float:
+        try:
+            return t_alpha_oracle(intensity, x, self.h, self.alpha)
+        except UnattainableLevelError:
+            return math.nan
 
     def _threshold(self, p: int) -> float:
         if self.method == "bootstrap_closed_form":
@@ -400,7 +394,14 @@ class _BandBuilder:
         if self._grid_t is not None:
             t = np.broadcast_to(self._grid_t, counts.shape)
             lo, hi = _centered_band(counts / (2.0 * self.h), t)
-            return lo, hi, t, np.full(counts.shape, "", dtype=object)
+            flag = np.full(counts.shape, "", dtype=object)
+            unattainable = np.isnan(t)
+            if unattainable.any():
+                distinct, inverse = np.unique(counts[unattainable], return_inverse=True)
+                exact = np.array([self._exact(int(p)) for p in distinct])
+                lo[unattainable], hi[unattainable] = exact[inverse].T
+                flag[unattainable] = "level-unattainable"
+            return lo, hi, t, flag
         distinct, inverse = np.unique(counts, return_inverse=True)
         lo, hi, t = (np.empty(len(distinct)) for _ in range(3))
         flag = np.empty(len(distinct), dtype=object)
@@ -434,14 +435,15 @@ def confidence_band(
     than h to an interval end are flagged ``edge`` (the kernel window is
     truncated there).
     """
-    est = kernel_intensity_estimate(pattern, h, grid)
-    builder = _BandBuilder(h, alpha, method, est.grid, mc_draws=mc_draws, seed=seed,
+    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    counts = window_counts(pattern, h, grid)
+    builder = _BandBuilder(h, alpha, method, grid, mc_draws=mc_draws, seed=seed,
                            intensity=intensity)
-    lo, hi, ts, fallback = builder.bounds(est.counts)
-    edge = _edge_flags(est.grid, pattern.window, h)
+    lo, hi, ts, fallback = builder.bounds(counts)
+    edge = _edge_flags(grid, pattern.window, h)
     flags = tuple(";".join(part for part in parts if part) for parts in zip(edge, fallback))
-    return ConfidenceBand(grid=est.grid, lambda_hat=est.values, lo=lo, hi=hi,
-                          alpha=alpha, method=method, t_values=ts, flags=flags)
+    return ConfidenceBand(grid=grid, lambda_hat=counts / (2.0 * h), lo=lo, hi=hi,
+                          t_values=ts, flags=flags)
 
 
 @dataclass(frozen=True)
@@ -458,8 +460,6 @@ class CoverageResult:
     coverage_true: np.ndarray
     coverage_smoothed: np.ndarray
     reps: int
-    method: str
-    alpha: float
     flags: tuple[str, ...]
 
     def columns(self) -> dict[str, np.ndarray]:
@@ -512,7 +512,5 @@ def coverage_experiment(
         coverage_true=hits_true / reps,
         coverage_smoothed=hits_smoothed / reps,
         reps=reps,
-        method=method,
-        alpha=alpha,
         flags=tuple(_edge_flags(grid, interval, h)),
     )

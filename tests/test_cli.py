@@ -341,6 +341,10 @@ EXIT_CODES = [
                  id="boot-var-threads-0"),
     pytest.param(_BOOT_VAR + ["--f-spec", "ones", "--N", "10", "--threads", "-3"], 2, _PARAM,
                  id="boot-var-threads--3"),
+    pytest.param(["alpha-table", "--nmin", "1", "--nmax", "3", "--threads", "0"], 2,
+                 f"{_PARAM}threads must be at least 1", id="alpha-table-threads-0"),
+    pytest.param(["ci-suite", "--config", "{ci_valid}", "--threads", "-1"], 2,
+                 f"{_PARAM}threads must be at least 1", id="ci-suite-threads--1"),
     pytest.param(["variance-comparison", "--config", "{variance_reps_1}"], 2, _CONFIG,
                  id="variance-comparison-reps-1"),
     pytest.param(["ci-suite", "--config", "{ci_reps_50}"], 2, _CONFIG, id="ci-suite-reps-50"),
@@ -409,6 +413,7 @@ class TestExitCodes:
                 "method": "monte_carlo", "sample_count": 100000, "nodes_per_axis": 32}},
             "variance_infinite_window": {**_VARIANCE_CONFIG, "window": infinite_window},
             "ci_reps_50": {**_CI_SUITE_CONFIG, "reps": 50},
+            "ci_valid": _CI_SUITE_CONFIG,
             "ci_mc_draws_10": {**_CI_SUITE_CONFIG, "mc_draws": 10},
             **{f"ci_{key}_{name}": {**_CI_SUITE_CONFIG, key: value}
                for key, name, value in _CI_SUITE_BAD_NUMBERS},

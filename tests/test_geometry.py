@@ -15,7 +15,7 @@ from ppboot.geometry import (
     simulate_inhomogeneous_poisson,
     unit_square,
 )
-from ppboot.intensity import kernel_intensity_estimate
+from ppboot.intensity import window_counts
 from ppboot.rng import RngSeed
 
 
@@ -217,12 +217,12 @@ class TestInhomogeneousSimulation:
 
 
 class TestCountPointsIn:
-    """Counts in the closed interval [0.25, 0.75], as kernel_intensity_estimate takes them."""
+    """Counts in the closed interval [0.25, 0.75], as window_counts takes them."""
 
     @staticmethod
     def count(points) -> int:
         pat = PointPattern(np.array(points, dtype=float), Interval1(0, 1))
-        return int(kernel_intensity_estimate(pat, 0.25, [0.5]).counts[0])
+        return int(window_counts(pat, 0.25, [0.5])[0])
 
     def test_empty_pattern(self):
         assert self.count([]) == 0

@@ -22,11 +22,11 @@ from ppboot.intensity import (
     _garwood_interval,
     confidence_band,
     coverage_experiment,
-    kernel_intensity_estimate,
     t_alpha_oracle,
     t_star_closed_form,
     t_star_monte_carlo,
     t_star_monte_carlo_band,
+    window_counts,
 )
 from ppboot.rng import RngSeed
 
@@ -43,38 +43,36 @@ I01 = Interval1(0.0, 1.0)
 class TestKernelIntensityEstimate:
     def test_empty_pattern(self):
         pat = PointPattern(np.empty(0), I01)
-        est = kernel_intensity_estimate(pat, 0.1, np.linspace(0.1, 0.9, 5))
-        assert np.all(est.values == 0.0)
+        assert np.all(window_counts(pat, 0.1, np.linspace(0.1, 0.9, 5)) == 0)
 
     def test_single_point_formula(self):
         pat = PointPattern(np.array([0.5]), I01)
-        est = kernel_intensity_estimate(pat, 0.1, [0.5])
-        assert est.values[0] == pytest.approx(1 / 0.2)
-        assert est.counts[0] == 1
+        assert window_counts(pat, 0.1, [0.5])[0] == 1
+        band = confidence_band(pat, 0.1, 0.05, [0.5], "exact_poisson")
+        assert band.lambda_hat[0] == pytest.approx(1 / 0.2)
 
     def test_closed_window_boundaries(self):
         pat = PointPattern(np.array([0.4, 0.6]), I01)
-        est = kernel_intensity_estimate(pat, 0.1, [0.5])
-        assert est.counts[0] == 2
+        assert window_counts(pat, 0.1, [0.5])[0] == 2
 
     def test_bad_bandwidth(self):
         pat = PointPattern(np.array([0.5]), I01)
         with pytest.raises(ParameterError):
-            kernel_intensity_estimate(pat, 0.0, [0.5])
+            window_counts(pat, 0.0, [0.5])
 
     def test_grid_outside_interval(self):
         pat = PointPattern(np.array([0.5]), I01)
         with pytest.raises(ParameterError):
-            kernel_intensity_estimate(pat, 0.1, [1.2])
+            window_counts(pat, 0.1, [1.2])
 
     def test_constant_intensity_unbiased(self):
         lam, h, reps = 60.0, 0.1, 1000
         seed = RngSeed(515)
         values = np.array([
-            kernel_intensity_estimate(
+            window_counts(
                 simulate_inhomogeneous_poisson(constant_intensity(lam), I01, seed.substream(r)),
                 h, [0.5],
-            ).values[0]
+            )[0] / (2 * h)
             for r in range(reps)
         ])
         se = math.sqrt(2 * h * lam / reps) / (2 * h)
@@ -299,7 +297,7 @@ class TestScipySpecialForms:
             k = np.arange(first, last + 1)
             assert np.array_equal(intensity.stats.poisson.cdf(k, mean),
                                   stats.poisson.cdf(k, mean)), mean
-            assert np.array_equal(intensity.stats.poisson.pmf(k, mean),
+            assert np.array_equal(intensity._poisson_pmf(k, mean),
                                   stats.poisson.pmf(k, mean)), mean
 
     @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1, 0.2])
@@ -437,7 +435,7 @@ class TestBandPath:
         seed = RngSeed(20)
         band = confidence_band(pattern, self.H, self.ALPHA, self.GRID, method,
                                intensity=self.INTENSITY, mc_draws=self.MC_DRAWS, seed=seed)
-        counts = kernel_intensity_estimate(pattern, self.H, self.GRID).counts
+        counts = window_counts(pattern, self.H, self.GRID)
         assert list(counts) == [0, 0, 1, 6, 4, 2]
         builder = self.builder(method, self.GRID, seed)
         oracle_t = self.oracle_t(self.GRID)
@@ -467,7 +465,7 @@ class TestBandPath:
         seen = set()
         for r in range(reps):
             pattern = simulate_inhomogeneous_poisson(self.INTENSITY, I01, seed.substream(0, r))
-            counts = kernel_intensity_estimate(pattern, self.H, grid).counts
+            counts = window_counts(pattern, self.H, grid)
             seen.update(int(p) for p in counts)
             for g, (x, p) in enumerate(zip(grid, counts)):
                 lo, hi, _, _ = reference_cell(builder, oracle_t, x, p)
@@ -515,6 +513,42 @@ class TestTAlphaOracle:
                                   reps, grid, RngSeed(13))
         se = math.sqrt(0.95 * 0.05 / reps)
         assert np.all(cov.coverage_smoothed >= 0.95 - 3 * se)
+
+    def test_unattainable_band_falls_back_to_exact_interval(self):
+        # constant 20 with h = 0.05 gives mean 2 everywhere, and exp(-2) >= 0.05
+        intensity = constant_intensity(20.0)
+        grid = midpoint_grid(I01, 9)
+        pattern = simulate_inhomogeneous_poisson(intensity, I01, RngSeed(22))
+        oracle = confidence_band(pattern, 0.05, 0.05, grid, "oracle_true_t", intensity=intensity)
+        exact = confidence_band(pattern, 0.05, 0.05, grid, "exact_poisson")
+        assert np.array_equal(oracle.lo, exact.lo) and np.array_equal(oracle.hi, exact.hi)
+        assert np.all(np.isnan(oracle.t_values))
+        assert all(flag.endswith("level-unattainable") for flag in oracle.flags)
+        cov = {method: coverage_experiment(intensity, I01, 0.05, 0.05, method, 100, grid,
+                                           RngSeed(23))
+               for method in ("oracle_true_t", "exact_poisson")}
+        assert np.array_equal(cov["oracle_true_t"].coverage_true,
+                              cov["exact_poisson"].coverage_true)
+
+    def test_fallback_only_where_unattainable(self):
+        # expected counts run from 1.3 at x = 0.05 (exp(-1.3) >= 0.05) to 6.7 at x = 0.95
+        intensity, h, alpha = linear_intensity(10.0, 60.0, I01), 0.05, 0.05
+        grid = midpoint_grid(I01, 10)
+        unattainable = np.array([math.exp(-intensity.integral(x - h, x + h)) >= alpha
+                                 for x in grid])
+        assert unattainable.any() and not unattainable.all()
+        pattern = simulate_inhomogeneous_poisson(intensity, I01, RngSeed(24))
+        oracle = confidence_band(pattern, h, alpha, grid, "oracle_true_t", intensity=intensity)
+        exact = confidence_band(pattern, h, alpha, grid, "exact_poisson")
+        assert np.array_equal(oracle.lo[unattainable], exact.lo[unattainable])
+        assert np.array_equal(oracle.hi[unattainable], exact.hi[unattainable])
+        assert np.array_equal(np.isnan(oracle.t_values), unattainable)
+        assert [f.endswith("level-unattainable") for f in oracle.flags] == unattainable.tolist()
+        cov = {method: coverage_experiment(intensity, I01, h, alpha, method, 100, grid,
+                                           RngSeed(25))
+               for method in ("oracle_true_t", "exact_poisson")}
+        assert np.array_equal(cov["oracle_true_t"].coverage_true[unattainable],
+                              cov["exact_poisson"].coverage_true[unattainable])
 
 
 class TestCoverageExperiment:
