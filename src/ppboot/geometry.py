@@ -8,13 +8,11 @@ points are pairwise distinct.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import linalg
 
 from .errors import DuplicatePointError, InvalidBoundError, OutOfWindowError, ParameterError
 from .rng import RngSeed
@@ -129,32 +127,6 @@ class PointPattern:
         return 2 if isinstance(self.window, Window2) else 1
 
 
-@functools.cache
-def gauss_legendre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per size.
-
-    These are the steps of numpy's ``leggauss``, bit for bit, except that
-    the first roots come from the tridiagonal eigensolver: ``leggauss``
-    hands the tridiagonal companion matrix to a dense O(n^3) one.  The
-    arrays are shared between callers and therefore read-only.
-    """
-    leg = np.polynomial.legendre
-    c = np.array([0] * nodes + [1])
-    companion = leg.legcompanion(c)
-    x = linalg.eigvalsh_tridiagonal(np.diagonal(companion), np.diagonal(companion, 1))
-    # one Newton step on the roots, then weights from the derivative
-    df = leg.legval(x, leg.legder(c))
-    x -= leg.legval(x, c) / df
-    fm = leg.legval(x, c[1:])
-    w = 1 / ((fm / np.abs(fm).max()) * (df / np.abs(df).max()))
-    w = (w + w[::-1]) / 2
-    x = (x - x[::-1]) / 2
-    w *= 2.0 / w.sum()
-    for arr in (x, w):
-        arr.setflags(write=False)
-    return x, w
-
-
 def _point_error(cls: type[Exception], index: int, what: str) -> Exception:
     """A ``cls`` error about point ``index``, which it also carries as ``.index``."""
     exc = cls(f"point {index} {what}")
@@ -168,10 +140,13 @@ class IntensityFunction:
 
     ``fn`` must accept numpy arrays.  ``lambda_max`` is the caller's
     bound; simulation verifies it pointwise and rejects violations.
+    ``integral(lo, hi)`` is the closed-form integral of lambda over
+    [lo, hi], which the expected window counts of the intensity bands use.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     lambda_max: float
+    integral: Callable[[float, float], float]
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.lambda_max) and self.lambda_max >= 0):
@@ -180,18 +155,12 @@ class IntensityFunction:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
 
-    def integral(self, lo: float, hi: float) -> float:
-        """Integral of lambda over [lo, hi] by 256-node Gauss-Legendre quadrature."""
-        nodes, weights = gauss_legendre_rule(256)
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        return float(half * np.sum(weights * self(mid + half * nodes)))
-
 
 def constant_intensity(value: float) -> IntensityFunction:
     if value < 0 or not math.isfinite(value):
         raise ParameterError(f"intensity must be finite and >= 0, got {value}")
     return IntensityFunction(lambda x: np.full_like(np.asarray(x, float), value),
-                             lambda_max=value)
+                             lambda_max=value, integral=lambda lo, hi: value * (hi - lo))
 
 
 def linear_intensity(a: float, b: float, interval: Interval1) -> IntensityFunction:
@@ -200,8 +169,9 @@ def linear_intensity(a: float, b: float, interval: Interval1) -> IntensityFuncti
     ends = [a + b * interval.lo, a + b * interval.hi]
     if min(ends) < 0:
         raise ParameterError(f"linear intensity {a} + {b}x is negative on the interval")
-    return IntensityFunction(lambda x: a + b * np.asarray(x, float),
-                             lambda_max=max(ends))
+    # the length times lambda at the midpoint: no difference of squares to cancel
+    return IntensityFunction(lambda x: a + b * np.asarray(x, float), lambda_max=max(ends),
+                             integral=lambda lo, hi: (hi - lo) * (a + 0.5 * b * (lo + hi)))
 
 
 # Largest expected point count a simulator draws; a larger one would end

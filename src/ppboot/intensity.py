@@ -25,7 +25,9 @@ Four routes to a pointwise band of level 1-alpha:
     the same interval as the chi-square inversion.
 ``oracle_true_t``
     Test-side reference: the ideal threshold computed from the true
-    intensity (which real data never has).
+    intensity (which real data never has), at the expected count: the
+    integral of lambda over the cut window, the part of [x-h, x+h] inside
+    the interval.
 
 Bootstrap bands are centered at lambda_hat with half-width
 t * sqrt(lambda_hat), and the lower edge is clipped at zero.
@@ -39,12 +41,14 @@ from types import SimpleNamespace
 import numpy as np
 from scipy import special
 
-from .errors import (
-    DegenerateCountError,
-    ParameterError,
-    UnattainableLevelError,
+from .errors import DegenerateCountError, ParameterError, UnattainableLevelError
+from .geometry import (
+    Interval1,
+    IntensityFunction,
+    PointPattern,
+    _require_window,
+    simulate_inhomogeneous_poisson,
 )
-from .geometry import Interval1, IntensityFunction, PointPattern, simulate_inhomogeneous_poisson
 from .rng import RngSeed
 
 BAND_METHODS = ("bootstrap_mc", "bootstrap_closed_form", "exact_poisson", "oracle_true_t")
@@ -260,39 +264,49 @@ def _order_statistic_band(p: int, h: float, alpha: float, first: int,
     return value, lo, hi
 
 
-def t_alpha_oracle(intensity: IntensityFunction, x: float, h: float, alpha: float) -> float:
+def t_alpha_oracle(mean: float, h: float, alpha: float) -> float:
     """The ideal threshold t_alpha(x) when the true intensity is known.
 
-    The scaled estimate 2h*lambda_hat(x) is Poisson with mean
-    m = integral of lambda over [x-h, x+h], and T(x) centers at the
-    estimator's own mean m/(2h).  Same minimization as the bootstrap
-    closed form, with Poisson(m) in place of Poisson(p).
+    The scaled estimate 2h*lambda_hat(x) is Poisson with mean m, the
+    integral of lambda over the cut window (``_window_ends``), and T(x)
+    centers at the estimator's own mean m/(2h).  Same minimization as the
+    bootstrap closed form, with Poisson(m) in place of Poisson(p).
     """
     _check_level(h, alpha)
-    m = intensity.integral(x - h, x + h)
-    if m <= 0:
-        raise DegenerateCountError(f"expected count over [{x - h}, {x + h}] is zero")
-    return _min_t_threshold(m, 2.0 * h, alpha)
+    if not (math.isfinite(mean) and mean >= 0):
+        raise ParameterError(f"expected count must be finite and >= 0, got {mean}")
+    return _min_t_threshold(mean, 2.0 * h, alpha)
+
+
+def _window_ends(interval: Interval1, grid: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi): the part of [x-h, x+h] inside the interval, which the count at x sees.
+
+    Checks the bandwidth, that the window is an interval, and that every
+    grid point lies inside it (a nan grid point does not).
+    """
+    _check_bandwidth(h)
+    _require_window(interval, Interval1, "kernel intensity estimation")
+    if not np.all((grid >= interval.lo) & (grid <= interval.hi)):
+        raise ParameterError("grid points must lie inside the observation interval")
+    return np.maximum(grid - h, interval.lo), np.minimum(grid + h, interval.hi)
+
+
+def _window_means(intensity: IntensityFunction, ends: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """m(x) = the integral of lambda over each cut window (lo, hi) of ``_window_ends``."""
+    return np.array([intensity.integral(lo, hi) for lo, hi in zip(*ends)])
 
 
 def window_counts(pattern: PointPattern, h: float, grid: np.ndarray) -> np.ndarray:
     """The counts p(x) behind the estimate lambda_hat(x) = p(x) / (2h), on a grid."""
-    _check_bandwidth(h)
-    if pattern.dim != 1:
-        raise ParameterError("kernel intensity estimation expects a one-dimensional pattern")
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    win: Interval1 = pattern.window
-    if np.any(grid < win.lo) or np.any(grid > win.hi):
-        raise ParameterError("grid points must lie inside the observation interval")
-    return _counts_on_grid(pattern.points, grid, h)
+    return _counts_in(pattern.points, _window_ends(pattern.window, grid, h))
 
 
-def _counts_on_grid(points: np.ndarray, grid: np.ndarray, h: float) -> np.ndarray:
-    """p(x) = #{points in [x-h, x+h]} for every grid x (closed interval)."""
+def _counts_in(points: np.ndarray, ends: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """#{points in [lo, hi]} for every cut window (lo, hi) (closed interval)."""
     xs = np.sort(np.asarray(points, dtype=float))
-    lo = np.searchsorted(xs, grid - h, side="left")
-    hi = np.searchsorted(xs, grid + h, side="right")
-    return (hi - lo).astype(np.int64)
+    return (np.searchsorted(xs, ends[1], side="right")
+            - np.searchsorted(xs, ends[0], side="left")).astype(np.int64)
 
 
 def _edge_flags(grid: np.ndarray, window: Interval1, h: float) -> list[str]:
@@ -317,8 +331,9 @@ class _BandBuilder:
 
     One builder is reused across replications in coverage experiments so
     Garwood intervals and threshold searches run once per count; the
-    ``oracle_true_t`` threshold depends on the grid point instead, and is
-    computed once per point at construction (nan where it is unattainable).
+    ``oracle_true_t`` threshold depends on the grid point's expected count
+    (``means``) instead, and is computed once per point at construction
+    (nan where it is unattainable).
 
     The bootstrap threshold is undefined at a zero count and unattainable
     whenever exp(-p) >= alpha, and the oracle one whenever the expected
@@ -326,9 +341,8 @@ class _BandBuilder:
     and carry a per-point flag ("zero-count" or "level-unattainable").
     """
 
-    def __init__(self, h: float, alpha: float, method: str, grid: np.ndarray,
-                 mc_draws: int = 100_000, seed: RngSeed | None = None,
-                 intensity: IntensityFunction | None = None):
+    def __init__(self, h: float, alpha: float, method: str, mc_draws: int = 100_000,
+                 seed: RngSeed | None = None, means: np.ndarray | None = None):
         if method not in BAND_METHODS:
             raise ParameterError(f"unknown band method {method!r}; use one of {BAND_METHODS}")
         _check_bandwidth(h)
@@ -336,7 +350,7 @@ class _BandBuilder:
             raise ParameterError(f"alpha must lie in (0, 1] for bands, got {alpha}")
         if method == "bootstrap_mc" and seed is None:
             raise ParameterError("bootstrap_mc bands need a seed")
-        if method == "oracle_true_t" and intensity is None:
+        if method == "oracle_true_t" and means is None:
             raise ParameterError("oracle_true_t bands need the true intensity")
         self.h = h
         self.alpha = alpha
@@ -346,11 +360,11 @@ class _BandBuilder:
         self._by_count: dict[int, tuple[float, float, float, str]] = {}
         self._grid_t = None
         if method == "oracle_true_t":
-            self._grid_t = np.array([self._oracle_threshold(intensity, float(x)) for x in grid])
+            self._grid_t = np.array([self._oracle_threshold(float(m)) for m in means])
 
-    def _oracle_threshold(self, intensity: IntensityFunction, x: float) -> float:
+    def _oracle_threshold(self, mean: float) -> float:
         try:
-            return t_alpha_oracle(intensity, x, self.h, self.alpha)
+            return t_alpha_oracle(mean, self.h, self.alpha)
         except UnattainableLevelError:
             return math.nan
 
@@ -436,9 +450,10 @@ def confidence_band(
     truncated there).
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    counts = window_counts(pattern, h, grid)
-    builder = _BandBuilder(h, alpha, method, grid, mc_draws=mc_draws, seed=seed,
-                           intensity=intensity)
+    ends = _window_ends(pattern.window, grid, h)
+    counts = _counts_in(pattern.points, ends)
+    means = None if intensity is None else _window_means(intensity, ends)
+    builder = _BandBuilder(h, alpha, method, mc_draws=mc_draws, seed=seed, means=means)
     lo, hi, ts, fallback = builder.bounds(counts)
     edge = _edge_flags(grid, pattern.window, h)
     flags = tuple(";".join(part for part in parts if part) for parts in zip(edge, fallback))
@@ -492,19 +507,18 @@ def coverage_experiment(
     if reps < 100:
         raise ParameterError(f"need at least 100 replications, got {reps}")
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    builder = _BandBuilder(h, alpha, method, grid, mc_draws=mc_draws,
-                           seed=seed, intensity=intensity)
+    ends = _window_ends(interval, grid, h)
+    means = _window_means(intensity, ends)
+    builder = _BandBuilder(h, alpha, method, mc_draws=mc_draws, seed=seed, means=means)
     lam_true = intensity(grid)
-    lam_smoothed = np.array([intensity.integral(max(x - h, interval.lo), min(x + h, interval.hi))
-                             for x in grid]) / (2.0 * h)
+    lam_smoothed = means / (2.0 * h)
 
     block = 200
     hits_true = hits_smoothed = 0
     for start in range(0, reps, block):
         patterns = (simulate_inhomogeneous_poisson(intensity, interval, seed.substream(0, r))
                     for r in range(start, min(start + block, reps)))
-        lo, hi, _, _ = builder.bounds(np.array([_counts_on_grid(p.points, grid, h)
-                                                for p in patterns]))
+        lo, hi, _, _ = builder.bounds(np.array([_counts_in(p.points, ends) for p in patterns]))
         hits_true += ((lo <= lam_true) & (lam_true <= hi)).sum(axis=0)
         hits_smoothed += ((lo <= lam_smoothed) & (lam_smoothed <= hi)).sum(axis=0)
     return CoverageResult(

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ppboot.errors import DegenerateCountError, ParameterError, UnattainableLevelError
-from ppboot.geometry import IntensityFunction, PointPattern, Window2, unit_square
+from ppboot.errors import ParameterError, UnattainableLevelError
+from ppboot.geometry import PointPattern, Window2, unit_square
 from ppboot.intensity import _check_level, _check_t_star_args
 from ppboot.rng import RngSeed
 from ppboot.twopoint import PairFunction
@@ -239,17 +239,10 @@ def reference_t_star_closed_form(p: int, h: float, alpha: float) -> float:
     return reference_min_t_threshold(float(p), float(p), 2.0 * h, alpha, exact=True)
 
 
-def reference_t_alpha_oracle(intensity: IntensityFunction, x: float, h: float,
-                             alpha: float) -> float:
-    """``t_alpha_oracle`` by the atom-by-atom scan, with a freshly computed quadrature rule."""
+def reference_t_alpha_oracle(mean: float, h: float, alpha: float) -> float:
+    """``t_alpha_oracle`` at expected count ``mean`` by the atom-by-atom scan."""
     _check_level(h, alpha)
-    nodes, weights = np.polynomial.legendre.leggauss(256)
-    lo, hi = x - h, x + h
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    m = float(half * np.sum(weights * intensity(mid + half * nodes)))
-    if m <= 0:
-        raise DegenerateCountError(f"expected count over [{x - h}, {x + h}] is zero")
-    return reference_min_t_threshold(m, m, 2.0 * h, alpha, exact=False)
+    return reference_min_t_threshold(mean, mean, 2.0 * h, alpha, exact=False)
 
 
 def reference_t_star_monte_carlo_band(p: int, h: float, alpha: float,

@@ -373,6 +373,9 @@ EXIT_CODES = [
                  id="ci-band-grid-steps--2"),
     pytest.param(_COVERAGE + ["--grid-steps", "0"], 2, _PARAM, id="coverage-grid-steps-0"),
     pytest.param(_COVERAGE + ["--grid-steps", "-2"], 2, _PARAM, id="coverage-grid-steps--2"),
+    pytest.param(["coverage", "--lambda-spec", "const:0", "--h", "0.05", "--alpha", "0.05",
+                  "--method", "oracle_true_t", "--reps", "100", "--grid-steps", "3"], 0, "",
+                 id="coverage-oracle-zero-intensity"),
     pytest.param(["moments", "--lambda", "2", "--window", "{square}", "--f-spec", "ones",
                   "--samples", "10"], 2, _PARAM, id="moments-samples-10"),
     pytest.param(["moments", "--lambda", "2", "--window", "{line}", "--f-spec", "ones"], 2,

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -9,7 +11,6 @@ from ppboot.geometry import (
     PointPattern,
     Window2,
     constant_intensity,
-    gauss_legendre_rule,
     linear_intensity,
     simulate_homogeneous_poisson,
     simulate_inhomogeneous_poisson,
@@ -206,12 +207,14 @@ class TestInhomogeneousSimulation:
         assert stats.ks_2samp(thinned, direct).pvalue > 0.01
 
     def test_declared_bound_violation_detected(self):
-        lying = IntensityFunction(lambda x: 30.0 + 50.0 * np.asarray(x), lambda_max=40.0)
+        lying = IntensityFunction(lambda x: 30.0 + 50.0 * np.asarray(x), lambda_max=40.0,
+                                  integral=lambda lo, hi: (hi - lo) * (30.0 + 25.0 * (lo + hi)))
         with pytest.raises(InvalidBoundError):
             simulate_inhomogeneous_poisson(lying, Interval1(0, 1), RngSeed(4))
 
     def test_negative_intensity_detected(self):
-        negative = IntensityFunction(lambda x: -np.ones_like(np.asarray(x)), lambda_max=10.0)
+        negative = IntensityFunction(lambda x: -np.ones_like(np.asarray(x)), lambda_max=10.0,
+                                     integral=lambda lo, hi: lo - hi)
         with pytest.raises(ParameterError):
             simulate_inhomogeneous_poisson(negative, Interval1(0, 1), RngSeed(4))
 
@@ -244,19 +247,26 @@ class TestIntensityFunctions:
         intensity = linear_intensity(50.0, 20.0, Interval1(0, 1))
         assert intensity.integral(0.0, 1.0) == pytest.approx(60.0, rel=1e-12)
 
-    def test_quadrature_rule_cached_and_read_only(self):
-        nodes, weights = gauss_legendre_rule(16)
-        assert gauss_legendre_rule(16)[0] is nodes
-        for arr in (nodes, weights):
-            with pytest.raises(ValueError):
-                arr[0] = 0.0
-
-    @pytest.mark.parametrize("n", [8, 10, 12, 16, 24, 32, 256])
-    def test_quadrature_rule_matches_leggauss_bits(self, n):
-        nodes, weights = gauss_legendre_rule(n)
-        fresh_nodes, fresh_weights = np.polynomial.legendre.leggauss(n)
-        assert np.array_equal(nodes, fresh_nodes) and np.array_equal(weights, fresh_weights)
+    @pytest.mark.parametrize("a, b, lo, hi", [(40.0, 0.0, 0.0, 1.0), (20.0, 2000.0, 0.0, 1.0),
+                                              (100.0, -50.0, 0.0, 1.0), (50.0, 20.0, 1e4, 1e4 + 1)])
+    def test_integral_exact_to_rounding(self, a, b, lo, hi):
+        # against the exact rational integral of the same float inputs: random
+        # ends, and windows of half-width h cut at either end of the interval
+        interval = Interval1(lo, hi)
+        intensity = constant_intensity(a) if b == 0 else linear_intensity(a, b, interval)
+        rng = np.random.default_rng(26)
+        h = 0.05 * interval.length
+        near_lo, near_hi = rng.uniform(lo, lo + h, 50).tolist(), rng.uniform(hi - h, hi, 50).tolist()
+        windows = [*(sorted(pair) for pair in rng.uniform(lo, hi, (200, 2)).tolist()),
+                   *((lo, x + h) for x in near_lo), *((x - h, hi) for x in near_hi), (lo, hi)]
+        a_q, b_q = Fraction(a), Fraction(b)
+        for u, v in windows:
+            u_q, v_q = Fraction(u), Fraction(v)
+            exact = (v_q - u_q) * (a_q + b_q * (u_q + v_q) / 2)
+            got = intensity.integral(u, v)
+            assert abs(Fraction(got) - exact) <= 4 * np.finfo(float).eps * exact, (u, v)
 
     def test_lambda_max_validation(self):
         with pytest.raises(ParameterError):
-            IntensityFunction(lambda x: x, lambda_max=float("nan"))
+            IntensityFunction(lambda x: x, lambda_max=float("nan"),
+                              integral=lambda lo, hi: 0.5 * (hi * hi - lo * lo))

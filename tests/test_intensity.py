@@ -11,6 +11,7 @@ from ppboot.geometry import (
     Interval1,
     PointPattern,
     constant_intensity,
+    unit_square,
     linear_intensity,
     simulate_inhomogeneous_poisson,
 )
@@ -40,6 +41,11 @@ from conftest import (
 I01 = Interval1(0.0, 1.0)
 
 
+def cut_mean(intensity, x, h):
+    """The expected count at x: lambda integrated over [x-h, x+h] cut to I01."""
+    return intensity.integral(max(x - h, I01.lo), min(x + h, I01.hi))
+
+
 class TestKernelIntensityEstimate:
     def test_empty_pattern(self):
         pat = PointPattern(np.empty(0), I01)
@@ -64,6 +70,14 @@ class TestKernelIntensityEstimate:
         pat = PointPattern(np.array([0.5]), I01)
         with pytest.raises(ParameterError):
             window_counts(pat, 0.1, [1.2])
+
+    def test_nan_grid_point_rejected(self):
+        pat = PointPattern(np.array([0.5]), I01)
+        with pytest.raises(ParameterError, match="inside the observation interval"):
+            window_counts(pat, 0.05, [np.nan, 0.5])
+        with pytest.raises(ParameterError, match="inside the observation interval"):
+            confidence_band(pat, 0.05, 0.05, [np.nan, 0.5], "oracle_true_t",
+                            intensity=constant_intensity(40.0))
 
     def test_constant_intensity_unbiased(self):
         lam, h, reps = 60.0, 0.1, 1000
@@ -233,8 +247,9 @@ class TestAgainstAtomScan:
         intensity = linear_intensity(a, b, I01)
         for h in (0.05, 0.01):
             for x in np.linspace(0.0, 1.0, 41).tolist():
-                assert outcome(t_alpha_oracle, intensity, x, h, alpha) == \
-                    outcome(reference_t_alpha_oracle, intensity, x, h, alpha), (h, x)
+                m = cut_mean(intensity, x, h)
+                assert outcome(t_alpha_oracle, m, h, alpha) == \
+                    outcome(reference_t_alpha_oracle, m, h, alpha), (h, x)
 
     @pytest.mark.parametrize("alpha", [0.5, 0.05, 0.01])
     def test_monte_carlo_band(self, alpha):
@@ -398,21 +413,27 @@ class TestConfidenceBand:
 def reference_cell(builder, oracle_t, x, p):
     """(lo, hi, t, flag) of one grid cell, computed on its own by the scalar formula.
 
-    ``oracle_t`` maps each grid point to its ``t_alpha_oracle`` threshold.
+    ``oracle_t`` maps each grid point to its ``t_alpha_oracle`` threshold,
+    nan where that is unattainable and the cell takes the Garwood interval.
     """
     if builder.method != "oracle_true_t":
         return builder.bounds_for_count(int(p))
     t = oracle_t[float(x)]
     lam = int(p) / (2.0 * builder.h)
+    if math.isnan(t):
+        g_lo, g_hi = _garwood_interval(int(p), builder.alpha)
+        return g_lo / (2.0 * builder.h), g_hi / (2.0 * builder.h), t, "level-unattainable"
     return max(0.0, lam - t * math.sqrt(lam)), lam + t * math.sqrt(lam), t, ""
 
 
 class TestBandPath:
     """The one band path (``_BandBuilder.bounds``) against a per-cell reference loop.
 
-    The intensity keeps every oracle threshold attainable, yet the counts
-    include zeros and the counts 1 and 2, whose bootstrap level 0.95 is
-    unattainable (exp(-p) >= 0.05).
+    The intensity keeps every interior oracle threshold attainable; at the
+    edge point x = 0.02 the cut window [0, 0.07] holds mean 2.198, where
+    exp(-2.198) >= 0.05, so the oracle falls back to the exact interval.
+    The counts include zeros and the counts 1 and 2, whose bootstrap
+    level 0.95 is unattainable (exp(-p) >= 0.05).
     """
 
     H, ALPHA, MC_DRAWS = 0.05, 0.05, 2000
@@ -421,13 +442,21 @@ class TestBandPath:
     POINTS = [0.29, 0.46, 0.47, 0.48, 0.5, 0.52, 0.53, 0.68, 0.69, 0.71, 0.72, 0.88, 0.9]
     GRID = [0.02, 0.1, 0.3, 0.5, 0.7, 0.9]
 
+    def means(self, grid):
+        return np.array([cut_mean(self.INTENSITY, float(x), self.H) for x in grid])
+
     def builder(self, method, grid, seed):
-        return _BandBuilder(self.H, self.ALPHA, method, np.asarray(grid), mc_draws=self.MC_DRAWS,
-                            seed=seed, intensity=self.INTENSITY)
+        return _BandBuilder(self.H, self.ALPHA, method, mc_draws=self.MC_DRAWS, seed=seed,
+                            means=self.means(grid))
 
     def oracle_t(self, grid):
-        return {float(x): t_alpha_oracle(self.INTENSITY, float(x), self.H, self.ALPHA)
-                for x in grid}
+        def threshold(m):
+            try:
+                return t_alpha_oracle(m, self.H, self.ALPHA)
+            except UnattainableLevelError:
+                return math.nan
+
+        return {float(x): threshold(m) for x, m in zip(grid, self.means(grid))}
 
     @pytest.mark.parametrize("method", BAND_METHODS)
     def test_confidence_band_matches_per_cell_loop(self, method):
@@ -447,6 +476,8 @@ class TestBandPath:
         assert band.flags == tuple(";".join(f for f in pair if f) for pair in zip(edge, fallback))
         if method.startswith("bootstrap"):
             assert band.flags[:3] == ("edge;zero-count", "zero-count", "level-unattainable")
+        if method == "oracle_true_t":
+            assert band.flags[0] == "edge;level-unattainable" and not any(band.flags[1:])
 
     @pytest.mark.parametrize("method", BAND_METHODS)
     def test_coverage_hits_match_per_cell_loop(self, method):
@@ -457,9 +488,7 @@ class TestBandPath:
         builder = self.builder(method, grid, seed)
         oracle_t = self.oracle_t(grid)
         lam_true = self.INTENSITY(grid)
-        lam_smoothed = np.array([
-            self.INTENSITY.integral(max(x - self.H, I01.lo), min(x + self.H, I01.hi)) for x in grid
-        ]) / (2 * self.H)
+        lam_smoothed = self.means(grid) / (2 * self.H)
         hits_true = np.zeros(len(grid), dtype=np.int64)
         hits_smoothed = np.zeros(len(grid), dtype=np.int64)
         seen = set()
@@ -478,19 +507,36 @@ class TestBandPath:
 
 class TestTAlphaOracle:
     def test_alpha_one(self):
-        assert t_alpha_oracle(constant_intensity(40.0), 0.5, 0.05, 1.0) == 0.0
+        assert t_alpha_oracle(4.0, 0.05, 1.0) == 0.0
 
     def test_matches_closed_form_at_integer_mean(self):
         # constant 40 on [x-h, x+h] with h = 0.05 gives integral 4; the
         # minimization is then identical to the bootstrap closed form at p = 4
-        t_oracle = t_alpha_oracle(constant_intensity(40.0), 0.5, 0.05, 0.05)
+        t_oracle = t_alpha_oracle(cut_mean(constant_intensity(40.0), 0.5, 0.05), 0.05, 0.05)
         t_boot = t_star_closed_form(4, 0.05, 0.05)
         assert t_oracle == pytest.approx(t_boot, rel=1e-9)
 
     def test_zero_mass_rejected(self):
-        zero = constant_intensity(0.0)
-        with pytest.raises(DegenerateCountError):
-            t_alpha_oracle(zero, 0.5, 0.05, 0.05)
+        # the count is 0 with probability 1, which no threshold covers
+        with pytest.raises(UnattainableLevelError):
+            t_alpha_oracle(cut_mean(constant_intensity(0.0), 0.5, 0.05), 0.05, 0.05)
+
+    @pytest.mark.parametrize("mean", [math.nan, math.inf, -1.0])
+    def test_bad_mean_rejected(self, mean):
+        with pytest.raises(ParameterError):
+            t_alpha_oracle(mean, 0.05, 0.05)
+
+    def test_edge_point_centres_on_cut_window(self):
+        # at x = 0.025 the count sees [0, 0.075] only; the band's threshold is the
+        # oracle at that window's mean, not at the untruncated [-0.025, 0.075]
+        intensity, h = linear_intensity(20.0, 2000.0, I01), 0.05
+        grid = midpoint_grid(I01, 20)
+        pattern = simulate_inhomogeneous_poisson(intensity, I01, RngSeed(27))
+        band = confidence_band(pattern, h, 0.05, grid, "oracle_true_t", intensity=intensity)
+        x = float(grid[0])
+        assert band.flags[0] == "edge"
+        assert band.t_values[0] == t_alpha_oracle(intensity.integral(0.0, x + h), h, 0.05)
+        assert band.t_values[0] != t_alpha_oracle(intensity.integral(x - h, x + h), h, 0.05)
 
     def test_oracle_threshold_minimal_by_exact_cdf(self):
         # verify by the direct CDF formula at the real-valued mean m:
@@ -501,7 +547,7 @@ class TestTAlphaOracle:
         h = 0.05
         for x in (0.3, 0.62):
             m = intensity.integral(x - h, x + h)
-            t = t_alpha_oracle(intensity, x, h, 0.05)
+            t = t_alpha_oracle(m, h, 0.05)
             assert coverage_probability(m, h, t) >= 0.95
             assert coverage_probability(m, h, t * (1 - 1e-8)) < 0.95
 
@@ -534,8 +580,7 @@ class TestTAlphaOracle:
         # expected counts run from 1.3 at x = 0.05 (exp(-1.3) >= 0.05) to 6.7 at x = 0.95
         intensity, h, alpha = linear_intensity(10.0, 60.0, I01), 0.05, 0.05
         grid = midpoint_grid(I01, 10)
-        unattainable = np.array([math.exp(-intensity.integral(x - h, x + h)) >= alpha
-                                 for x in grid])
+        unattainable = np.array([math.exp(-cut_mean(intensity, x, h)) >= alpha for x in grid])
         assert unattainable.any() and not unattainable.all()
         pattern = simulate_inhomogeneous_poisson(intensity, I01, RngSeed(24))
         oracle = confidence_band(pattern, h, alpha, grid, "oracle_true_t", intensity=intensity)
@@ -563,6 +608,16 @@ class TestCoverageExperiment:
         with pytest.raises(ParameterError):
             coverage_experiment(constant_intensity(30.0), I01, 0.1, 0.1,
                                 "exact_poisson", 50, [0.5], RngSeed(16))
+
+    def test_planar_window_rejected(self):
+        with pytest.raises(ParameterError, match="needs an interval"):
+            coverage_experiment(constant_intensity(40.0), unit_square(), 0.1, 0.1,
+                                "exact_poisson", 100, [0.5], RngSeed(1))
+
+    def test_grid_outside_interval_rejected(self):
+        with pytest.raises(ParameterError, match="inside the observation interval"):
+            coverage_experiment(constant_intensity(40.0), I01, 0.1, 0.1,
+                                "exact_poisson", 100, [1.5, 0.5], RngSeed(1))
 
     def test_half_level_conservative(self):
         intensity = constant_intensity(40.0)

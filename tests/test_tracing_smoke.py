@@ -57,6 +57,9 @@ def test_traced_commands_report_every_layer_metric(tmp_path):
          "--out", str(tmp_path / "vc.json")],
         ["ci-band", "--input", str(tmp_path / "line.csv"), "--h", "0.1", "--alpha", "0.1",
          "--method", "closed", "--out", str(tmp_path / "band.csv")],
+        ["coverage", "--lambda-spec", "linear:20,200", "--h", "0.1", "--alpha", "0.1",
+         "--method", "oracle_true_t", "--reps", "100", "--grid-steps", "4",
+         "--out", str(tmp_path / "coverage.csv")],
     )
     tracer = Tracer()
     install(tracer)
@@ -64,6 +67,8 @@ def test_traced_commands_report_every_layer_metric(tmp_path):
         for argv in commands:
             assert ppboot.cli.main(argv) == 0
         assert tracer.aggregate()["twopoint.pair_matrix"]["calls"] == 0
+        # the coverage run takes one oracle threshold per grid point
+        assert tracer.aggregate()["intensity.t_alpha_oracle"]["calls"] == 4
         # the dense view goes through the tracer's counter, which needs an ndarray
         f = parse_f_spec("box:r=0.1,b=0.02", unit_square())
         f.pair_matrix(pattern.points)
