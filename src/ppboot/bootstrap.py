@@ -54,6 +54,10 @@ class AlphaCoefficients:
     alpha3: float
     alpha4: float
 
+    def variance(self, q4: float, t3: float, r: float) -> float:
+        """alpha4*q4 + 4*alpha3*t3 + 2*alpha2*r: the limit at sums (Q4, T3, R); its mean at (s4, s3, s2)."""
+        return self.alpha4 * q4 + 4.0 * self.alpha3 * t3 + 2.0 * self.alpha2 * r
+
 
 def _draw_weights(n: int, scheme: str, seed: RngSeed, chunk: int, count: int) -> np.ndarray:
     """Weights of the ``count`` resamples of chunk ``chunk`` as a (count, n) block.
@@ -171,5 +175,4 @@ def _limit_from_sums(sums: TwoPointSums, n: int, scheme: str) -> float:
     """alpha4*Q4 + 4*alpha3*T3 + 2*alpha2*R for a pattern of n points; 0 when n < 2."""
     if n < 2:
         return 0.0
-    alphas = alpha_coefficients(n, scheme)
-    return alphas.alpha4 * sums.Q4 + 4.0 * alphas.alpha3 * sums.T3 + 2.0 * alphas.alpha2 * sums.R
+    return alpha_coefficients(n, scheme).variance(sums.Q4, sums.T3, sums.R)

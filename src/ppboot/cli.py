@@ -56,16 +56,13 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text)
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str) -> object:
     try:
-        doc = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
-    return doc
 
 
 def _add_common(p: argparse.ArgumentParser, seed: bool = True) -> None:

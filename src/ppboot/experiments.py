@@ -46,8 +46,7 @@ from .intensity import (
     t_star_monte_carlo_band,
     window_counts,
 )
-from .moments import (IntegrationSpec, expected_bootstrap_variance, s_moments_poisson,
-                      true_variance_poisson)
+from .moments import IntegrationSpec, s_moments_poisson, true_variance_poisson
 from .patternio import parse_window
 from .rng import RngSeed
 from .twopoint import (_KERNELS, KernelFunction, PairFunction, constant_pair_function,
@@ -267,7 +266,8 @@ def run_variance_comparison(config: dict, threads: int = 1) -> ResultRecord:
     spec = replace(cfg["integration"], seed=seed.substream(1), threads=threads)
     moments = s_moments_poisson(lam, window, f, spec)
 
-    target_boot = expected_bootstrap_variance(moments, alpha_coefficients(None, "poissonized"))
+    poissonized = alpha_coefficients(None, "poissonized")
+    target_boot = poissonized.variance(moments.s4, moments.s3, moments.s2)
     target_true = moments.reduced_true_variance()
     results = {
         "mc_variance_theta": mc_var,

@@ -208,7 +208,20 @@ def t_star_monte_carlo_band(
     if alpha >= 1.0:
         return 0.0, 0.0, 0.0
     first, counts = _draw_atom_counts(p, n_draws, seed.generator())
-    return _order_statistic_band(p, h, alpha, first, counts)
+    # |T*| is a function of the atom, so the sorted draws are the atoms in
+    # |T*| order, each repeated as often as it was drawn
+    atoms, t_atom = _atoms_by_t(first, first + len(counts) - 1, p, 2.0 * h)
+    cum = np.cumsum(counts[atoms - first])
+    k = math.ceil((1.0 - alpha) * n_draws)
+    margin = 3.0 * math.sqrt(n_draws * alpha * (1.0 - alpha))
+    k_lo = max(1, math.floor(k - margin))
+    k_hi = min(n_draws, math.ceil(k + margin))
+    value, lo, hi = t_atom[np.searchsorted(cum, [k, k_lo, k_hi])].tolist()
+    if not math.isfinite(value):
+        raise UnattainableLevelError(
+            f"coverage {1 - alpha} not attained by any finite threshold in {n_draws} draws"
+        )
+    return value, lo, hi
 
 
 def _draw_atom_counts(p: int, n_draws: int, rng: np.random.Generator,
@@ -242,26 +255,6 @@ def _draw_atom_counts(p: int, n_draws: int, rng: np.random.Generator,
     merged = np.bincount(outside - first, minlength=hi + 1 - first)
     merged[lo - first:hi + 1 - first] += counts
     return first, merged
-
-
-def _order_statistic_band(p: int, h: float, alpha: float, first: int,
-                          counts: np.ndarray) -> tuple[float, float, float]:
-    """(quantile, lower, upper) of |T*| over draws given as counts of atoms first, first + 1, ..."""
-    n_draws = int(counts.sum())
-    # |T*| is a function of the atom, so the sorted draws are the atoms in
-    # |T*| order, each repeated as often as it was drawn
-    atoms, t_atom = _atoms_by_t(first, first + len(counts) - 1, p, 2.0 * h)
-    cum = np.cumsum(counts[atoms - first])
-    k = math.ceil((1.0 - alpha) * n_draws)
-    margin = 3.0 * math.sqrt(n_draws * alpha * (1.0 - alpha))
-    k_lo = max(1, math.floor(k - margin))
-    k_hi = min(n_draws, math.ceil(k + margin))
-    value, lo, hi = t_atom[np.searchsorted(cum, [k, k_lo, k_hi])].tolist()
-    if not math.isfinite(value):
-        raise UnattainableLevelError(
-            f"coverage {1 - alpha} not attained by any finite threshold in {n_draws} draws"
-        )
-    return value, lo, hi
 
 
 def t_alpha_oracle(mean: float, h: float, alpha: float) -> float:
@@ -309,9 +302,9 @@ def _counts_in(points: np.ndarray, ends: tuple[np.ndarray, np.ndarray]) -> np.nd
             - np.searchsorted(xs, ends[0], side="left")).astype(np.int64)
 
 
-def _edge_flags(grid: np.ndarray, window: Interval1, h: float) -> list[str]:
-    """Mark grid points whose kernel window [x-h, x+h] is truncated."""
-    return ["edge" if (x - window.lo < h or window.hi - x < h) else "" for x in grid]
+def _edge_flags(grid: np.ndarray, ends: tuple[np.ndarray, np.ndarray], h: float) -> list[str]:
+    """Mark grid points whose cut window (``_window_ends``) is shorter than [x-h, x+h]."""
+    return ["edge" if cut else "" for cut in (ends[0] > grid - h) | (ends[1] < grid + h)]
 
 
 def _garwood_interval(p: int, alpha: float) -> tuple[float, float]:
@@ -330,10 +323,10 @@ class _BandBuilder:
     """Maps observed counts on a grid to band bounds, caching per distinct count.
 
     One builder is reused across replications in coverage experiments so
-    Garwood intervals and threshold searches run once per count; the
+    Garwood intervals and threshold searches run once per count.  The
     ``oracle_true_t`` threshold depends on the grid point's expected count
-    (``means``) instead, and is computed once per point at construction
-    (nan where it is unattainable).
+    (``means``) instead, and is computed once per point at construction;
+    ``bounds`` centres the band on it wherever it is finite.
 
     The bootstrap threshold is undefined at a zero count and unattainable
     whenever exp(-p) >= alpha, and the oracle one whenever the expected
@@ -345,7 +338,6 @@ class _BandBuilder:
                  seed: RngSeed | None = None, means: np.ndarray | None = None):
         if method not in BAND_METHODS:
             raise ParameterError(f"unknown band method {method!r}; use one of {BAND_METHODS}")
-        _check_bandwidth(h)
         if not 0.0 < alpha <= 1.0:
             raise ParameterError(f"alpha must lie in (0, 1] for bands, got {alpha}")
         if method == "bootstrap_mc" and seed is None:
@@ -389,6 +381,8 @@ class _BandBuilder:
             return cached
         if self.method == "exact_poisson":
             out = (*self._exact(p), math.nan, "")
+        elif self.method == "oracle_true_t":
+            out = (*self._exact(p), math.nan, "level-unattainable")
         elif p == 0:
             out = (*self._exact(p), math.nan, "zero-count")
         else:
@@ -405,24 +399,19 @@ class _BandBuilder:
     def bounds(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(lo, hi, t, flag) arrays for integer counts whose last axis runs over the grid."""
         counts = np.asarray(counts)
-        if self._grid_t is not None:
-            t = np.broadcast_to(self._grid_t, counts.shape)
-            lo, hi = _centered_band(counts / (2.0 * self.h), t)
-            flag = np.full(counts.shape, "", dtype=object)
-            unattainable = np.isnan(t)
-            if unattainable.any():
-                distinct, inverse = np.unique(counts[unattainable], return_inverse=True)
-                exact = np.array([self._exact(int(p)) for p in distinct])
-                lo[unattainable], hi[unattainable] = exact[inverse].T
-                flag[unattainable] = "level-unattainable"
-            return lo, hi, t, flag
         distinct, inverse = np.unique(counts, return_inverse=True)
         lo, hi, t = (np.empty(len(distinct)) for _ in range(3))
         flag = np.empty(len(distinct), dtype=object)
         for k, p in enumerate(distinct):
             lo[k], hi[k], t[k], flag[k] = self.bounds_for_count(int(p))
         inverse = inverse.reshape(counts.shape)
-        return lo[inverse], hi[inverse], t[inverse], flag[inverse]
+        lo, hi, t, flag = lo[inverse], hi[inverse], t[inverse], flag[inverse]
+        if self._grid_t is not None:
+            t = np.broadcast_to(self._grid_t, counts.shape)  # nan in every fallback cell
+            finite = ~np.isnan(t)
+            lo[finite], hi[finite] = _centered_band(counts[finite] / (2.0 * self.h), t[finite])
+            flag[finite] = ""
+        return lo, hi, t, flag
 
 
 def _centered_band(lam: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -445,9 +434,9 @@ def confidence_band(
     """Pointwise band for lambda(x) on a grid, by the chosen method.
 
     Bootstrap methods at grid points with zero observed count fall back
-    to the exact interval and are flagged ``zero-count``; points closer
-    than h to an interval end are flagged ``edge`` (the kernel window is
-    truncated there).
+    to the exact interval and are flagged ``zero-count``; points whose
+    kernel window [x-h, x+h] reaches past an interval end are flagged
+    ``edge`` (the window is cut there).
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     ends = _window_ends(pattern.window, grid, h)
@@ -455,7 +444,7 @@ def confidence_band(
     means = None if intensity is None else _window_means(intensity, ends)
     builder = _BandBuilder(h, alpha, method, mc_draws=mc_draws, seed=seed, means=means)
     lo, hi, ts, fallback = builder.bounds(counts)
-    edge = _edge_flags(grid, pattern.window, h)
+    edge = _edge_flags(grid, ends, h)
     flags = tuple(";".join(part for part in parts if part) for parts in zip(edge, fallback))
     return ConfidenceBand(grid=grid, lambda_hat=counts / (2.0 * h), lo=lo, hi=hi,
                           t_values=ts, flags=flags)
@@ -526,5 +515,5 @@ def coverage_experiment(
         coverage_true=hits_true / reps,
         coverage_smoothed=hits_smoothed / reps,
         reps=reps,
-        flags=tuple(_edge_flags(grid, interval, h)),
+        flags=tuple(_edge_flags(grid, ends, h)),
     )

@@ -215,14 +215,3 @@ def true_variance_poisson(moments: MomentSet) -> float:
     4 s3 + 2 s2 up to rounding.
     """
     return moments.s4 + 4.0 * moments.s3 + 2.0 * moments.s2 - moments.e_theta**2
-
-
-def expected_bootstrap_variance(moments: MomentSet, alphas) -> float:
-    """Unconditional expectation of the bootstrap variance limit.
-
-    alpha4*s4 + 4*alpha3*s3 + 2*alpha2*s2; with poissonized alphas this
-    is exactly 4 s3 + 6 s2.
-    """
-    return (alphas.alpha4 * moments.s4
-            + 4.0 * alphas.alpha3 * moments.s3
-            + 2.0 * alphas.alpha2 * moments.s2)

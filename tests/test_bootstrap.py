@@ -295,6 +295,13 @@ class TestAlphaCoefficients:
 
 
 class TestVarianceLimit:
+    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("scheme", ["multinomial", "poissonized"])
+    def test_fewer_than_two_points_give_zero(self, n, scheme):
+        pat = random_pattern(n, np.random.default_rng(37))
+        f = random_smooth_pair_function(np.random.default_rng(36))
+        assert bootstrap_variance_limit(pat, f, scheme) == 0.0
+
     def test_zero_pair_function(self):
         pat = random_pattern(12, np.random.default_rng(38))
         f = constant_pair_function(unit_square(), 0.0)

@@ -348,6 +348,7 @@ EXIT_CODES = [
     pytest.param(["variance-comparison", "--config", "{variance_reps_1}"], 2, _CONFIG,
                  id="variance-comparison-reps-1"),
     pytest.param(["ci-suite", "--config", "{ci_reps_50}"], 2, _CONFIG, id="ci-suite-reps-50"),
+    pytest.param(["ci-suite", "--config", "{list_config}"], 2, _CONFIG, id="ci-suite-list-config"),
     pytest.param(["ci-suite", "--config", "{ci_mc_draws_10}"], 2, _CONFIG,
                  id="ci-suite-mc-draws-10"),
     pytest.param(["variance-comparison", "--config", "{missing}"], 2, _CONFIG,
@@ -372,6 +373,8 @@ EXIT_CODES = [
     pytest.param(_CI_BAND + ["--method", "closed", "--grid-steps", "-2"], 2, _PARAM,
                  id="ci-band-grid-steps--2"),
     pytest.param(_COVERAGE + ["--grid-steps", "0"], 2, _PARAM, id="coverage-grid-steps-0"),
+    pytest.param(_COVERAGE[:-4] + ["--method", "nonsense", "--reps", "200"], 2,
+                 f"{_PARAM}unknown band method", id="coverage-unknown-method"),
     pytest.param(_COVERAGE + ["--grid-steps", "-2"], 2, _PARAM, id="coverage-grid-steps--2"),
     pytest.param(["coverage", "--lambda-spec", "const:0", "--h", "0.05", "--alpha", "0.05",
                   "--method", "oracle_true_t", "--reps", "100", "--grid-steps", "3"], 0, "",
@@ -416,6 +419,7 @@ class TestExitCodes:
                 "method": "monte_carlo", "sample_count": 100000, "nodes_per_axis": 32}},
             "variance_infinite_window": {**_VARIANCE_CONFIG, "window": infinite_window},
             "ci_reps_50": {**_CI_SUITE_CONFIG, "reps": 50},
+            "list_config": [1, 2],
             "ci_valid": _CI_SUITE_CONFIG,
             "ci_mc_draws_10": {**_CI_SUITE_CONFIG, "mc_draws": 10},
             **{f"ci_{key}_{name}": {**_CI_SUITE_CONFIG, key: value}

@@ -395,10 +395,56 @@ class TestConfidenceBand:
         assert band.flags[1] == ""
         assert "edge" in band.flags[2]
 
+    def test_windows_ending_on_the_interval_ends_are_not_edge(self):
+        # h = 1/60 on 30 midpoints: the first window is [0, 1/30] and the last
+        # ends at 1.0 exactly, so neither is cut, although 1 - x < h rounds true
+        grid, h = midpoint_grid(I01, 30), 0.016666666666666666
+        assert grid[-1] + h == 1.0 and 1.0 - grid[-1] < h
+        band = confidence_band(PointPattern(np.array([0.5]), I01), h, 0.05, grid,
+                               "exact_poisson")
+        cov = coverage_experiment(constant_intensity(40.0), I01, h, 0.05, "exact_poisson",
+                                  100, grid, RngSeed(3))
+        for flags in (band.flags, cov.flags):
+            assert flags[0] == flags[-1] == ""
+            assert flags[1:-1] == ("",) * 28
+
+    def test_exact_band_at_alpha_one_is_the_estimate(self):
+        pat = PointPattern(np.array([0.45, 0.5, 0.52]), I01)
+        band = confidence_band(pat, 0.1, 1.0, [0.3, 0.5], "exact_poisson")
+        assert np.array_equal(band.lo, band.lambda_hat)
+        assert np.array_equal(band.hi, band.lambda_hat)
+        assert band.lambda_hat.tolist() == [0.0, 15.0]
+
+    def test_bootstrap_zero_count_at_alpha_one(self):
+        pat = PointPattern(np.array([0.9]), I01)
+        band = confidence_band(pat, 0.05, 1.0, [0.3], "bootstrap_closed_form")
+        assert (band.lo[0], band.hi[0]) == (0.0, 0.0)
+        assert band.flags == ("zero-count",)
+
     def test_mc_method_needs_seed(self):
         pat = PointPattern(np.array([0.5]), I01)
         with pytest.raises(ParameterError):
             confidence_band(pat, 0.1, 0.05, [0.5], "bootstrap_mc")
+
+    def test_oracle_needs_intensity(self):
+        pat = PointPattern(np.array([0.5]), I01)
+        with pytest.raises(ParameterError, match="true intensity"):
+            confidence_band(pat, 0.1, 0.05, [0.5], "oracle_true_t")
+
+    @pytest.mark.parametrize("method", BAND_METHODS)
+    def test_empty_grid(self, method):
+        pat = PointPattern(np.array([0.5]), I01)
+        band = confidence_band(pat, 0.1, 0.05, [], method, intensity=constant_intensity(40.0),
+                               seed=RngSeed(4))
+        for values in (band.grid, band.lambda_hat, band.lo, band.hi, band.t_values):
+            assert values.shape == (0,)
+        assert band.flags == ()
+
+    @pytest.mark.parametrize("method", BAND_METHODS)
+    def test_empty_count_block(self, method):
+        builder = _BandBuilder(0.1, 0.05, method, seed=RngSeed(4), means=np.full(3, 8.0))
+        for values in builder.bounds(np.zeros((0, 3), dtype=int)):
+            assert values.shape == (0, 3)
 
     def test_mc_and_closed_form_bands_close(self):
         rng = np.random.default_rng(11)

@@ -9,7 +9,6 @@ from ppboot.geometry import Interval1, Window2, simulate_homogeneous_poisson, un
 from ppboot.moments import (
     IntegrationSpec,
     _chunk_stats,
-    expected_bootstrap_variance,
     s_moments_poisson,
     true_variance_poisson,
 )
@@ -227,7 +226,7 @@ class TestVarianceFormulas:
         m = s_moments_poisson(1.0, unit_square(), f,
                               IntegrationSpec("monte_carlo", sample_count=2000, seed=RngSeed(5)))
         assert true_variance_poisson(m) == 0.0
-        assert expected_bootstrap_variance(m, alpha_coefficients(None, "poissonized")) == 0.0
+        assert alpha_coefficients(None, "poissonized").variance(m.s4, m.s3, m.s2) == 0.0
 
     def test_unit_case_closed_forms(self):
         f = constant_pair_function(unit_square(), 1.0)
@@ -236,13 +235,13 @@ class TestVarianceFormulas:
         assert true_variance_poisson(m) == pytest.approx(6.0, rel=1e-12)
         assert m.reduced_true_variance() == pytest.approx(6.0, rel=1e-12)
         a_inf = alpha_coefficients(None, "poissonized")
-        assert expected_bootstrap_variance(m, a_inf) == pytest.approx(10.0, rel=1e-12)
+        assert a_inf.variance(m.s4, m.s3, m.s2) == pytest.approx(10.0, rel=1e-12)
 
     def test_poissonized_expectation_is_reduced_form(self):
         f = gaussian_pair_function()
         m = s_moments_poisson(2.0, unit_square(), f, SMALL_MC)
         a_inf = alpha_coefficients(None, "poissonized")
-        assert expected_bootstrap_variance(m, a_inf) == pytest.approx(
+        assert a_inf.variance(m.s4, m.s3, m.s2) == pytest.approx(
             4 * m.s3 + 6 * m.s2, rel=1e-12
         )
 
@@ -251,8 +250,8 @@ class TestVarianceFormulas:
             m = s_moments_poisson(2.0, unit_square(), build(), SMALL_MC)
             a_n = alpha_coefficients(10_000, "multinomial")
             a_inf = alpha_coefficients(None, "poissonized")
-            v_n = expected_bootstrap_variance(m, a_n)
-            v_inf = expected_bootstrap_variance(m, a_inf)
+            v_n = a_n.variance(m.s4, m.s3, m.s2)
+            v_inf = a_inf.variance(m.s4, m.s3, m.s2)
             assert abs(v_n / v_inf - 1.0) < 0.01, name
 
     def test_true_variance_matches_simulation_analytic_case(self):
