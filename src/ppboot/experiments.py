@@ -62,10 +62,10 @@ def parse_f_spec(spec: str, window) -> PairFunction:
         if kind == "const":
             return constant_pair_function(window, float(rest))
         if kind in _KERNELS:
-            params = dict(item.split("=", 1) for item in rest.split(","))
-            extra = set(params) - {"r", "b"}
-            if extra:
-                raise ConfigError(f"unknown f-spec parameters {sorted(extra)}")
+            items = [item.split("=", 1) for item in rest.split(",")]
+            params = dict(items)
+            if set(params) - {"r", "b"} or len(params) < len(items):
+                raise ConfigError(f"unknown or repeated f-spec parameters in {spec!r}")
             return kernel_pair_function(KernelFunction(kind, float(params["b"])),
                                         float(params["r"]), window)
     except ConfigError:
@@ -335,13 +335,14 @@ def run_ci_suite(config: dict, threads: int = 1) -> ResultRecord:
 
     # closed-form vs Monte Carlo thresholds at the counts seen on the grid
     ref_counts = window_counts(reference, h, grid)
-    distinct_counts = sorted({int(p) for p in ref_counts if p >= 1})
+    distinct_counts = sorted({int(p) for p in ref_counts if p >= 1}) if alpha < 1.0 else []
     t_rows = []
     unattainable = []  # counts whose Monte Carlo draws miss the level
     for j, p in enumerate(distinct_counts):
-        if alpha >= 1.0 or np.exp(-p) >= alpha:
+        try:
+            t_closed = t_star_closed_form(p, h, alpha)
+        except UnattainableLevelError:  # no finite t* reaches the level at this count
             continue
-        t_closed = t_star_closed_form(p, h, alpha)
         try:
             t_mc, t_lo, t_hi = t_star_monte_carlo_band(p, h, alpha, cfg["mc_draws"],
                                                        seed.substream(4, j))

@@ -9,12 +9,12 @@ pair function:
     E theta = lam^2 * I(f)
     s4      = lam^4 * I(f)^2 = (E theta)^2
 
-Monte Carlo computes E theta, s2 and s3 from uniform draws in W^2 and
-W^3, and s4 and its error are derived from E theta in one place.  The
-draws are sparse: h runs only on the pairs within the pair function's
-reach, x3 is drawn only where h(x1, x2) != 0, and each chunk's
-statistics are formed from the nonzero values, with the zeros added
-analytically.
+Monte Carlo computes E theta, s2 and s3 from one draw of uniform stars
+(x1, x2, x3) in W^3, as the means of h12, h12^2 and h12 h13 (hij =
+h(xi, xj)); s4 and its error are derived from E theta in one place.
+The draw is sparse: h runs only on the pairs within the pair function's
+reach, x3 is drawn only where h12 != 0, and each chunk's statistics are
+formed from the nonzero values, with the zeros added analytically.
 Reported error fields are 3-sigma bounds plus a floating-point floor:
 the a-priori summation bound gamma_m * sum|terms|, gamma_m =
 m u / (1 - m u) with u = eps / 2 and m the roundings from the terms to
@@ -54,10 +54,9 @@ _MC_EXTRA_ROUNDINGS = 2 + 3 * 4 + 4
 class IntegrationSpec:
     """How to evaluate the moment integrals.
 
-    ``sample_count`` is the total Monte Carlo budget (at least 1000),
-    split across two draws: 60% to the triple integral behind s3, which
-    has by far the smallest hit rate for short-range pair functions, and
-    40% to one pair draw that gives I(f) and I(f^2) from the same values.
+    ``sample_count`` is the Monte Carlo budget (at least 1000): the
+    number of stars (x1, x2, x3), each of which feeds I(f), I(f^2) and
+    the triple integral behind s3.
     """
 
     method: str = "monte_carlo"
@@ -97,10 +96,10 @@ class MomentSet:
         return 4.0 * self.s3 + 2.0 * self.s2
 
 
-def _require_finite(vals: np.ndarray, where: str) -> None:
+def _require_finite(vals: np.ndarray) -> None:
     if not np.all(np.isfinite(vals)):
         bad = int(np.flatnonzero(~np.isfinite(vals.ravel()))[0])
-        raise NumericalError(f"non-finite integrand sample in {where} (flat index {bad})")
+        raise NumericalError(f"non-finite integrand sample in the moment draw (flat index {bad})")
 
 
 def _gamma(m: int) -> float:
@@ -119,12 +118,12 @@ def _uniform_rows(rng: np.random.Generator, window: Window2, m: int) -> np.ndarr
     return pts
 
 
-def _chunk_stats(vals: np.ndarray, n: int) -> np.ndarray:
+def _chunk_stats(vals: list[np.ndarray], n: int) -> np.ndarray:
     """(sum, M2, sum |v|) of each row of ``vals`` padded with zeros to n entries.
 
-    ``vals`` holds every nonzero value of a chunk of n samples.  Each of
-    the n - k implicit zeros deviates from the mean by -mean, so
-    M2 = sum (v - mean)^2 + (n - k) mean^2.
+    Each row holds every nonzero value of one integrand over a chunk of
+    n samples.  Each of the n - k implicit zeros deviates from the mean
+    by -mean, so M2 = sum (v - mean)^2 + (n - k) mean^2.
     """
     stats = []
     for row in vals:
@@ -136,15 +135,15 @@ def _chunk_stats(vals: np.ndarray, n: int) -> np.ndarray:
     return np.array(stats).T
 
 
-def _mc_mean(window: Window2, f: PairFunction, n_points: int, samples: int, powers: tuple[int, ...],
-             seed: RngSeed, threads: int, where: str) -> list[tuple[float, float, float]]:
-    """Mean, standard error and mean |value| of P**p for each p in ``powers``.
+def _mc_mean(window: Window2, f: PairFunction, n_points: int, samples: int,
+             seed: RngSeed, threads: int) -> list[tuple[float, float, float]]:
+    """Mean, standard error and mean |value| of P_2, P_2**2, P_3, ..., P_n_points.
 
-    P = h(x1, x2) h(x1, x3) ... h(x1, x_n_points) for uniform W points.
-    Each sample draws x1 and x2; each further point is drawn only for
-    the samples whose product is still nonzero, and h runs only within
-    its reach (``PairFunction.nonzero_rows``).  Each chunk reports, per
-    power, its sum, sum of squared deviations (M2) and sum of |values|
+    P_k = h(x1, x2) ... h(x1, x_k) on a star of uniform W points.  Each
+    sample draws x1 and x2; each further point is drawn only for the
+    samples whose product is still nonzero, and h runs only within its
+    reach (``PairFunction.nonzero_rows``).  Each chunk reports, per
+    integrand, its sum, sum of squared deviations (M2) and sum of |values|
     from the nonzero values alone; the chunks are merged in task order
     with the pairwise update of Chan, Golub & LeVeque (1979), so the
     variance needs no clamp and is the same for every ``threads`` value.
@@ -154,13 +153,13 @@ def _mc_mean(window: Window2, f: PairFunction, n_points: int, samples: int, powe
     def run_chunk(c: int) -> np.ndarray:
         rng = seed.substream(c).generator()
         x1 = _uniform_rows(rng, window, sizes[c])
-        prod = None
+        products = []
         for _ in range(n_points - 1):
             rows, v = f.nonzero_rows(x1, _uniform_rows(rng, window, x1.shape[1]))
-            _require_finite(v, where)
+            _require_finite(v)
             x1 = x1[:, rows]
-            prod = v if prod is None else prod[rows] * v
-        return _chunk_stats(np.stack([prod**p for p in powers]), sizes[c])
+            products.append(v if not products else products[-1][rows] * v)
+        return _chunk_stats([products[0], products[0] ** 2, *products[1:]], sizes[c])
 
     parts = parallel_map(run_chunk, len(sizes), threads=threads)
     n = sizes[0]
@@ -181,25 +180,17 @@ def s_moments_poisson(lam: float, window: Window2, f: PairFunction,
     if not (lam >= 0 and math.isfinite(lam)):
         raise ParameterError(f"intensity must be finite and >= 0, got {lam}")
     area = window.area
-    m_pair = max(1000, (4 * spec.sample_count) // 10)
-    m_triple = max(1000, (6 * spec.sample_count) // 10)
 
     # samples are drawn inside W, so the window indicators of f are
     # identically 1 and the bare h can be evaluated directly
-    (e, e_se, e_abs), (s2, s2_se, s2_abs) = _mc_mean(
-        window, f, 2, m_pair, (1, 2), spec.seed.substream(0), spec.threads, "e_theta and s2")
-    [(s3, s3_se, s3_abs)] = _mc_mean(window, f, 3, m_triple, (1,), spec.seed.substream(4),
-                                     spec.threads, "s3")
-    # rounding floors: a mean of m terms carries m - 1 additions
-    g_pair = _gamma(m_pair + _MC_EXTRA_ROUNDINGS)
-    g_triple = _gamma(m_triple + _MC_EXTRA_ROUNDINGS)
-    scale2, scale3 = lam**2 * area**2, lam**3 * area**3
-    values = {"e_theta": scale2 * e, "s2": scale2 * s2, "s3": scale3 * s3}
-    errors = {
-        "e_theta": scale2 * (3.0 * e_se + g_pair * e_abs),
-        "s2": scale2 * (3.0 * s2_se + g_pair * s2_abs),
-        "s3": scale3 * (3.0 * s3_se + g_triple * s3_abs),
-    }
+    stats = _mc_mean(window, f, 3, spec.sample_count, spec.seed, spec.threads)
+    # rounding floor: a mean of m terms carries m - 1 additions
+    g = _gamma(spec.sample_count + _MC_EXTRA_ROUNDINGS)
+    scales = (lam**2 * area**2, lam**2 * area**2, lam**3 * area**3)
+    values, errors = {}, {}
+    for key, scale, (mean, se, mean_abs) in zip(("e_theta", "s2", "s3"), scales, stats):
+        values[key] = scale * mean
+        errors[key] = scale * (3.0 * se + g * mean_abs)
     # s4 = lam^4 I(f)^2 = (E theta)^2 exactly; an estimate t with
     # |E theta - t| <= d gives |s4 - t^2| <= (2|t| + d) d, and gamma_1 t^2
     # bounds the rounding of t * t

@@ -90,6 +90,10 @@ class PairFunction:
     label: str = "custom"
     reach: float = math.inf
 
+    def __post_init__(self) -> None:
+        if not self.reach > 0:
+            raise ParameterError(f"reach must be > 0 (inf for none), got {self.reach}")
+
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)

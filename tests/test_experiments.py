@@ -66,6 +66,8 @@ class TestParsers:
             parse_f_spec("box:r=0.05", w)
         with pytest.raises(ConfigError):
             parse_f_spec("box:r=0.05,b=0.01,c=3", w)
+        with pytest.raises(ConfigError):
+            parse_f_spec("box:r=0.05,b=0.01,r=0.2", w)
 
     def test_lambda_spec_forms(self):
         iv = Interval1(0, 1)
@@ -195,6 +197,17 @@ class TestCiSuite:
                     tabled.append(p)
             assert record.results["t_star_unattainable"] == unattainable, seed
             assert [row["p"] for row in record.results["t_star_table"]] == tabled, seed
+
+    def test_count_just_short_of_the_level_is_skipped(self):
+        # exp(-1) < alpha by one ulp, yet the closed form cannot attain the
+        # level at p = 1; the table skips that count rather than aborting
+        alpha = float(np.nextafter(np.exp(-1.0), 1.0))
+        record = run_ci_suite(ci_config(lambda_spec="const:20", h=0.01, alpha=alpha,
+                                        grid_steps=20, reps=100, seed=1))
+        lam_hat = record.results["bands"]["bootstrap_closed_form"]["lambda_hat"]
+        assert 1 in {round(v * 2 * 0.01) for v in lam_hat}
+        assert 1 not in [row["p"] for row in record.results["t_star_table"]]
+        assert record.results["coverage"]["exact_poisson"]["coverage_true_lambda"]
 
     def test_exact_coverage_near_nominal(self):
         record = run_ci_suite(ci_config(methods=["exact_poisson"], reps=400))

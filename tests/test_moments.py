@@ -134,6 +134,23 @@ class TestMomentValues:
             diff = abs(getattr(mm, comp) - value)
             assert diff < mm.errors[comp], f"{comp}: {diff} vs {mm.errors[comp]}"
 
+    def test_one_draw_feeds_every_moment(self):
+        # one chunk of stars (x1, x2, x3) from substream 0 of the seed, x3
+        # drawn for the hits of h12 only: E theta, s2 and s3 are the dense
+        # means of h12, h12^2 and h12 h13 over those same stars
+        lam, m, seed = 3.0, 200_000, RngSeed(17)
+        f = kernel_pair_function(KernelFunction("box", 0.05), 0.2, unit_square())
+        mm = s_moments_poisson(lam, unit_square(), f, IntegrationSpec(sample_count=m, seed=seed))
+        rng = seed.substream(0).generator()
+        x1, x2 = rng.random((2, m)), rng.random((2, m))
+        h12 = f.h(x1.T, x2.T)
+        hits = np.flatnonzero(h12)
+        h13 = np.zeros(m)
+        h13[hits] = f.h(x1[:, hits].T, rng.random((2, len(hits))).T)
+        assert mm.e_theta == pytest.approx(lam**2 * h12.mean(), rel=1e-12, abs=0)
+        assert mm.s2 == pytest.approx(lam**2 * (h12 * h12).mean(), rel=1e-12, abs=0)
+        assert mm.s3 == pytest.approx(lam**3 * (h12 * h13).mean(), rel=1e-12, abs=0)
+
     def test_intensity_scaling_law(self):
         f = gaussian_pair_function()
         spec = IntegrationSpec("monte_carlo", sample_count=50_000, seed=RngSeed(3))

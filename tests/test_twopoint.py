@@ -18,6 +18,7 @@ from ppboot.moments import IntegrationSpec, s_moments_poisson
 from ppboot.rng import RngSeed
 from ppboot.twopoint import (
     KernelFunction,
+    PairFunction,
     constant_pair_function,
     distinct_index_sums,
     estimate_product_density,
@@ -70,6 +71,19 @@ class TestPairFunction:
         assert by_calls == 2.0
         assert two_point_statistic(pat, f) == by_calls
         assert distinct_index_sums(pat, f).P == by_calls
+
+    @pytest.mark.parametrize("reach", [math.nan, -1.0, 0.0])
+    def test_reach_must_be_positive(self, reach):
+        # h = 1 on 50 points has theta_hat = 50 * 49; unchecked, a nan or 0
+        # reach found no pair (theta_hat 0) and reach -1 gave 2,370 here,
+        # while f(x, y) said 1 for every pair
+        def ones(x, y):
+            return np.ones(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]))
+
+        pat = random_pattern(50, np.random.default_rng(16))
+        assert two_point_statistic(pat, PairFunction(ones, unit_square())) == 2450.0
+        with pytest.raises(ParameterError, match="reach"):
+            PairFunction(ones, unit_square(), reach=reach)
 
     def test_kernel_pair_function_needs_positive_r(self):
         with pytest.raises(ParameterError):
