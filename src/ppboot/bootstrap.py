@@ -33,8 +33,10 @@ from .twopoint import PairFunction, TwoPointSums, distinct_index_sums
 
 SCHEMES = ("multinomial", "poissonized")
 
-# Resamples per parallel task, and per generator
+# Resamples per parallel task, and per generator, at most _CHUNK_ENTRIES // n
+# of them so that a task's (resamples, n) weight block stays within 32 MB
 _CHUNK = 4096
+_CHUNK_ENTRIES = 1 << 22
 # Bound on rows x points of one weight-draw sub-block
 _DRAW_ENTRIES = 1 << 16
 # Bound on rows x pairs of one quadratic-form sub-block (8 MB per temporary)
@@ -125,7 +127,7 @@ def bootstrap_statistics(
     if pattern.n == 0:
         return np.zeros(n_resamples)
     i, j, v = f.pairs(pattern.points)
-    sizes = chunk_sizes(n_resamples, _CHUNK)
+    sizes = chunk_sizes(n_resamples, max(1, min(_CHUNK, _CHUNK_ENTRIES // pattern.n)))
     rows = max(1, _QUADFORM_ENTRIES // max(len(v), 1))
 
     def run_chunk(c: int) -> np.ndarray:

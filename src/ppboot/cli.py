@@ -1,8 +1,8 @@
 """Command-line harness.
 
 Subcommands: simulate, pcf, alpha-table, boot-var, moments, ci-band,
-coverage, variance-comparison, ci-suite.  Exit codes: 0 success,
-2 configuration/parameter error, 3 numerical error, 4 data error.
+coverage, variance-comparison, ci-suite.  Exit codes: 0 success, else the
+raised error's ``exit_code``: 2 configuration/parameter, 3 numerical, 4 data.
 
 All randomized commands take ``--seed``; identical arguments and seed
 produce byte-identical output files for any ``--threads`` value.
@@ -12,13 +12,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 
 from .bootstrap import (SCHEMES, _limit_from_sums, alpha_coefficients, bootstrap_statistics,
                         variance_with_error)
-from .errors import ConfigError, DataError, NumericalError, ParameterError, PpbootError
+from .errors import ConfigError, DataError, ParameterError, PpbootError
 from .experiments import (
     midpoint_grid,
     parse_f_spec,
@@ -42,9 +43,10 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def _write_csv(path: str | None, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
+def _write_csv(path: str | None, columns: dict) -> None:
+    """A CSV table from {header: column}, one row per column entry."""
+    lines = [",".join(columns)]
+    for row in zip(*columns.values()):
         lines.append(",".join(v if isinstance(v, str) else _fmt(v) for v in row))
     _write_text(path, "\n".join(lines) + "\n")
 
@@ -54,15 +56,6 @@ def _write_text(path: str | None, text: str) -> None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
-
-
-def _load_config(path: str) -> object:
-    try:
-        return json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
 
 def _add_common(p: argparse.ArgumentParser, seed: bool = True) -> None:
@@ -96,18 +89,16 @@ def _cmd_pcf(args) -> int:
         raise ConfigError("need 0 < rmin < rmax and rsteps >= 1")
     r_grid = np.linspace(args.rmin, args.rmax, args.rsteps)
     table = estimate_product_density(pattern, r_grid, kernel)
-    _write_csv(args.out, ["r", "rho_hat"], [list(row) for row in table])
+    _write_csv(args.out, {"r": table[:, 0], "rho_hat": table[:, 1]})
     return 0
 
 
 def _cmd_alpha_table(args) -> int:
     if args.nmin < 1 or args.nmax < args.nmin:
         raise ConfigError("need 1 <= nmin <= nmax")
-    rows = []
-    for n in range(args.nmin, args.nmax + 1):
-        a = alpha_coefficients(n, args.scheme)
-        rows.append([n, a.alpha2, a.alpha3, a.alpha4])
-    _write_csv(args.out, ["n", "alpha2", "alpha3", "alpha4"], rows)
+    ns = range(args.nmin, args.nmax + 1)
+    a2, a3, a4 = zip(*(astuple(alpha_coefficients(n, args.scheme)) for n in ns))
+    _write_csv(args.out, {"n": ns, "alpha2": a2, "alpha3": a3, "alpha4": a4})
     return 0
 
 
@@ -151,11 +142,7 @@ def _cmd_ci_band(args) -> int:
     grid = midpoint_grid(pattern.window, args.grid_steps)
     band = confidence_band(pattern, args.h, args.alpha, grid, _CLI_METHODS[args.method],
                            mc_draws=args.mc_draws, seed=RngSeed(args.seed))
-    rows = [
-        [x, lam, lo, hi, flag if flag else "ok"]
-        for x, lam, lo, hi, flag in zip(band.grid, band.lambda_hat, band.lo, band.hi, band.flags)
-    ]
-    _write_csv(args.out, ["x", "lambda_hat", "lo", "hi", "flag"], rows)
+    _write_csv(args.out, {**band.columns(), "flag": [flag or "ok" for flag in band.flags]})
     return 0
 
 
@@ -171,13 +158,18 @@ def _cmd_coverage(args) -> int:
     cov = coverage_experiment(intensity, interval, args.h, args.alpha, method,
                               args.reps, grid, RngSeed(args.seed),
                               mc_draws=args.mc_draws)
-    columns = cov.columns()
-    _write_csv(args.out, list(columns), [list(row) for row in zip(*columns.values())])
+    _write_csv(args.out, cov.columns())
     return 0
 
 
 def _cmd_experiment(args) -> int:
-    record = args.run(_load_config(args.config), threads=args.threads)
+    try:
+        config = json.loads(Path(args.config).read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
+    record = args.run(config, threads=args.threads)
     _write_text(args.out, record.to_json())
     sys.stderr.write(f"{args.command} done in {record.wall_clock_s:.2f}s\n")
     return 0
@@ -279,21 +271,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.threads < 1:
             raise ParameterError(f"threads must be at least 1, got {args.threads}")
         return args.func(args)
-    except ConfigError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return 2
-    except ParameterError as exc:
-        sys.stderr.write(f"parameter error: {exc}\n")
-        return 2
-    except NumericalError as exc:
-        sys.stderr.write(f"numerical error: {exc}\n")
-        return 3
-    except DataError as exc:
-        sys.stderr.write(f"data error: {exc}\n")
-        return 4
     except PpbootError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+        sys.stderr.write(f"{exc.kind}: {exc}\n")
+        return exc.exit_code
 
 
 if __name__ == "__main__":

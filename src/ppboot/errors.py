@@ -1,17 +1,21 @@
 """Exception taxonomy shared by the library and the CLI.
 
-The CLI maps these onto process exit codes: configuration and parameter
-problems exit 2, numerical failures exit 3, data (ingestion) failures
-exit 4.
+Each class carries its CLI form, the ``kind`` written before its message
+and the process ``exit_code``: configuration and parameter problems exit 2,
+numerical failures 3, data (ingestion) failures 4; subclasses inherit both.
 """
 
 
 class PpbootError(Exception):
     """Base class for all errors raised by this package."""
 
+    kind, exit_code = "error", 2
+
 
 class ParameterError(PpbootError, ValueError):
     """An argument violates an operation's preconditions."""
+
+    kind = "parameter error"
 
 
 class InvalidBoundError(ParameterError):
@@ -29,6 +33,8 @@ class DegenerateCountError(ParameterError):
 class DataError(PpbootError, ValueError):
     """Ingested data fails validation (duplicates, out-of-window points, parse errors)."""
 
+    kind, exit_code = "data error", 4
+
 
 class DuplicatePointError(DataError):
     """A point pattern contains coincident points."""
@@ -41,6 +47,10 @@ class OutOfWindowError(DataError):
 class ConfigError(PpbootError, ValueError):
     """An experiment configuration fails schema validation."""
 
+    kind = "config error"
+
 
 class NumericalError(PpbootError, ArithmeticError):
     """A numerical routine produced a non-finite or invalid intermediate."""
+
+    kind, exit_code = "numerical error", 3

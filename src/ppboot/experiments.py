@@ -120,6 +120,11 @@ class ResultRecord:
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _json_columns(columns: dict) -> dict[str, list]:
+    """A result table's columns as JSON lists."""
+    return {key: np.asarray(col).tolist() for key, col in columns.items()}
+
+
 def _validate_config(config: dict, schema: dict[str, tuple], experiment: str) -> dict:
     """Apply a {key: (checker, required, default)} schema; reject unknown keys.
 
@@ -204,12 +209,21 @@ def _methods_list(v) -> list[str]:
     for m in v:
         if m not in BAND_METHODS:
             raise ValueError(f"unknown band method {m!r}; use one of {BAND_METHODS}")
+    if len(set(v)) < len(v):
+        raise ValueError(f"methods must not repeat, got {v}")
     return list(v)
+
+
+def _window(v) -> Window2 | Interval1:
+    """A window object whose bounds are finite JSON numbers."""
+    if isinstance(v, dict):
+        v = {key: _number(bound) for key, bound in v.items()}
+    return parse_window(v)
 
 
 _VARIANCE_SCHEMA = {
     "lambda": (_positive_float, True, None),
-    "window": (parse_window, True, None),
+    "window": (_window, True, None),
     "f_spec": (str, True, None),
     "scheme": (_scheme, True, None),
     "reps": (_int_at_least(2), True, None),
@@ -219,7 +233,7 @@ _VARIANCE_SCHEMA = {
 
 _CI_SUITE_SCHEMA = {
     "lambda_spec": (str, True, None),
-    "interval": (parse_window, True, None),
+    "interval": (_window, True, None),
     "h": (_positive_float, True, None),
     "alpha": (_level, True, None),
     "methods": (_methods_list, True, None),
@@ -320,18 +334,12 @@ def run_ci_suite(config: dict, threads: int = 1) -> ResultRecord:
         band = confidence_band(reference, h, alpha, grid, method,
                                intensity=intensity, mc_draws=cfg["mc_draws"],
                                seed=seed.substream(2, k))
-        bands[method] = {
-            "x": band.grid.tolist(),
-            "lambda_hat": band.lambda_hat.tolist(),
-            "lo": band.lo.tolist(),
-            "hi": band.hi.tolist(),
-            "flag": list(band.flags),
-        }
+        bands[method] = _json_columns(band.columns())
         if alpha < 1.0:
             cov = coverage_experiment(intensity, interval, h, alpha, method,
                                       cfg["reps"], grid, seed.substream(3, k),
                                       mc_draws=cfg["mc_draws"])
-            coverage[method] = {key: col.tolist() for key, col in cov.columns().items()}
+            coverage[method] = _json_columns(cov.columns())
 
     # closed-form vs Monte Carlo thresholds at the counts seen on the grid
     ref_counts = window_counts(reference, h, grid)

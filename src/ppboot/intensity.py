@@ -83,6 +83,11 @@ class ConfidenceBand:
     t_values: np.ndarray  # threshold per point; nan where not applicable
     flags: tuple[str, ...]  # "edge" and a fallback ("zero-count", "level-unattainable"), ";"-joined
 
+    def columns(self) -> dict[str, np.ndarray | list[str]]:
+        """The band table by column: grid, estimate, bounds and flags."""
+        return {"x": self.grid, "lambda_hat": self.lambda_hat, "lo": self.lo, "hi": self.hi,
+                "flag": list(self.flags)}
+
 
 def _check_bandwidth(h: float) -> None:
     if not (h > 0 and math.isfinite(h)):

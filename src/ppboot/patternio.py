@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -56,12 +57,7 @@ def read_window(path: str | Path) -> Window2 | Interval1:
 
 
 def write_window(window: Window2 | Interval1, path: str | Path) -> None:
-    if isinstance(window, Window2):
-        doc = {"window": {"x_min": window.x_min, "x_max": window.x_max,
-                          "y_min": window.y_min, "y_max": window.y_max}}
-    else:
-        doc = {"window": {"lo": window.lo, "hi": window.hi}}
-    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps({"window": asdict(window)}, sort_keys=True) + "\n")
 
 
 def ingest_pattern(csv_path: str | Path, window_path: str | Path | None = None) -> PointPattern:
@@ -113,10 +109,7 @@ def write_pattern(pattern: PointPattern, csv_path: str | Path,
     if window_path is None:
         window_path = csv_path.with_suffix(".json")
     write_window(pattern.window, window_path)
+    rows = pattern.points.reshape(pattern.n, pattern.dim)
     lines = ["x,y" if pattern.dim == 2 else "x"]
-    for p in pattern.points:
-        if pattern.dim == 2:
-            lines.append(f"{float(p[0])!r},{float(p[1])!r}")
-        else:
-            lines.append(f"{float(p)!r}")
+    lines += [",".join(repr(float(v)) for v in row) for row in rows]
     csv_path.write_text("\n".join(lines) + "\n")

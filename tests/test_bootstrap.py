@@ -1,10 +1,12 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from ppboot import bootstrap
 from ppboot.bootstrap import (
     _CHUNK,
     _draw_weights,
@@ -160,6 +162,32 @@ class TestChunkStreams:
         for c, w in enumerate(blocks):
             want = np.einsum("ki,ij,kj->k", w, mat, w)
             assert stats[c * _CHUNK:c * _CHUNK + len(w)] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("scheme", ["multinomial", "poissonized"])
+    def test_capped_chunks_identical_for_one_and_two_threads(self, monkeypatch, scheme):
+        monkeypatch.setattr(bootstrap, "_CHUNK_ENTRIES", 5 * 12)  # chunks of 5 resamples at n = 12
+        rng = np.random.default_rng(46)
+        pat = random_pattern(12, rng)
+        f = random_smooth_pair_function(rng)
+        seed = RngSeed(15)
+        one = bootstrap_statistics(pat, f, 23, scheme, seed, threads=1)
+        two = bootstrap_statistics(pat, f, 23, scheme, seed, threads=2)
+        assert one.tobytes() == two.tobytes()
+        w = _draw_weights(pat.n, scheme, seed, 1, 5)
+        want = np.einsum("ki,ij,kj->k", w, pair_values(pat, f), w)
+        assert one[5:10] == pytest.approx(want, rel=1e-12)
+
+    def test_weight_block_memory_bounded(self):
+        # about 2,500 pairs; one uncapped chunk would hold 1,000 x 20,000 weights (160 MB)
+        pat = random_pattern(20_000, np.random.default_rng(47))
+        f = kernel_pair_function(KernelFunction("box", 0.0005), 0.002, unit_square())
+        tracemalloc.start()
+        try:
+            bootstrap_statistics(pat, f, 1000, "multinomial", RngSeed(16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestBootstrapStatistic:

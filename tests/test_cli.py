@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ppboot import cli, errors
 from ppboot.bootstrap import alpha_coefficients, bootstrap_variance_limit
 from ppboot.cli import main
 from ppboot.geometry import Interval1, unit_square
@@ -351,6 +353,8 @@ EXIT_CODES = [
     pytest.param(["ci-suite", "--config", "{list_config}"], 2, _CONFIG, id="ci-suite-list-config"),
     pytest.param(["ci-suite", "--config", "{ci_mc_draws_10}"], 2, _CONFIG,
                  id="ci-suite-mc-draws-10"),
+    pytest.param(["ci-suite", "--config", "{ci_repeated_method}"], 2, _CONFIG,
+                 id="ci-suite-repeated-method"),
     pytest.param(["variance-comparison", "--config", "{missing}"], 2, _CONFIG,
                  id="variance-comparison-missing-config"),
     pytest.param(["variance-comparison", "--config", "{variance_nodes_per_axis}"], 2,
@@ -422,6 +426,7 @@ class TestExitCodes:
             "list_config": [1, 2],
             "ci_valid": _CI_SUITE_CONFIG,
             "ci_mc_draws_10": {**_CI_SUITE_CONFIG, "mc_draws": 10},
+            "ci_repeated_method": {**_CI_SUITE_CONFIG, "methods": ["exact_poisson"] * 2},
             **{f"ci_{key}_{name}": {**_CI_SUITE_CONFIG, key: value}
                for key, name, value in _CI_SUITE_BAD_NUMBERS},
         }
@@ -457,3 +462,39 @@ class TestExitCodes:
         rc = main(["variance-comparison", "--config", str(tmp_path / "none.json"),
                    "--out", str(tmp_path / "o.json")])
         assert rc == 2
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+ERROR_CLASSES = [cls for cls in vars(errors).values()
+                 if isinstance(cls, type) and issubclass(cls, errors.PpbootError)]
+# each error family: its word in README's exit-code sentence and its stderr label
+FAMILIES = {errors.ConfigError: ("configuration", "config error"),
+            errors.ParameterError: ("parameter", "parameter error"),
+            errors.NumericalError: ("numerical", "numerical error"),
+            errors.DataError: ("data", "data error"),
+            errors.PpbootError: ("other", "error")}
+
+
+def readme_exit_codes() -> dict[str, int]:
+    """Each word of README's "Exit codes:" sentence, mapped to the code before it."""
+    sentence = re.search(r"Exit codes:(.*?)\.", README.read_text(), re.S).group(1)
+    codes, code = {}, None
+    for token in re.findall(r"\d+|[a-z]+", sentence):
+        if token.isdigit():
+            code = int(token)
+        else:
+            codes[token] = code
+    return codes
+
+
+class TestErrorMapping:
+    @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+    def test_label_and_readme_exit_code(self, monkeypatch, capsys, cls):
+        def fail(args):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli, "_cmd_alpha_table", fail)
+        word, label = FAMILIES[next(base for base in cls.__mro__ if base in FAMILIES)]
+        capsys.readouterr()
+        assert main(["alpha-table", "--nmin", "1", "--nmax", "2"]) == readme_exit_codes()[word]
+        assert capsys.readouterr().err == f"{label}: boom\n"

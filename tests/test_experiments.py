@@ -125,6 +125,13 @@ class TestConfigValidation:
             run_ci_suite(ci_config(interval={"lo": None, "hi": 1}))
         with pytest.raises(ConfigError):
             run_ci_suite(ci_config(interval=[0, 1]))
+        # booleans and numeric strings are not JSON numbers
+        for lo, hi in ((False, True), ("0", "1")):
+            with pytest.raises(ConfigError, match="bad value for 'interval'"):
+                run_ci_suite(ci_config(interval={"lo": lo, "hi": hi}))
+            with pytest.raises(ConfigError, match="bad value for 'window'"):
+                run_variance_comparison(variance_config(window={**UNIT_WINDOW,
+                                                                "x_min": lo, "x_max": hi}))
 
 
 class TestVarianceComparison:
