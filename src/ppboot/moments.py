@@ -12,9 +12,18 @@ pair function:
 Monte Carlo computes E theta, s2 and s3 from one draw of uniform stars
 (x1, x2, x3) in W^3, as the means of h12, h12^2 and h12 h13 (hij =
 h(xi, xj)); s4 and its error are derived from E theta in one place.
-The draw is sparse: h runs only on the pairs within the pair function's
-reach, x3 is drawn only where h12 != 0, and each chunk's statistics are
-formed from the nonzero values, with the zeros added analytically.
+The draw is sparse.  h12 is 0 unless x2 lies in the box of half-width
+c (the padded reach) around x1, which happens with probability
+p = prod over the axes of c'(2L - c') / L^2, c' = min(c, L), for a side
+of length L.  So each chunk of n stars draws the number of in-box pairs
+K ~ Binomial(n, p) and only those K pairs, from the uniform law on
+{|x1 - x2| <= c' on each axis}: per axis x1 is uniform, x2 = x1 +
+U(-c', c'), and the rows where x2 leaves W are redrawn (acceptance at
+least 1/2); where c' = L, x2 is drawn uniform.  The other n - K stars
+have h12 = 0 exactly, so the estimator's law is that of n uniform
+stars.  h runs only within reach, x3 is drawn uniform only where
+h12 != 0, and each chunk's statistics are formed from the nonzero
+values, with the zeros added analytically.
 Reported error fields are 3-sigma bounds plus a floating-point floor:
 the a-priori summation bound gamma_m * sum|terms|, gamma_m =
 m u / (1 - m u) with u = eps / 2 and m the roundings from the terms to
@@ -56,7 +65,10 @@ class IntegrationSpec:
 
     ``sample_count`` is the Monte Carlo budget (at least 1000): the
     number of stars (x1, x2, x3), each of which feeds I(f), I(f^2) and
-    the triple integral behind s3.
+    the triple integral behind s3.  Only the stars whose x2 lies within
+    the pair function's reach of x1 on each axis are drawn, a
+    Binomial(sample_count, p) number of them; the rest add exact zeros,
+    so the estimate has the law of ``sample_count`` uniform stars.
     """
 
     method: str = "monte_carlo"
@@ -135,13 +147,35 @@ def _chunk_stats(vals: list[np.ndarray], n: int) -> np.ndarray:
     return np.array(stats).T
 
 
+def _axis_pairs(rng: np.random.Generator, lo: float, hi: float, reach: float,
+                m: int) -> tuple[np.ndarray, np.ndarray]:
+    """m pairs (u1, u2), uniform on {u1, u2 in [lo, hi], |u1 - u2| <= reach}.
+
+    u1 is uniform and u2 = u1 + U(-reach, reach); the rows where u2
+    leaves [lo, hi] are drawn again, and each round accepts at least half
+    of them.  A reach spanning the side draws u2 uniform.
+    """
+    side = hi - lo
+    if reach >= side:
+        return lo + side * rng.random(m), lo + side * rng.random(m)
+    u1, u2 = np.empty(m), np.empty(m)
+    bad = np.arange(m)
+    while bad.size:
+        u1[bad] = lo + side * rng.random(bad.size)
+        u2[bad] = u1[bad] + reach * (2.0 * rng.random(bad.size) - 1.0)
+        bad = bad[(u2[bad] < lo) | (u2[bad] > hi)]
+    return u1, u2
+
+
 def _mc_mean(window: Window2, f: PairFunction, n_points: int, samples: int,
              seed: RngSeed, threads: int) -> list[tuple[float, float, float]]:
     """Mean, standard error and mean |value| of P_2, P_2**2, P_3, ..., P_n_points.
 
-    P_k = h(x1, x2) ... h(x1, x_k) on a star of uniform W points.  Each
-    sample draws x1 and x2; each further point is drawn only for the
-    samples whose product is still nonzero, and h runs only within its
+    P_k = h(x1, x2) ... h(x1, x_k) on a star of uniform W points.  A
+    chunk of n stars draws only the Binomial(n, p) pairs (x1, x2) within
+    the padded reach on each axis, p being the chance of that; the other
+    stars have P_k = 0.  Each further point is drawn uniform only for the
+    stars whose product is still nonzero, and h runs only within its
     reach (``PairFunction.nonzero_rows``).  Each chunk reports, per
     integrand, its sum, sum of squared deviations (M2) and sum of |values|
     from the nonzero values alone; the chunks are merged in task order
@@ -149,13 +183,25 @@ def _mc_mean(window: Window2, f: PairFunction, n_points: int, samples: int,
     variance needs no clamp and is the same for every ``threads`` value.
     """
     sizes = chunk_sizes(samples, _MC_CHUNK)
+    bounds = ((window.x_min, window.x_max), (window.y_min, window.y_max))
+    reach = f.search_reach
+    # chance that a uniform x2 lies within reach of a uniform x1 on each axis
+    p = 1.0
+    for lo, hi in bounds:
+        w = min(reach, hi - lo)
+        p *= w * (2.0 * (hi - lo) - w) / (hi - lo) ** 2
 
     def run_chunk(c: int) -> np.ndarray:
         rng = seed.substream(c).generator()
-        x1 = _uniform_rows(rng, window, sizes[c])
+        m = int(rng.binomial(sizes[c], p))
+        pairs = [_axis_pairs(rng, lo, hi, reach, m) for lo, hi in bounds]
+        x1 = np.array([u1 for u1, _ in pairs])
+        x2 = np.array([u2 for _, u2 in pairs])
         products = []
         for _ in range(n_points - 1):
-            rows, v = f.nonzero_rows(x1, _uniform_rows(rng, window, x1.shape[1]))
+            if products:
+                x2 = _uniform_rows(rng, window, x1.shape[1])
+            rows, v = f.nonzero_rows(x1, x2)
             _require_finite(v)
             x1 = x1[:, rows]
             products.append(v if not products else products[-1][rows] * v)

@@ -32,6 +32,11 @@ from .geometry import Interval1, PointPattern, Window2
 # differently in the tree and in h stays a candidate.
 _REACH_PAD = 1e-9
 
+# Most (radius, pair) kernel values ``estimate_product_density`` holds at
+# once: radii are summed in blocks of this many elements, at least one
+# radius each, so its temporaries stay O(pairs) however many radii.
+_PCF_BLOCK = 1 << 20
+
 
 def _box(u: np.ndarray) -> np.ndarray:
     return np.where(np.abs(u) <= 1.0, 0.5, 0.0)
@@ -94,6 +99,11 @@ class PairFunction:
         if not self.reach > 0:
             raise ParameterError(f"reach must be > 0 (inf for none), got {self.reach}")
 
+    @property
+    def search_reach(self) -> float:
+        """``reach`` with its rounding padding: every pair within reach lies within it."""
+        return self.reach * (1.0 + _REACH_PAD)
+
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -133,7 +143,7 @@ class PairFunction:
         """
         d = x - y
         d *= d
-        rows = np.flatnonzero(d[0] + d[1] <= (self.reach * (1.0 + _REACH_PAD)) ** 2)
+        rows = np.flatnonzero(d[0] + d[1] <= self.search_reach ** 2)
         v = np.asarray(self.h(x[:, rows].T, y[:, rows].T), dtype=float)
         nonzero = np.flatnonzero(v)
         return rows[nonzero], v[nonzero]
@@ -225,7 +235,9 @@ def estimate_product_density(
 
     rho_hat(r) = [2 pi r area(W)]^-1 * sum_{i != j} K_b(r - ||x_i - x_j||),
     with no border correction.  Returns an array of shape (len(r_grid), 2)
-    with columns (r, rho_hat).  Only pairs within max(r_grid) + b enter.
+    with columns (r, rho_hat).  Only pairs within max(r_grid) + b enter,
+    and the kernel is evaluated on blocks of radii of at most
+    ``_PCF_BLOCK`` (radius, pair) values.
     """
     r_grid = np.atleast_1d(np.asarray(r_grid, dtype=float))
     if r_grid.size == 0:
@@ -238,7 +250,9 @@ def estimate_product_density(
     i, j = _close_pairs(pts, float(r_grid.max()) + kernel.bandwidth)
     diff = pts[i] - pts[j]
     pair_d = np.sqrt(np.sum(diff * diff, axis=-1))
+    step = max(1, _PCF_BLOCK // max(len(pair_d), 1))
     # ordered pairs count each unordered pair twice
-    sums = 2.0 * kernel(r_grid[:, None] - pair_d[None, :]).sum(axis=1)
+    sums = 2.0 * np.concatenate([kernel(r_grid[k:k + step, None] - pair_d[None, :]).sum(axis=1)
+                                 for k in range(0, len(r_grid), step)])
     rho = sums / (2.0 * np.pi * r_grid * pattern.window.area)
     return np.column_stack([r_grid, rho])

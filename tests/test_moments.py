@@ -1,13 +1,16 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from ppboot.bootstrap import alpha_coefficients
 from ppboot.errors import NumericalError, ParameterError
 from ppboot.geometry import Interval1, Window2, simulate_homogeneous_poisson, unit_square
 from ppboot.moments import (
     IntegrationSpec,
+    _axis_pairs,
     _chunk_stats,
     s_moments_poisson,
     true_variance_poisson,
@@ -53,6 +56,27 @@ def compact_pair_function(window, reach=0.3):
         return t * t
 
     return PairFunction(h, window, label="compact", reach=reach)
+
+
+def disc_pair_function(window, rho):
+    """h = 1[|x - y| <= rho], with reach rho."""
+    def h(x, y):
+        return (np.sum((x - y) ** 2, axis=-1) <= rho * rho).astype(float)
+
+    return PairFunction(h, window, label=f"disc:{rho:g}", reach=rho)
+
+
+def disc_pair_integral(a, b, rho):
+    """I(h) over W^2 for the disc indicator on an a x b rectangle (rho < a).
+
+    The set covariance (a - |t|)(b - |s|) integrated over the disc |(t, s)| <= rho,
+    as one quadrature in s of the closed-form integral in t.
+    """
+    def strip(s):
+        w = math.sqrt(rho * rho - s * s)
+        return (b - s) * (a * w - w * w / 2.0)
+
+    return 4.0 * quad(strip, 0.0, min(b, rho), epsabs=0.0, epsrel=1e-13, limit=200)[0]
 
 
 # Monte Carlo is exact to rounding on a constant f, whatever the sample count
@@ -135,21 +159,35 @@ class TestMomentValues:
             assert diff < mm.errors[comp], f"{comp}: {diff} vs {mm.errors[comp]}"
 
     def test_one_draw_feeds_every_moment(self):
-        # one chunk of stars (x1, x2, x3) from substream 0 of the seed, x3
-        # drawn for the hits of h12 only: E theta, s2 and s3 are the dense
-        # means of h12, h12^2 and h12 h13 over those same stars
+        # one chunk from substream 0 of the seed, redrawn by the protocol:
+        # K ~ Binomial(m, p) pairs (x1, x2) within the padded reach c on
+        # each axis (x1 uniform, x2 = x1 + U(-c, c), rows leaving W
+        # redrawn), then x3 for the hits of h12 only.  E theta, s2 and s3
+        # are the means of h12, h12^2 and h12 h13 over all m stars, the
+        # m - K stars outside the box adding zeros
         lam, m, seed = 3.0, 200_000, RngSeed(17)
         f = kernel_pair_function(KernelFunction("box", 0.05), 0.2, unit_square())
         mm = s_moments_poisson(lam, unit_square(), f, IntegrationSpec(sample_count=m, seed=seed))
+        c = f.reach * (1.0 + 1e-9)
         rng = seed.substream(0).generator()
-        x1, x2 = rng.random((2, m)), rng.random((2, m))
+        k = rng.binomial(m, (c * (2.0 - c)) ** 2)
+        axes = []
+        for _ in range(2):
+            u1, u2, bad = np.empty(k), np.empty(k), np.arange(k)
+            while bad.size:
+                u1[bad] = rng.random(bad.size)
+                u2[bad] = u1[bad] + c * (2.0 * rng.random(bad.size) - 1.0)
+                bad = bad[(u2[bad] < 0.0) | (u2[bad] > 1.0)]
+            axes.append((u1, u2))
+        x1 = np.array([u1 for u1, _ in axes])
+        x2 = np.array([u2 for _, u2 in axes])
         h12 = f.h(x1.T, x2.T)
         hits = np.flatnonzero(h12)
-        h13 = np.zeros(m)
+        h13 = np.zeros(k)
         h13[hits] = f.h(x1[:, hits].T, rng.random((2, len(hits))).T)
-        assert mm.e_theta == pytest.approx(lam**2 * h12.mean(), rel=1e-12, abs=0)
-        assert mm.s2 == pytest.approx(lam**2 * (h12 * h12).mean(), rel=1e-12, abs=0)
-        assert mm.s3 == pytest.approx(lam**3 * (h12 * h13).mean(), rel=1e-12, abs=0)
+        assert mm.e_theta == pytest.approx(lam**2 * h12.sum() / m, rel=1e-12, abs=0)
+        assert mm.s2 == pytest.approx(lam**2 * (h12 * h12).sum() / m, rel=1e-12, abs=0)
+        assert mm.s3 == pytest.approx(lam**3 * (h12 * h13).sum() / m, rel=1e-12, abs=0)
 
     def test_intensity_scaling_law(self):
         f = gaussian_pair_function()
@@ -218,6 +256,101 @@ class TestMomentValues:
         with pytest.raises(NumericalError):
             s_moments_poisson(1.0, unit_square(), f,
                               IntegrationSpec("monte_carlo", sample_count=2000, seed=RngSeed(4)))
+
+
+class TestInReachDraw:
+    """Only the pairs (x1, x2) within reach on each axis are drawn, by the exact law."""
+
+    @pytest.mark.parametrize("window, rho", [
+        (unit_square(), 0.15),
+        (Window2(0.0, 2.0, 0.0, 1.0), 0.15),
+        (Window2(0.0, 2.0, 0.0, 1.0), 1.2),  # reach spans the short side only
+    ], ids=["unit-square", "2x1", "2x1-reach-past-short-side"])
+    def test_disc_indicator_known_truth(self, window, rho):
+        # h = h^2, so E theta = s2 = lam^2 I(h); below both sides I(h) =
+        # pi rho^2 ab - 4/3 rho^3 (a + b) + rho^4 / 2
+        lam = 2.0
+        a, b = window.x_max - window.x_min, window.y_max - window.y_min
+        truth = lam**2 * disc_pair_integral(a, b, rho)
+        if rho < min(a, b):
+            closed = math.pi * rho**2 * a * b - 4.0 / 3.0 * rho**3 * (a + b) + rho**4 / 2.0
+            assert truth == pytest.approx(lam**2 * closed, rel=1e-12, abs=0)
+        mm = s_moments_poisson(lam, window, disc_pair_function(window, rho),
+                               IntegrationSpec(sample_count=2_000_000, seed=RngSeed(31)))
+        for comp in ("e_theta", "s2"):
+            diff = abs(getattr(mm, comp) - truth)
+            assert diff < mm.errors[comp], f"{comp}: {diff} vs {mm.errors[comp]}"
+
+    @pytest.mark.parametrize("reach", [0.3, 1.7, 2.5], ids=["inside", "near-side", "past-side"])
+    def test_axis_pairs_law(self, reach):
+        # every pair lies in [lo, hi]^2 within reach; u1 and u2 each have
+        # density proportional to min(u + c, L) - max(u - c, 0), c = min(reach, L)
+        lo, hi, m = 0.5, 2.5, 400_000
+        side = hi - lo
+        u1, u2 = _axis_pairs(np.random.default_rng(12), lo, hi, reach, m)
+        assert u1.shape == u2.shape == (m,)
+        for u in (u1, u2):
+            assert np.all((u >= lo) & (u <= hi))
+        assert np.all(np.abs(u1 - u2) <= reach + 4 * np.spacing(hi))
+        c = min(reach, side)
+
+        def cdf(t):  # integral of the density from 0 to t, normalised
+            inner = ((side - c) ** 2 - np.maximum(side - c - t, 0.0) ** 2) / 2.0
+            return (t * side - inner - np.maximum(t - c, 0.0) ** 2 / 2.0) / (2.0 * side * c - c * c)
+
+        edges = np.linspace(0.0, side, 21)
+        q = np.diff(cdf(edges))
+        assert q.sum() == pytest.approx(1.0, rel=1e-12)
+        for u in (u1, u2):
+            counts = np.histogram(u - lo, edges)[0]
+            z = (counts - m * q) / np.sqrt(m * q * (1.0 - q))
+            assert np.max(np.abs(z)) < 4.5, z
+
+    @pytest.mark.parametrize("window", [unit_square(), Window2(0.0, 2.0, 0.0, 1.0)],
+                             ids=["unit-square", "2x1"])
+    def test_reach_spanning_window_keeps_constant_case(self, window):
+        # a reach past the diagonal draws every pair uniform, as an
+        # unbounded reach does: the same values and errors, and the
+        # constant case's exact moments within those errors
+        c, lam = 0.7, 2.0
+        diagonal = math.hypot(window.x_max - window.x_min, window.y_max - window.y_min)
+        unbounded = constant_pair_function(window, c)
+        spanning = PairFunction(unbounded.h, window, label="const-reach", reach=diagonal)
+        spec = IntegrationSpec(sample_count=300_000, seed=RngSeed(9))
+        runs = [s_moments_poisson(lam, window, f, spec) for f in (unbounded, spanning)]
+        assert runs[0] == runs[1]
+        m = runs[0]
+        qa, qc, ql = Fraction(window.area), Fraction(c), Fraction(lam)
+        exact = {"e_theta": ql**2 * qa**2 * qc, "s2": ql**2 * qa**2 * qc**2,
+                 "s3": ql**3 * qa**3 * qc**2, "s4": ql**4 * qa**4 * qc**2}
+        for comp, value in exact.items():
+            dev = abs(Fraction(getattr(m, comp)) - value)
+            assert Fraction(m.errors[comp]) >= dev, comp
+
+    def test_work_bound(self, monkeypatch):
+        # the draw offers the pair function only the Binomial(samples, p)
+        # in-box pairs plus one x3 row per hit of h12, not every star
+        samples = 2_000_000
+        f = kernel_pair_function(KernelFunction("box", 0.0033), 0.04, unit_square())
+        offered, kept = [], []
+        inner = PairFunction.nonzero_rows
+
+        def counting(self, x, y):
+            rows, v = inner(self, x, y)
+            offered.append(x.shape[1])
+            kept.append(len(rows))
+            return rows, v
+
+        monkeypatch.setattr(PairFunction, "nonzero_rows", counting)
+        s_moments_poisson(50.0, unit_square(), f,
+                          IntegrationSpec(sample_count=samples, seed=RngSeed(20260808)))
+        # calls alternate per chunk: the (x1, x2) pairs, then x3 for their hits
+        assert offered[1::2] == kept[0::2]
+        c = f.reach * (1.0 + 1e-9)
+        p = (c * (2.0 - c)) ** 2
+        bound = p * samples + 6.0 * math.sqrt(samples * p * (1.0 - p))
+        assert sum(offered[0::2]) <= bound
+        assert sum(offered) <= bound + sum(offered[1::2])
 
 
 class TestChunkStats:

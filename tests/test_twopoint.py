@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from scipy.spatial import cKDTree
 
+from ppboot import twopoint
 from ppboot.bootstrap import _draw_weights, bootstrap_statistics
 from ppboot.errors import ParameterError
 from ppboot.geometry import (
@@ -19,6 +21,7 @@ from ppboot.rng import RngSeed
 from ppboot.twopoint import (
     KernelFunction,
     PairFunction,
+    _close_pairs,
     constant_pair_function,
     distinct_index_sums,
     estimate_product_density,
@@ -177,6 +180,41 @@ class TestProductDensity:
             pat = simulate_homogeneous_poisson(lam, window, seed.substream(rep))
             values[rep] = estimate_product_density(pat, [r], kernel)[0, 1]
         assert abs(values.mean() / target - 1.0) < 0.10
+
+
+class TestProductDensityBlocks:
+    """Radii are summed in blocks, with the bytes of one dense (radii x pairs) sum."""
+
+    def test_blocks_match_dense_sum_bit_for_bit(self, monkeypatch):
+        pat = random_pattern(400, np.random.default_rng(41))
+        r = np.linspace(0.01, 0.2, 17)
+        kernel = KernelFunction("epanechnikov", 0.01)
+        i, j = _close_pairs(pat.points, float(r.max()) + kernel.bandwidth)
+        diff = pat.points[i] - pat.points[j]
+        d = np.sqrt(np.sum(diff * diff, axis=-1))
+        dense = 2.0 * kernel(r[:, None] - d[None, :]).sum(axis=1)
+        want = np.column_stack([r, dense / (2.0 * np.pi * r * pat.window.area)])
+        # one radius per block, ragged blocks of three, everything in one block
+        for block in (1, 3 * len(d) + 1, 1 << 40):
+            monkeypatch.setattr(twopoint, "_PCF_BLOCK", block)
+            assert estimate_product_density(pat, r, kernel).tobytes() == want.tobytes(), block
+
+    def test_peak_memory_does_not_grow_with_radii(self):
+        # temporaries are O(pairs): 80 radii peak as 10 do, well below one
+        # dense (radii x pairs) float array
+        pat = random_pattern(2000, np.random.default_rng(5))
+        kernel = KernelFunction("box", 0.0033)
+        pairs = len(_close_pairs(pat.points, 0.2 + kernel.bandwidth)[0])
+        peaks = []
+        for steps in (10, 80):
+            tracemalloc.start()
+            try:
+                estimate_product_density(pat, np.linspace(0.005, 0.2, steps), kernel)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.05 * peaks[0]
+        assert peaks[1] < 8 * 80 * pairs / 2
 
 
 class TestDistinctIndexSums:
