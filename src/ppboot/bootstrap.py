@@ -170,11 +170,23 @@ def bootstrap_variance_limit(pattern: PointPattern, f: PairFunction, scheme: str
     coefficients: alpha4*Q4 + 4*alpha3*T3 + 2*alpha2*R.
     """
     _check_scheme(scheme)
-    return _limit_from_sums(distinct_index_sums(pattern, f), pattern.n, scheme)
+    return float(_limit_from_sums(distinct_index_sums(pattern, f), pattern.n, scheme)[0])
 
 
-def _limit_from_sums(sums: TwoPointSums, n: int, scheme: str) -> float:
-    """alpha4*Q4 + 4*alpha3*T3 + 2*alpha2*R for a pattern of n points; 0 when n < 2."""
-    if n < 2:
-        return 0.0
-    return alpha_coefficients(n, scheme).variance(sums.Q4, sums.T3, sums.R)
+def _limit_from_sums(sums: TwoPointSums, n, scheme: str) -> np.ndarray:
+    """alpha4*Q4 + 4*alpha3*T3 + 2*alpha2*R per pattern of n points; 0 where n < 2.
+
+    ``sums`` and ``n`` hold one pattern's values or arrays over patterns;
+    the result is an array either way.  The alphas are computed once per
+    distinct n.
+    """
+    n = np.atleast_1d(n)
+    q4, t3, r = (np.atleast_1d(x) for x in (sums.Q4, sums.T3, sums.R))
+    limits = np.zeros(len(n))
+    big = n >= 2
+    ns, inverse = np.unique(n[big], return_inverse=True)
+    alphas = [alpha_coefficients(int(k), scheme) for k in ns]
+    table = np.array([(a.alpha2, a.alpha3, a.alpha4) for a in alphas]).reshape(-1, 3)
+    alpha = AlphaCoefficients(*table[inverse].T)
+    limits[big] = alpha.variance(q4[big], t3[big], r[big])
+    return limits

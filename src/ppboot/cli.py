@@ -118,7 +118,7 @@ def _cmd_boot_var(args) -> int:
         "theta_hat": sums.P,
         "v_star_N": v_n,
         "v_star_N_err": v_n_err,
-        "limit_closed_form": _limit_from_sums(sums, pattern.n, args.scheme),
+        "limit_closed_form": float(_limit_from_sums(sums, pattern.n, args.scheme)[0]),
     }
     _write_text(args.out, json.dumps(doc, sort_keys=True, indent=2) + "\n")
     return 0

@@ -6,7 +6,10 @@ patterns from a homogeneous Poisson truth, evaluates the closed-form
 bootstrap variance limit on each, and compares the Monte Carlo sample
 variance of the statistic against the integrated targets 4*s3 + 2*s2
 (truth) and 4*s3 + 6*s2 (what the bootstrap converges to), surfacing
-their ratio.
+their ratio.  Replicate r draws from substream (0, r) of the seed; the
+replicates are simulated, checked and summed in blocks, one pair search
+per block, which changes no replicate's points or sums.  Threads serve
+only the moments.
 
 ``run_ci_suite`` builds intensity confidence bands on one realization by
 every configured method, runs coverage simulations for each, and
@@ -33,9 +36,9 @@ from .geometry import (
     IntensityFunction,
     Window2,
     _require_window,
+    _simulate_homogeneous_block,
     constant_intensity,
     linear_intensity,
-    simulate_homogeneous_poisson,
     simulate_inhomogeneous_poisson,
 )
 from .intensity import (
@@ -49,8 +52,16 @@ from .intensity import (
 from .moments import IntegrationSpec, s_moments_poisson, true_variance_poisson
 from .patternio import parse_window
 from .rng import RngSeed
-from .twopoint import (_KERNELS, KernelFunction, PairFunction, constant_pair_function,
-                       distinct_index_sums, kernel_pair_function)
+from .twopoint import (_KERNELS, KernelFunction, PairFunction, _grouped_sums,
+                       constant_pair_function, kernel_pair_function)
+
+# Most replicates ``run_variance_comparison`` sums per pair search, and
+# most candidate pairs it expects in one search.  64 replicates of 50
+# points already amortize the per-search Python (256 ran no faster and
+# held 1 MB more); the pair bound keeps a block's pair arrays to a few MB
+# when patterns are large or the reach is wide.
+_GROUP_BLOCK = 64
+_GROUP_PAIRS = 1 << 16
 
 
 def parse_f_spec(spec: str, window) -> PairFunction:
@@ -264,15 +275,20 @@ def run_variance_comparison(config: dict, threads: int = 1) -> ResultRecord:
     lam = cfg["lambda"]
     seed = RngSeed(cfg["seed"])
 
-    thetas = np.empty(cfg["reps"])
-    limits = np.empty(cfg["reps"])
-    for r in range(cfg["reps"]):
-        pattern = simulate_homogeneous_poisson(lam, window, seed.substream(0, r))
-        sums = distinct_index_sums(pattern, f)
-        thetas[r] = sums.P
-        limits[r] = _limit_from_sums(sums, pattern.n, cfg["scheme"])
-
     reps = cfg["reps"]
+    thetas = np.empty(reps)
+    limits = np.empty(reps)
+    # a replicate expects about mu^2/2 pairs, times the share of W its search disc covers
+    mu = lam * window.area
+    pairs = 0.5 * mu * mu * min(1.0, math.pi * f.search_reach ** 2 / window.area)
+    block = max(1, min(_GROUP_BLOCK, int(_GROUP_PAIRS / max(pairs, 1.0))))
+    for lo in range(0, reps, block):
+        seeds = [seed.substream(0, r) for r in range(lo, min(lo + block, reps))]
+        points, counts = _simulate_homogeneous_block(lam, window, seeds)
+        sums = _grouped_sums(points, counts, f)
+        thetas[lo:lo + len(seeds)] = sums.P
+        limits[lo:lo + len(seeds)] = _limit_from_sums(sums, counts, cfg["scheme"])
+
     mc_var, mc_var_err = variance_with_error(thetas)
     mean_limit = float(np.mean(limits))
     mean_limit_se = float(np.std(limits, ddof=1) / np.sqrt(reps))

@@ -2,9 +2,11 @@
 
 Planar homogeneous processes live on a rectangle :class:`Window2`;
 one-dimensional inhomogeneous processes live on an :class:`Interval1`.
-Patterns are immutable and validated on construction, and only there:
-points have the window's shape, every point lies inside its window, and
-points are pairwise distinct.
+Patterns are immutable and validated on construction: points have the
+window's shape, every point lies inside its window, and points are
+pairwise distinct.  A block of simulated replicates, stacked without
+building a pattern for each, passes the same checks in one call, which
+shares the duplicate search with the pattern's.
 """
 from __future__ import annotations
 
@@ -107,16 +109,10 @@ class PointPattern:
         outside = np.flatnonzero(~self.window.contains(pts)) if len(pts) else ()
         if len(outside):
             raise _point_error(OutOfWindowError, int(outside[0]), "lies outside the window")
-        if len(pts) > 1:
-            # a stable sort puts equal points next to each other in index order,
-            # so each adjacent equal pair's second index repeats an earlier point
-            rows = pts.reshape(len(pts), -1)
-            order = np.lexsort(rows.T[::-1])
-            repeats = np.flatnonzero(np.all(rows[order[1:]] == rows[order[:-1]], axis=1))
-            if len(repeats):
-                k = repeats[np.argmin(order[repeats + 1])]
-                raise _point_error(DuplicatePointError, int(order[k + 1]),
-                                   f"repeats point {order[k]}; points must be pairwise distinct")
+        repeat = _first_repeat(pts.reshape(len(pts), 2 if planar else 1))
+        if repeat is not None:
+            raise _point_error(DuplicatePointError, repeat[0],
+                               f"repeats point {repeat[1]}; points must be pairwise distinct")
 
     @property
     def n(self) -> int:
@@ -125,6 +121,46 @@ class PointPattern:
     @property
     def dim(self) -> int:
         return 2 if isinstance(self.window, Window2) else 1
+
+
+def _first_repeat(rows: np.ndarray) -> tuple[int, int] | None:
+    """(k, e): the smallest row index k whose row equals an earlier row e; None if rows are distinct."""
+    if len(rows) < 2:
+        return None
+    first = np.sort(rows[:, 0])
+    if not np.any(first[1:] == first[:-1]):  # equal rows share a first coordinate
+        return None
+    # a stable sort puts equal rows next to each other in index order,
+    # so each adjacent equal pair's second index repeats an earlier row
+    order = np.lexsort(rows.T[::-1])
+    repeats = np.flatnonzero(np.all(rows[order[1:]] == rows[order[:-1]], axis=1))
+    if not len(repeats):
+        return None
+    k = repeats[np.argmin(order[repeats + 1])]
+    return int(order[k + 1]), int(order[k])
+
+
+def _check_replicates(points: np.ndarray, counts: np.ndarray, window: Window2 | Interval1) -> None:
+    """Check stacked patterns as ``PointPattern`` checks one, naming a point by its replicate.
+
+    Replicate g is the ``counts[g]`` points after those of the replicates
+    before it.  Every point must lie inside ``window``, and the points of
+    each replicate must be pairwise distinct; a point may repeat one of
+    another replicate.
+    """
+    starts = np.cumsum(counts) - counts
+    group = np.repeat(np.arange(len(counts)), counts)
+    outside = np.flatnonzero(~window.contains(points)) if len(points) else ()
+    if len(outside):
+        g = group[outside[0]]
+        raise _point_error(OutOfWindowError, int(outside[0] - starts[g]),
+                           f"of replicate {g} lies outside the window")
+    repeat = _first_repeat(np.column_stack([points, group]))
+    if repeat is not None:
+        g = group[repeat[0]]
+        raise _point_error(DuplicatePointError, int(repeat[0] - starts[g]),
+                           f"of replicate {g} repeats its point {repeat[1] - starts[g]}; "
+                           "points must be pairwise distinct")
 
 
 def _point_error(cls: type[Exception], index: int, what: str) -> Exception:
@@ -192,15 +228,31 @@ def simulate_homogeneous_poisson(lam: float, window: Window2, seed: RngSeed) -> 
     The count is Poisson(lam * area) and locations are i.i.d. uniform.
     Deterministic given the seed.
     """
+    return PointPattern(_simulate_homogeneous_block(lam, window, [seed])[0], window)
+
+
+def _simulate_homogeneous_block(lam: float, window: Window2,
+                                seeds: list[RngSeed]) -> tuple[np.ndarray, np.ndarray]:
+    """One homogeneous Poisson pattern per seed, as stacked points and per-pattern counts.
+
+    Pattern g draws from ``seeds[g]`` alone, and the block is checked once
+    by ``_check_replicates``.
+    """
     _require_window(window, Window2, "homogeneous simulation")
     if not (math.isfinite(lam) and lam >= 0):
         raise ParameterError(f"intensity must be finite and >= 0, got {lam}")
     _require_drawable(lam * window.area)
-    rng = seed.generator()
-    n = int(rng.poisson(lam * window.area))
-    xs = rng.uniform(window.x_min, window.x_max, n)
-    ys = rng.uniform(window.y_min, window.y_max, n)
-    return PointPattern(np.column_stack([xs, ys]), window)
+    draws = []
+    for seed in seeds:
+        rng = seed.generator()
+        n = int(rng.poisson(lam * window.area))
+        xs = rng.uniform(window.x_min, window.x_max, n)
+        ys = rng.uniform(window.y_min, window.y_max, n)
+        draws.append(np.column_stack([xs, ys]))
+    points = np.concatenate(draws)
+    counts = np.array([len(d) for d in draws], dtype=np.intp)
+    _check_replicates(points, counts, window)
+    return points, counts
 
 
 def simulate_inhomogeneous_poisson(

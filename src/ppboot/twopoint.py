@@ -14,7 +14,9 @@ function of unbounded reach (constant or custom h) lists all n(n-1)/2
 pairs.  ``distinct_index_sums`` evaluates from that list the
 pair/triple/quadruple sums over ordered tuples of pairwise-distinct
 indices that drive the closed-form bootstrap variance limit, through the
-exact decomposition P^2 = Q4 + 4*T3 + 2*R.
+exact decomposition P^2 = Q4 + 4*T3 + 2*R.  It is the one-pattern case of
+``_grouped_sums``, which sums a block of stacked patterns from one pair
+search.
 """
 from __future__ import annotations
 
@@ -71,12 +73,30 @@ class KernelFunction:
         return _KERNELS[self.kind](u / self.bandwidth) / self.bandwidth
 
 
-def _close_pairs(points: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted index arrays (i, j), i < j, of the pairs at distance <= reach (padded)."""
+def _close_pairs(points: np.ndarray, reach: float,
+                 group: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted index arrays (i, j), i < j, of the pairs at distance <= reach (padded).
+
+    With ``group``, one integer label per point, only pairs with equal
+    labels are listed.  No two points lie farther apart than the sum of
+    the axis spans, so that bounds the search, for any reach.  The tree
+    searches one more coordinate, label * step: it is 0 apart within a
+    group, so distances there are unchanged, and more than twice the
+    search radius apart across groups.  The points' own coordinates are
+    never shifted.  A step longer than the span also lets the tree split
+    the groups apart before it splits within them, which nearly halves
+    the search time.
+    """
     pts = points if points.ndim == 2 else points[:, None]
+    if group is not None:
+        span = float(np.ptp(pts, axis=0).sum()) if len(pts) else 0.0
+        reach = min(reach, span)
+        pts = np.column_stack([pts, group * (2.0 * reach + span + 1.0)])
     pairs = cKDTree(pts).query_pairs(reach * (1.0 + _REACH_PAD), output_type="ndarray")
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    return pairs[order, 0], pairs[order, 1]
+    # one key per pair sorts as (i, j) do, several times faster than a lexsort
+    m = len(pts)
+    key = np.sort(pairs[:, 0] * m + pairs[:, 1])
+    return key // m, key % m
 
 
 @dataclass(frozen=True)
@@ -115,15 +135,18 @@ class PairFunction:
             in_y = self.window.contains(y)
         return np.where(in_x & in_y, self.h(x, y), 0.0)
 
-    def pairs(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def pairs(self, points: np.ndarray,
+              group: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The pairs i < j with f(x_i, x_j) != 0, as sorted arrays (i, j, v).
 
         h runs only on the pairs within ``reach``, and pairs with a point
         outside ``window`` are dropped, as the indicators of f demand.  A
-        non-finite value of h raises :class:`NumericalError`.
+        non-finite value of h raises :class:`NumericalError`.  With
+        ``group``, one integer label per point, only pairs within a group
+        are listed.
         """
         pts = np.asarray(points, dtype=float)
-        i, j = _close_pairs(pts, self.reach)
+        i, j = _close_pairs(pts, self.reach, group)
         inside = self.window.contains(pts)
         keep = inside[i] & inside[j]
         i, j = i[keep], j[keep]
@@ -195,7 +218,8 @@ class TwoPointSums:
     T3 = sum over distinct (i, j, k) of f(x_i, x_j) f(x_i, x_k)
     Q4 = sum over distinct (i, j, k, l) of f(x_i, x_j) f(x_k, x_l)
 
-    These satisfy P^2 = Q4 + 4*T3 + 2*R exactly.
+    These satisfy P^2 = Q4 + 4*T3 + 2*R exactly.  Each field is a float
+    for one pattern, or an array over the patterns of ``_grouped_sums``.
     """
 
     P: float
@@ -212,18 +236,35 @@ def two_point_statistic(pattern: PointPattern, f: PairFunction) -> float:
 def distinct_index_sums(pattern: PointPattern, f: PairFunction) -> TwoPointSums:
     """All four distinct-index sums from the pair list.
 
-    Row sums Q_i = sum_{j != i} f(x_i, x_j) and R_i = sum_{j != i} f^2
-    give R = sum R_i and T3 = sum (Q_i^2 - R_i); P is twice the pair sum,
-    as in ``two_point_statistic``, and Q4 is recovered from the
+    The one-pattern case of ``_grouped_sums``, which states the method.
+    """
+    s = _grouped_sums(pattern.points, np.array([pattern.n]), f)
+    return TwoPointSums(P=float(s.P[0]), T3=float(s.T3[0]), Q4=float(s.Q4[0]), R=float(s.R[0]))
+
+
+def _grouped_sums(points: np.ndarray, counts: np.ndarray, f: PairFunction) -> TwoPointSums:
+    """The distinct-index sums of stacked patterns, as arrays over the patterns.
+
+    Pattern g is the ``counts[g]`` points after those of the patterns
+    before it.  One pair list serves them all: ``PairFunction.pairs``
+    with a pattern label per point.  Row sums Q_i = sum_{j != i} f(x_i, x_j)
+    and R_i = sum_{j != i} f^2, summed per pattern by ``bincount``, give
+    R = sum R_i and T3 = sum (Q_i^2 - R_i).  P is twice each pattern's
+    pair sum, taken as ``two_point_statistic`` takes it, so it does not
+    depend on the other patterns in the block; Q4 is recovered from the
     decomposition identity.
     """
-    n = pattern.n
-    i, j, v = f.pairs(pattern.points)
-    q_i = np.bincount(i, v, n) + np.bincount(j, v, n)
-    r_i = np.bincount(i, v * v, n) + np.bincount(j, v * v, n)
-    p = 2.0 * float(v.sum())
-    r = float(r_i.sum())
-    t3 = float((q_i * q_i - r_i).sum())
+    groups = len(counts)
+    group = np.repeat(np.arange(groups), counts)
+    # one pattern needs no label coordinate, and its tree is faster without
+    i, j, v = f.pairs(points, group if groups > 1 else None)
+    m = len(group)
+    q_i = np.bincount(i, v, m) + np.bincount(j, v, m)
+    r_i = np.bincount(i, v * v, m) + np.bincount(j, v * v, m)
+    cuts = np.cumsum(np.bincount(group[i], minlength=groups))[:-1]
+    p = 2.0 * np.array([part.sum() for part in np.split(v, cuts)])
+    r = np.bincount(group, r_i, groups)
+    t3 = np.bincount(group, q_i * q_i - r_i, groups)
     q4 = p * p - 4.0 * t3 - 2.0 * r
     return TwoPointSums(P=p, T3=t3, Q4=q4, R=r)
 

@@ -10,6 +10,7 @@ from ppboot import bootstrap
 from ppboot.bootstrap import (
     _CHUNK,
     _draw_weights,
+    _limit_from_sums,
     alpha_coefficients,
     alpha_polynomials_exact,
     bootstrap_statistics,
@@ -20,6 +21,7 @@ from ppboot.errors import ParameterError
 from ppboot.geometry import PointPattern, simulate_homogeneous_poisson, unit_square
 from ppboot.twopoint import (
     KernelFunction,
+    TwoPointSums,
     constant_pair_function,
     distinct_index_sums,
     kernel_pair_function,
@@ -329,6 +331,16 @@ class TestVarianceLimit:
         pat = random_pattern(n, np.random.default_rng(37))
         f = random_smooth_pair_function(np.random.default_rng(36))
         assert bootstrap_variance_limit(pat, f, scheme) == 0.0
+
+    @pytest.mark.parametrize("scheme", ["multinomial", "poissonized"])
+    def test_limits_over_patterns_match_each_pattern(self, scheme):
+        rng = np.random.default_rng(42)
+        patterns = [random_pattern(n, rng) for n in (0, 1, 2, 7, 7, 12, 1)]
+        f = kernel_pair_function(KernelFunction("epanechnikov", 0.2), 0.3, unit_square())
+        sums = [distinct_index_sums(p, f) for p in patterns]
+        stacked = TwoPointSums(*(np.array([getattr(s, k) for s in sums]) for k in ("P", "T3", "Q4", "R")))
+        limits = _limit_from_sums(stacked, np.array([p.n for p in patterns]), scheme)
+        assert limits.tolist() == [bootstrap_variance_limit(p, f, scheme) for p in patterns]
 
     def test_zero_pair_function(self):
         pat = random_pattern(12, np.random.default_rng(38))

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from ppboot import experiments
+from ppboot.bootstrap import bootstrap_variance_limit
 from ppboot.errors import ConfigError, UnattainableLevelError
 from ppboot.experiments import (
     midpoint_grid,
@@ -9,9 +11,10 @@ from ppboot.experiments import (
     run_ci_suite,
     run_variance_comparison,
 )
-from ppboot.geometry import Interval1, unit_square
+from ppboot.geometry import Interval1, simulate_homogeneous_poisson, unit_square
 from ppboot.intensity import t_star_monte_carlo_band
 from ppboot.rng import RngSeed
+from ppboot.twopoint import distinct_index_sums
 
 UNIT_WINDOW = {"x_min": 0.0, "x_max": 1.0, "y_min": 0.0, "y_max": 1.0}
 
@@ -144,8 +147,25 @@ class TestVarianceComparison:
     def test_rerun_is_byte_identical(self):
         a = run_variance_comparison(variance_config())
         b = run_variance_comparison(variance_config())
+        c = run_variance_comparison(variance_config(), threads=2)
         assert a.to_json() == b.to_json()
-        assert a.to_json() == b.to_json()
+        assert a.to_json() == c.to_json()
+
+    @pytest.mark.parametrize("f_spec, scheme", [("box:r=0.1,b=0.05", "poissonized"),
+                                                ("epa:r=0.2,b=0.1", "multinomial"),
+                                                ("ones", "multinomial")])
+    def test_series_match_a_loop_over_replicate_streams(self, monkeypatch, f_spec, scheme):
+        # blocks of 7 replicates: several blocks and a ragged last one
+        monkeypatch.setattr(experiments, "_GROUP_BLOCK", 7)
+        cfg = variance_config(f_spec=f_spec, scheme=scheme, reps=30, **{"lambda": 3.0})
+        record = run_variance_comparison(cfg)
+        window, seed = unit_square(), RngSeed(cfg["seed"])
+        f = parse_f_spec(f_spec, window)
+        patterns = [simulate_homogeneous_poisson(3.0, window, seed.substream(0, r)) for r in range(30)]
+        assert {p.n for p in patterns} & {0, 1}
+        assert record.series["theta"] == [distinct_index_sums(p, f).P for p in patterns]
+        assert record.series["bootstrap_limit"] == [bootstrap_variance_limit(p, f, scheme)
+                                                    for p in patterns]
 
     def test_sane_small_run(self):
         record = run_variance_comparison(variance_config(reps=400))

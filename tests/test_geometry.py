@@ -10,6 +10,8 @@ from ppboot.geometry import (
     Interval1,
     PointPattern,
     Window2,
+    _check_replicates,
+    _simulate_homogeneous_block,
     constant_intensity,
     linear_intensity,
     simulate_homogeneous_poisson,
@@ -41,6 +43,16 @@ class TestWindows:
         assert mask.tolist() == [True, False]
 
 
+REPEAT_CASES = pytest.mark.parametrize("points, window, index, earlier", [
+    ([0.3, 0.1, 0.5, 0.1], Interval1(0, 1), 3, 1),
+    ([0.5, 0.2, 0.5, 0.5], Interval1(0, 1), 2, 0),  # three-way repeat
+    ([0.0, 0.3, -0.0], Interval1(-1, 1), 2, 0),  # 0.0 and -0.0 coincide
+    ([[0.1, 0.2], [0.3, 0.4], [0.3, 0.4], [0.1, 0.2]], unit_square(), 2, 1),
+    ([[0.2, 0.5], [0.5, 0.2], [0.2, 0.5], [0.2, 0.5]], unit_square(), 2, 0),
+    ([[0.0, 0.5], [0.5, 0.0], [-0.0, 0.5]], Window2(-1, 1, -1, 1), 2, 0),
+], ids=["1d", "1d-three-way", "1d-signed-zero", "2d", "2d-three-way", "2d-signed-zero"])
+
+
 class TestPointPattern:
     def test_out_of_window_rejected(self):
         with pytest.raises(OutOfWindowError):
@@ -61,14 +73,7 @@ class TestPointPattern:
             PointPattern(np.array([[0.5, 0.5], [1.2, 0.1], [-1.0, 0.0]]), unit_square())
         assert info.value.index == 1
 
-    @pytest.mark.parametrize("points, window, index, earlier", [
-        ([0.3, 0.1, 0.5, 0.1], Interval1(0, 1), 3, 1),
-        ([0.5, 0.2, 0.5, 0.5], Interval1(0, 1), 2, 0),  # three-way repeat
-        ([0.0, 0.3, -0.0], Interval1(-1, 1), 2, 0),  # 0.0 and -0.0 coincide
-        ([[0.1, 0.2], [0.3, 0.4], [0.3, 0.4], [0.1, 0.2]], unit_square(), 2, 1),
-        ([[0.2, 0.5], [0.5, 0.2], [0.2, 0.5], [0.2, 0.5]], unit_square(), 2, 0),
-        ([[0.0, 0.5], [0.5, 0.0], [-0.0, 0.5]], Window2(-1, 1, -1, 1), 2, 0),
-    ], ids=["1d", "1d-three-way", "1d-signed-zero", "2d", "2d-three-way", "2d-signed-zero"])
+    @REPEAT_CASES
     def test_first_repeat_named(self, points, window, index, earlier):
         with pytest.raises(DuplicatePointError, match=f"point {index} repeats point {earlier};") as info:
             PointPattern(np.array(points), window)
@@ -89,6 +94,49 @@ class TestPointPattern:
     def test_empty_points_of_any_shape_accepted(self):
         assert PointPattern(np.empty(0), unit_square()).points.shape == (0, 2)
         assert PointPattern(np.empty((0, 2)), Interval1(0, 1)).points.shape == (0,)
+
+
+class TestReplicateChecks:
+    """``_check_replicates`` checks stacked patterns as ``PointPattern`` checks one."""
+
+    @REPEAT_CASES
+    def test_repeat_within_replicate_named_as_pattern_names_it(self, points, window, index, earlier):
+        # replicate 0 holds the faulty replicate's first point: a repeat across replicates
+        pts = np.array(points)
+        stacked = np.concatenate([pts[:1], pts])
+        with pytest.raises(DuplicatePointError,
+                           match=f"point {index} of replicate 1 repeats its point {earlier};") as info:
+            _check_replicates(stacked, np.array([1, len(pts)]), window)
+        assert info.value.index == index
+
+    @pytest.mark.parametrize("points, window", [
+        (np.array([[0.5, 0.5], [0.2, 0.3], [0.5, 0.5], [0.2, 0.3]]), unit_square()),
+        (np.array([0.5, 0.2, 0.5, 0.2]), Interval1(0, 1)),
+    ], ids=["2d", "1d"])
+    def test_same_point_in_two_replicates_accepted(self, points, window):
+        _check_replicates(points, np.array([2, 2]), window)
+        _check_replicates(points, np.array([2, 0, 2]), window)
+
+    def test_out_of_window_point_named_by_replicate(self):
+        pts = np.array([[0.5, 0.5], [0.2, 0.2], [1.5, 0.5], [2.0, 0.0]])
+        with pytest.raises(OutOfWindowError, match="point 1 of replicate 2 lies outside") as info:
+            _check_replicates(pts, np.array([1, 0, 3]), unit_square())
+        assert info.value.index == 1
+
+    def test_block_draws_each_seed_alone(self):
+        # each seed's stream: a Poisson count, then that many x, then as many y
+        window = Window2(1e6, 1e6 + 2.0, -1.0, 0.0)
+        seeds = [RngSeed(5, (0, r)) for r in range(40)]
+        points, counts = _simulate_homogeneous_block(1.0, window, seeds)
+        want = []
+        for seed in seeds:
+            rng = seed.generator()
+            n = rng.poisson(window.area)
+            want.append(np.column_stack([rng.uniform(1e6, 1e6 + 2.0, n), rng.uniform(-1.0, 0.0, n)]))
+        assert counts.tolist() == [len(w) for w in want]
+        assert 0 in counts
+        assert np.array_equal(points, np.concatenate(want))
+        assert np.array_equal(simulate_homogeneous_poisson(1.0, window, seeds[3]).points, want[3])
 
 
 class TestHomogeneousSimulation:

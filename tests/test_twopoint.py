@@ -432,3 +432,108 @@ class TestNonzeroRows:
         rows, v = f.nonzero_rows(x, y)
         assert np.array_equal(rows, np.arange(64))
         assert np.array_equal(v, np.full(64, 0.7))
+
+
+def _stacked(patterns):
+    return np.concatenate([p.points for p in patterns]), np.array([p.n for p in patterns])
+
+
+def _with_edge_points(pattern: PointPattern) -> PointPattern:
+    """``pattern`` plus its window's corners and edge midpoints."""
+    w = pattern.window
+    xm, ym = 0.5 * (w.x_min + w.x_max), 0.5 * (w.y_min + w.y_max)
+    edges = [(x, y) for x in (w.x_min, xm, w.x_max) for y in (w.y_min, ym, w.y_max) if (x, y) != (xm, ym)]
+    return PointPattern(np.vstack([pattern.points, edges]), w)
+
+
+class TestGroupedSums:
+    """``_grouped_sums`` over stacked patterns against ``distinct_index_sums`` on each."""
+
+    @staticmethod
+    def assert_matches_each(patterns, f):
+        points, counts = _stacked(patterns)
+        sums = twopoint._grouped_sums(points, counts, f)
+        for g, pat in enumerate(patterns):
+            one = distinct_index_sums(pat, f)
+            want = (one.P, one.T3, one.Q4, one.R)
+            scale = max(one.P ** 2, abs(one.T3), abs(one.R), 1e-300)
+            for got, w in zip((sums.P[g], sums.T3[g], sums.Q4[g], sums.R[g]), want):
+                assert abs(got - w) <= 1e-12 * scale
+            # theta_hat is summed as two_point_statistic sums it
+            assert sums.P[g] == two_point_statistic(pat, f)
+        return sums
+
+    @staticmethod
+    def assert_no_pair_across(patterns, f):
+        points, counts = _stacked(patterns)
+        group = np.repeat(np.arange(len(counts)), counts)
+        i, j, _ = f.pairs(points, group)
+        assert np.array_equal(group[i], group[j])
+
+    def test_empty_and_one_point_patterns_and_window_edges(self):
+        rng = np.random.default_rng(70)
+        sizes = [0, 1, 9, 0, 0, 40, 2, 1, 25]
+        patterns = [random_pattern(n, rng) for n in sizes]
+        patterns[2] = _with_edge_points(patterns[2])
+        patterns[5] = _with_edge_points(patterns[5])
+        f = kernel_pair_function(KernelFunction("epanechnikov", 0.1), 0.15, unit_square())
+        sums = self.assert_matches_each(patterns, f)
+        assert sums.P[[0, 1, 3, 4, 7]].tolist() == [0.0] * 5
+
+    def test_pairs_outside_the_pair_window_dropped(self):
+        rng = np.random.default_rng(71)
+        big = Window2(0.0, 2.0, 0.0, 2.0)
+        patterns = [_with_edge_points(random_pattern(n, rng, big)) for n in (5, 30, 0, 18)]
+        f = kernel_pair_function(KernelFunction("box", 0.2), 0.5, unit_square())
+        self.assert_matches_each(patterns, f)
+
+    def test_reach_near_half_the_window_keeps_patterns_apart(self):
+        rng = np.random.default_rng(72)
+        patterns = [random_pattern(int(n), rng) for n in rng.poisson(15, 20)]
+        f = kernel_pair_function(KernelFunction("box", 0.1), 0.6, unit_square())
+        self.assert_no_pair_across(patterns, f)
+        self.assert_matches_each(patterns, f)
+
+    def test_window_far_from_origin_at_small_reach(self):
+        # pairs planted 1e-7 (relative) inside the reach: shifting x by a
+        # pattern offset would round them outside the 1e-9 search padding
+        rng = np.random.default_rng(73)
+        window = Window2(1e6, 1e6 + 1000.0, 0.0, 1000.0)
+        f = kernel_pair_function(KernelFunction("box", 0.0002), 0.0008, window)
+        patterns = []
+        for _ in range(300):
+            anchors = np.column_stack([rng.uniform(window.x_min, window.x_max - 1.0, 8),
+                                       rng.uniform(window.y_min, window.y_max, 8)])
+            partners = anchors + np.column_stack([f.reach * (1.0 - 1e-7 * rng.uniform(0, 3, 8)),
+                                                  np.zeros(8)])
+            patterns.append(PointPattern(np.vstack([anchors, partners]), window))
+        self.assert_no_pair_across(patterns, f)
+        sums = self.assert_matches_each(patterns, f)
+        assert np.all(sums.P > 0)
+
+    @pytest.mark.parametrize("f", [constant_pair_function(unit_square()),
+                                   random_smooth_pair_function(np.random.default_rng(76))],
+                             ids=["ones", "smooth"])
+    def test_unbounded_reach(self, f):
+        # the block's span bounds the search, so every pair within a pattern is listed
+        rng = np.random.default_rng(74)
+        patterns = [_with_edge_points(random_pattern(n, rng)) for n in (0, 1, 6, 13)]
+        patterns += [random_pattern(n, rng) for n in (0, 1, 2, 9)]
+        self.assert_no_pair_across(patterns, f)
+        self.assert_matches_each(patterns, f)
+
+    def test_coincident_points_in_different_patterns(self):
+        # a zero span: one point per pattern, all at one place
+        f = constant_pair_function(unit_square())
+        patterns = [PointPattern(np.array([[0.5, 0.5]]), unit_square()) for _ in range(3)]
+        self.assert_no_pair_across(patterns, f)
+        assert twopoint._grouped_sums(*_stacked(patterns), f).P.tolist() == [0.0] * 3
+
+    def test_interval_patterns(self):
+        rng = np.random.default_rng(75)
+        interval = Interval1(0.0, 1.0)
+        patterns = [PointPattern(np.sort(rng.uniform(0, 1, n)), interval) for n in (0, 12, 1, 30)]
+        patterns.append(PointPattern(np.array([0.0, 0.05, 0.5, 1.0]), interval))
+        f = kernel_pair_function(KernelFunction("box", 0.05), 0.1, interval)
+        self.assert_no_pair_across(patterns, f)
+        self.assert_matches_each(patterns, f)
