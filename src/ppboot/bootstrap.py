@@ -173,7 +173,7 @@ def bootstrap_variance_limit(pattern: PointPattern, f: PairFunction, scheme: str
     return float(_limit_from_sums(distinct_index_sums(pattern, f), pattern.n, scheme)[0])
 
 
-def _limit_from_sums(sums: TwoPointSums, n, scheme: str) -> np.ndarray:
+def _limit_from_sums(sums: TwoPointSums, n: int | np.ndarray, scheme: str) -> np.ndarray:
     """alpha4*Q4 + 4*alpha3*T3 + 2*alpha2*R per pattern of n points; 0 where n < 2.
 
     ``sums`` and ``n`` hold one pattern's values or arrays over patterns;

@@ -124,7 +124,7 @@ class PointPattern:
 
 
 def _first_repeat(rows: np.ndarray) -> tuple[int, int] | None:
-    """(k, e): the smallest row index k whose row equals an earlier row e; None if rows are distinct."""
+    """(k, e): the smallest index k whose row equals an earlier row e; None if all differ."""
     if len(rows) < 2:
         return None
     first = np.sort(rows[:, 0])

@@ -442,7 +442,8 @@ def _with_edge_points(pattern: PointPattern) -> PointPattern:
     """``pattern`` plus its window's corners and edge midpoints."""
     w = pattern.window
     xm, ym = 0.5 * (w.x_min + w.x_max), 0.5 * (w.y_min + w.y_max)
-    edges = [(x, y) for x in (w.x_min, xm, w.x_max) for y in (w.y_min, ym, w.y_max) if (x, y) != (xm, ym)]
+    edges = [(x, y) for x in (w.x_min, xm, w.x_max) for y in (w.y_min, ym, w.y_max)
+             if (x, y) != (xm, ym)]
     return PointPattern(np.vstack([pattern.points, edges]), w)
 
 
