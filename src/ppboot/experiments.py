@@ -8,8 +8,8 @@ variance of the statistic against the integrated targets 4*s3 + 2*s2
 (truth) and 4*s3 + 6*s2 (what the bootstrap converges to), surfacing
 their ratio.  Replicate r draws from substream (0, r) of the seed; the
 replicates are simulated, checked and summed in blocks, one pair search
-per block, which changes no replicate's points or sums.  Threads serve
-only the moments.
+per block, and no replicate's points or sums depend on the block size.
+Threads serve only the moments.
 
 ``run_ci_suite`` builds intensity confidence bands on one realization by
 every configured method, runs coverage simulations for each, and
@@ -57,9 +57,9 @@ from .twopoint import (_KERNELS, KernelFunction, PairFunction, _grouped_sums,
 
 # Most replicates ``run_variance_comparison`` sums per pair search, and
 # most candidate pairs it expects in one search.  64 replicates of 50
-# points already amortize the per-search Python (256 ran no faster and
-# held 1 MB more); the pair bound keeps a block's pair arrays to a few MB
-# when patterns are large or the reach is wide.
+# points already amortize the per-search Python, and larger blocks only
+# hold more memory; the pair bound keeps a block's pair arrays to a few
+# MB when patterns are large or the reach is wide.
 _GROUP_BLOCK = 64
 _GROUP_PAIRS = 1 << 16
 
