@@ -127,9 +127,6 @@ def _first_repeat(rows: np.ndarray) -> tuple[int, int] | None:
     """(k, e): the smallest index k whose row equals an earlier row e; None if all differ."""
     if len(rows) < 2:
         return None
-    first = np.sort(rows[:, 0])
-    if not np.any(first[1:] == first[:-1]):  # equal rows share a first coordinate
-        return None
     # a stable sort puts equal rows next to each other in index order,
     # so each adjacent equal pair's second index repeats an earlier row
     order = np.lexsort(rows.T[::-1])
@@ -235,8 +232,8 @@ def _simulate_homogeneous_block(lam: float, window: Window2,
                                 seeds: list[RngSeed]) -> tuple[np.ndarray, np.ndarray]:
     """One homogeneous Poisson pattern per seed, as stacked points and per-pattern counts.
 
-    Pattern g draws from ``seeds[g]`` alone, and the block is checked once
-    by ``_check_replicates``.
+    Pattern g draws from ``seeds[g]`` alone.  The points are not checked:
+    ``PointPattern`` checks one pattern, ``_check_replicates`` a block.
     """
     _require_window(window, Window2, "homogeneous simulation")
     if not (math.isfinite(lam) and lam >= 0):
@@ -251,7 +248,6 @@ def _simulate_homogeneous_block(lam: float, window: Window2,
         draws.append(np.column_stack([xs, ys]))
     points = np.concatenate(draws)
     counts = np.array([len(d) for d in draws], dtype=np.intp)
-    _check_replicates(points, counts, window)
     return points, counts
 
 

@@ -248,11 +248,11 @@ def _grouped_sums(points: np.ndarray, counts: np.ndarray, f: PairFunction) -> Tw
     Pattern g is the ``counts[g]`` points after those of the patterns
     before it.  One pair list serves them all: ``PairFunction.pairs``
     with a pattern label per point.  Row sums Q_i = sum_{j != i} f(x_i, x_j)
-    and R_i = sum_{j != i} f^2, summed per pattern by ``bincount``, give
-    R = sum R_i and T3 = sum (Q_i^2 - R_i).  P is twice each pattern's
-    pair sum, taken as ``two_point_statistic`` takes it, so it does not
-    depend on the other patterns in the block; Q4 is recovered from the
-    decomposition identity.
+    and R_i = sum_{j != i} f^2, from ``bincount``, give R = sum R_i and
+    T3 = sum (Q_i^2 - R_i).  P is twice the pair sum.  Each pattern's
+    sums are numpy's pairwise sums over its own slice, as for the pattern
+    alone, so they do not depend on the other patterns in the block; Q4
+    is recovered from the decomposition identity.
     """
     groups = len(counts)
     group = np.repeat(np.arange(groups), counts)
@@ -261,12 +261,17 @@ def _grouped_sums(points: np.ndarray, counts: np.ndarray, f: PairFunction) -> Tw
     m = len(group)
     q_i = np.bincount(i, v, m) + np.bincount(j, v, m)
     r_i = np.bincount(i, v * v, m) + np.bincount(j, v * v, m)
-    cuts = np.cumsum(np.bincount(group[i], minlength=groups))[:-1]
-    p = 2.0 * np.array([part.sum() for part in np.split(v, cuts)])
-    r = np.bincount(group, r_i, groups)
-    t3 = np.bincount(group, q_i * q_i - r_i, groups)
+    p = 2.0 * _run_sums(v, np.bincount(group[i], minlength=groups))
+    r = _run_sums(r_i, counts)
+    t3 = _run_sums(q_i * q_i - r_i, counts)
     q4 = p * p - 4.0 * t3 - 2.0 * r
     return TwoPointSums(P=p, T3=t3, Q4=q4, R=r)
+
+
+def _run_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """numpy's pairwise sum of each run of ``lengths[g]`` consecutive ``values``."""
+    ends = np.cumsum(lengths).tolist()
+    return np.array([values[lo:hi].sum() for lo, hi in zip([0] + ends[:-1], ends)])
 
 
 def estimate_product_density(

@@ -523,6 +523,22 @@ class TestGroupedSums:
         self.assert_no_pair_across(patterns, f)
         self.assert_matches_each(patterns, f)
 
+    def test_each_pattern_summed_pairwise_as_alone(self):
+        # each pattern's sums are numpy's pairwise sums over its own rows,
+        # bit for bit, whatever patterns share its block
+        rng = np.random.default_rng(77)
+        patterns = [random_pattern(n, rng) for n in (150, 0, 300, 1, 220)]
+        f = kernel_pair_function(KernelFunction("epanechnikov", 0.1), 0.2, unit_square())
+        sums = twopoint._grouped_sums(*_stacked(patterns), f)
+        for g, pat in enumerate(patterns):
+            i, j, v = f.pairs(pat.points)
+            q_i = np.bincount(i, v, pat.n) + np.bincount(j, v, pat.n)
+            r_i = np.bincount(i, v * v, pat.n) + np.bincount(j, v * v, pat.n)
+            assert sums.P[g] == 2.0 * v.sum()
+            assert sums.R[g] == r_i.sum()
+            assert sums.T3[g] == (q_i * q_i - r_i).sum()
+            assert distinct_index_sums(pat, f).R == sums.R[g]
+
     def test_coincident_points_in_different_patterns(self):
         # a zero span: one point per pattern, all at one place
         f = constant_pair_function(unit_square())
