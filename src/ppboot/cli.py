@@ -29,7 +29,7 @@ from .experiments import (
 )
 from .geometry import simulate_homogeneous_poisson, simulate_inhomogeneous_poisson
 from .intensity import confidence_band, coverage_experiment
-from .moments import IntegrationSpec, s_moments_poisson
+from .moments import s_moments_poisson
 from .patternio import ingest_pattern, parse_window, read_window, write_pattern
 from .rng import RngSeed
 from .twopoint import KernelFunction, distinct_index_sums, estimate_product_density
@@ -127,11 +127,10 @@ def _cmd_boot_var(args) -> int:
 def _cmd_moments(args) -> int:
     window = read_window(args.window)
     f = parse_f_spec(args.f_spec, window)
-    spec = IntegrationSpec(method="monte_carlo", sample_count=args.samples,
-                           seed=RngSeed(args.seed), threads=args.threads)
-    m = s_moments_poisson(args.intensity, window, f, spec)
+    m = s_moments_poisson(args.intensity, window, f, args.samples, RngSeed(args.seed),
+                          args.threads)
     doc = {"s2": m.s2, "s3": m.s3, "s4": m.s4, "e_theta": m.e_theta,
-           "lambda": m.lam, "f_spec": args.f_spec, "method": m.method,
+           "lambda": args.intensity, "f_spec": args.f_spec, "method": "monte_carlo",
            "errors": dict(m.errors)}
     _write_text(args.out, json.dumps(doc, sort_keys=True, indent=2) + "\n")
     return 0

@@ -25,7 +25,7 @@ import json
 import math
 import numbers
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,7 +50,7 @@ from .intensity import (
     t_star_monte_carlo_band,
     window_counts,
 )
-from .moments import IntegrationSpec, s_moments_poisson, true_variance_poisson
+from .moments import s_moments_poisson, true_variance_poisson
 from .patternio import parse_window
 from .rng import RngSeed
 from .twopoint import (_KERNELS, KernelFunction, PairFunction, _grouped_sums,
@@ -63,6 +63,9 @@ from .twopoint import (_KERNELS, KernelFunction, PairFunction, _grouped_sums,
 # MB when patterns are large or the reach is wide.
 _GROUP_BLOCK = 64
 _GROUP_PAIRS = 1 << 16
+
+# Monte Carlo stars for the moments when a config gives no sample count
+_MC_SAMPLES = 200_000
 
 
 def parse_f_spec(spec: str, window) -> PairFunction:
@@ -201,16 +204,16 @@ def _scheme(v) -> str:
     return v
 
 
-def _integration(v) -> IntegrationSpec:
+def _integration(v) -> int:
+    """The Monte Carlo sample count of an ``integration`` object."""
     if not isinstance(v, dict):
         raise ValueError("integration must be an object")
-    allowed = {"method", "sample_count"}
-    unknown = set(v) - allowed
+    unknown = set(v) - {"method", "sample_count"}
     if unknown:
         raise ConfigError(f"unknown integration keys: {sorted(unknown)}")
-    if "sample_count" in v:
-        v = {**v, "sample_count": _int_at_least(1)(v["sample_count"])}
-    return IntegrationSpec(**v)
+    if v.get("method", "monte_carlo") != "monte_carlo":
+        raise ValueError(f"unknown integration method {v['method']!r}; use 'monte_carlo'")
+    return _int_at_least(1000)(v.get("sample_count", _MC_SAMPLES))
 
 
 def _methods_list(v) -> list[str]:
@@ -239,7 +242,7 @@ _VARIANCE_SCHEMA = {
     "f_spec": (str, True, None),
     "scheme": (_scheme, True, None),
     "reps": (_int_at_least(2), True, None),
-    "integration": (_integration, False, IntegrationSpec()),
+    "integration": (_integration, False, _MC_SAMPLES),
     "seed": (_int_at_least(0), True, None),
 }
 
@@ -295,8 +298,7 @@ def run_variance_comparison(config: dict, threads: int = 1) -> ResultRecord:
     mean_limit = float(np.mean(limits))
     mean_limit_se = float(np.std(limits, ddof=1) / np.sqrt(reps))
 
-    spec = replace(cfg["integration"], seed=seed.substream(1), threads=threads)
-    moments = s_moments_poisson(lam, window, f, spec)
+    moments = s_moments_poisson(lam, window, f, cfg["integration"], seed.substream(1), threads)
 
     poissonized = alpha_coefficients(None, "poissonized")
     target_boot = poissonized.variance(moments.s4, moments.s3, moments.s2)

@@ -38,7 +38,7 @@ The true estimator variance s4 + 4 s3 + 2 s2 - (E theta)^2 collapses to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,8 +46,6 @@ from .errors import NumericalError, ParameterError
 from .geometry import Window2, _require_window
 from .rng import RngSeed, chunk_sizes, parallel_map
 from .twopoint import PairFunction
-
-INTEGRATION_METHODS = ("monte_carlo",)
 
 _MC_CHUNK = 1 << 19
 
@@ -57,32 +55,6 @@ _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 # and lam^k * area^k * mean for k <= 4 (area costs 3, so area^k carries
 # 3k; two powers and two products add 4).
 _MC_EXTRA_ROUNDINGS = 2 + 3 * 4 + 4
-
-
-@dataclass(frozen=True)
-class IntegrationSpec:
-    """How to evaluate the moment integrals.
-
-    ``sample_count`` is the Monte Carlo budget (at least 1000): the
-    number of stars (x1, x2, x3), each of which feeds I(f), I(f^2) and
-    the triple integral behind s3.  Only the stars whose x2 lies within
-    the pair function's reach of x1 on each axis are drawn, a
-    Binomial(sample_count, p) number of them; the rest add exact zeros,
-    so the estimate has the law of ``sample_count`` uniform stars.
-    """
-
-    method: str = "monte_carlo"
-    sample_count: int = 200_000
-    seed: RngSeed = field(default_factory=lambda: RngSeed(0))
-    threads: int = 1
-
-    def __post_init__(self) -> None:
-        if self.method not in INTEGRATION_METHODS:
-            raise ParameterError(
-                f"unknown integration method {self.method!r}; use one of {INTEGRATION_METHODS}"
-            )
-        if self.sample_count < 1000:
-            raise ParameterError(f"Monte Carlo needs >= 1000 samples, got {self.sample_count}")
 
 
 @dataclass(frozen=True)
@@ -99,8 +71,6 @@ class MomentSet:
     s3: float
     s4: float
     e_theta: float
-    lam: float
-    method: str
     errors: dict[str, float]
 
     def reduced_true_variance(self) -> float:
@@ -219,19 +189,29 @@ def _mc_mean(window: Window2, f: PairFunction, n_points: int, samples: int,
     return list(zip((total / n).tolist(), (np.sqrt(m2) / n).tolist(), (abs_total / n).tolist()))
 
 
-def s_moments_poisson(lam: float, window: Window2, f: PairFunction,
-                      spec: IntegrationSpec) -> MomentSet:
-    """Integrate s2, s3, s4 and E theta_hat for intensity ``lam`` on ``window``."""
+def s_moments_poisson(lam: float, window: Window2, f: PairFunction, sample_count: int,
+                      seed: RngSeed, threads: int = 1) -> MomentSet:
+    """Integrate s2, s3, s4 and E theta_hat for intensity ``lam`` on ``window``.
+
+    ``sample_count`` is the Monte Carlo budget (at least 1000): the
+    number of stars (x1, x2, x3), each of which feeds I(f), I(f^2) and
+    the triple integral behind s3.  Only the stars whose x2 lies within
+    the pair function's reach of x1 on each axis are drawn, a
+    Binomial(sample_count, p) number of them; the rest add exact zeros,
+    so the estimate has the law of ``sample_count`` uniform stars.
+    """
     _require_window(window, Window2, "moment integration")
     if not (lam >= 0 and math.isfinite(lam)):
         raise ParameterError(f"intensity must be finite and >= 0, got {lam}")
+    if sample_count < 1000:
+        raise ParameterError(f"Monte Carlo needs >= 1000 samples, got {sample_count}")
     area = window.area
 
     # samples are drawn inside W, so the window indicators of f are
     # identically 1 and the bare h can be evaluated directly
-    stats = _mc_mean(window, f, 3, spec.sample_count, spec.seed, spec.threads)
+    stats = _mc_mean(window, f, 3, sample_count, seed, threads)
     # rounding floor: a mean of m terms carries m - 1 additions
-    g = _gamma(spec.sample_count + _MC_EXTRA_ROUNDINGS)
+    g = _gamma(sample_count + _MC_EXTRA_ROUNDINGS)
     scales = (lam**2 * area**2, lam**2 * area**2, lam**3 * area**3)
     values, errors = {}, {}
     for key, scale, (mean, se, mean_abs) in zip(("e_theta", "s2", "s3"), scales, stats):
@@ -242,7 +222,7 @@ def s_moments_poisson(lam: float, window: Window2, f: PairFunction,
     # bounds the rounding of t * t
     t, d = values["e_theta"], errors["e_theta"]
     errors["s4"] = (2.0 * abs(t) + d) * d + _gamma(1) * t * t
-    return MomentSet(s4=t * t, lam=lam, method=spec.method, errors=errors, **values)
+    return MomentSet(s4=t * t, errors=errors, **values)
 
 
 def true_variance_poisson(moments: MomentSet) -> float:

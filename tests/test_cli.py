@@ -176,6 +176,7 @@ class TestMoments:
         assert rc == 0
         doc = json.loads(out.read_text())
         assert set(doc) >= {"s2", "s3", "s4", "e_theta", "errors"}
+        assert (doc["lambda"], doc["f_spec"], doc["method"]) == (2.0, "const:1", "monte_carlo")
         assert doc["s2"] == pytest.approx(4.0)
         assert set(doc["errors"]) == {"s2", "s3", "s4", "e_theta"}
 
@@ -363,6 +364,10 @@ EXIT_CODES = [
                  f"{_CONFIG}bad value for 'window'", id="variance-comparison-infinite-window"),
     pytest.param(["variance-comparison", "--config", "{variance_samples_string}"], 2,
                  f"{_CONFIG}bad value for 'integration'", id="variance-comparison-samples-string"),
+    pytest.param(["variance-comparison", "--config", "{variance_samples_999}"], 2,
+                 f"{_CONFIG}bad value for 'integration'", id="variance-comparison-samples-999"),
+    pytest.param(["variance-comparison", "--config", "{variance_simpson}"], 2,
+                 f"{_CONFIG}bad value for 'integration'", id="variance-comparison-simpson"),
     *(pytest.param(["ci-suite", "--config", f"{{ci_{key}_{name}}}"], 2,
                    f"{_CONFIG}bad value for '{key}'", id=f"ci-suite-{key}-{name}")
       for key, name, _ in _CI_SUITE_BAD_NUMBERS),
@@ -385,6 +390,8 @@ EXIT_CODES = [
                  id="coverage-oracle-zero-intensity"),
     pytest.param(["moments", "--lambda", "2", "--window", "{square}", "--f-spec", "ones",
                   "--samples", "10"], 2, _PARAM, id="moments-samples-10"),
+    pytest.param(["moments", "--lambda", "2", "--window", "{square}", "--f-spec", "ones",
+                  "--samples", "999"], 2, _PARAM, id="moments-samples-999"),
     pytest.param(["moments", "--lambda", "2", "--window", "{line}", "--f-spec", "ones"], 2,
                  _PARAM, id="moments-interval-window"),
     pytest.param(["simulate", "--lambda-spec", "linear:50,20", "--window", "{square}"], 2,
@@ -419,6 +426,10 @@ class TestExitCodes:
             "variance_reps_1": {**_VARIANCE_CONFIG, "reps": 1},
             "variance_samples_string": {**_VARIANCE_CONFIG, "integration": {
                 "method": "monte_carlo", "sample_count": "100000"}},
+            "variance_samples_999": {**_VARIANCE_CONFIG, "integration": {
+                "method": "monte_carlo", "sample_count": 999}},
+            "variance_simpson": {**_VARIANCE_CONFIG, "integration": {
+                "method": "simpson", "sample_count": 100000}},
             "variance_nodes_per_axis": {**_VARIANCE_CONFIG, "integration": {
                 "method": "monte_carlo", "sample_count": 100000, "nodes_per_axis": 32}},
             "variance_infinite_window": {**_VARIANCE_CONFIG, "window": infinite_window},

@@ -167,6 +167,12 @@ class TestVarianceComparison:
         assert record.series["bootstrap_limit"] == [bootstrap_variance_limit(p, f, scheme)
                                                     for p in patterns]
 
+    def test_integration_defaults_to_200000_samples(self):
+        cfg = variance_config(reps=10, integration={"sample_count": 200000})
+        default = {k: v for k, v in cfg.items() if k != "integration"}
+        a, b = run_variance_comparison(cfg), run_variance_comparison(default)
+        assert (a.results, a.errors, a.series) == (b.results, b.errors, b.series)
+
     def test_sane_small_run(self):
         record = run_variance_comparison(variance_config(reps=400))
         r = record.results

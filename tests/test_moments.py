@@ -9,7 +9,6 @@ from ppboot.bootstrap import alpha_coefficients
 from ppboot.errors import NumericalError, ParameterError
 from ppboot.geometry import Interval1, Window2, simulate_homogeneous_poisson, unit_square
 from ppboot.moments import (
-    IntegrationSpec,
     _axis_pairs,
     _chunk_stats,
     s_moments_poisson,
@@ -80,7 +79,7 @@ def disc_pair_integral(a, b, rho):
 
 
 # Monte Carlo is exact to rounding on a constant f, whatever the sample count
-SMALL_MC = IntegrationSpec("monte_carlo", sample_count=20_000, seed=RngSeed(2))
+SMALL_MC = {"sample_count": 20_000, "seed": RngSeed(2)}
 
 SMOOTH_SUITE = [
     ("constant", lambda: constant_pair_function(unit_square(), 0.7)),
@@ -89,38 +88,32 @@ SMOOTH_SUITE = [
 ]
 
 
-class TestIntegrationSpec:
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            IntegrationSpec("simpson")
-        with pytest.raises(ParameterError):
-            IntegrationSpec("monte_carlo", sample_count=10)
-        with pytest.raises(ParameterError):
-            IntegrationSpec("product_quadrature")
-
-
 class TestMomentValues:
+    def test_too_few_samples_rejected(self):
+        f = constant_pair_function(unit_square(), 1.0)
+        with pytest.raises(ParameterError, match=">= 1000 samples"):
+            s_moments_poisson(1.0, unit_square(), f, 999, RngSeed(1))
+        assert s_moments_poisson(1.0, unit_square(), f, 1000, RngSeed(1)).s2 == pytest.approx(1.0)
+
     def test_zero_pair_function(self):
         f = constant_pair_function(unit_square(), 0.0)
-        m = s_moments_poisson(2.0, unit_square(), f,
-                              IntegrationSpec("monte_carlo", sample_count=5000, seed=RngSeed(1)))
+        m = s_moments_poisson(2.0, unit_square(), f, 5000, RngSeed(1))
         assert (m.s2, m.s3, m.s4, m.e_theta) == (0.0, 0.0, 0.0, 0.0)
 
-    @pytest.mark.parametrize("method,kw", [
-        pytest.param("monte_carlo", {"sample_count": 20_000}, id="monte_carlo-kw1"),
+    @pytest.mark.parametrize("kw", [
+        pytest.param({"sample_count": 20_000}, id="monte_carlo-kw1"),
     ])
-    def test_unit_constant_case(self, method, kw):
+    def test_unit_constant_case(self, kw):
         # lam = 1, f = indicator product on the unit square: every moment is 1
         f = constant_pair_function(unit_square(), 1.0)
-        m = s_moments_poisson(1.0, unit_square(), f,
-                              IntegrationSpec(method, seed=RngSeed(2), **kw))
+        m = s_moments_poisson(1.0, unit_square(), f, seed=RngSeed(2), **kw)
         for value in (m.s2, m.s3, m.s4, m.e_theta):
             assert value == pytest.approx(1.0, rel=1e-12)
 
     def test_known_constant_scaling(self):
         # f = c: e = lam^2 c, s2 = lam^2 c^2, s3 = lam^3 c^2, s4 = lam^4 c^2
         f = constant_pair_function(unit_square(), 0.5)
-        m = s_moments_poisson(3.0, unit_square(), f, SMALL_MC)
+        m = s_moments_poisson(3.0, unit_square(), f, **SMALL_MC)
         assert m.e_theta == pytest.approx(9 * 0.5, rel=1e-12)
         assert m.s2 == pytest.approx(9 * 0.25, rel=1e-12)
         assert m.s3 == pytest.approx(27 * 0.25, rel=1e-12)
@@ -135,9 +128,7 @@ class TestMomentValues:
             coarse = tensor_gauss_legendre_moments(2.0, unit_square(), f, 32)
             for comp, value in oracle.items():
                 assert coarse[comp] == pytest.approx(value, rel=1e-12, abs=0), f"{name}/{comp}"
-            mm = s_moments_poisson(2.0, unit_square(), f,
-                                   IntegrationSpec("monte_carlo", sample_count=2_000_000,
-                                                   seed=RngSeed(55)))
+            mm = s_moments_poisson(2.0, unit_square(), f, 2_000_000, RngSeed(55))
             for comp, value in oracle.items():
                 diff = abs(getattr(mm, comp) - value)
                 assert diff < mm.errors[comp], f"{name}/{comp}: {diff} vs {mm.errors[comp]}"
@@ -150,9 +141,7 @@ class TestMomentValues:
         f = compact_pair_function(window)
         oracle = tensor_gauss_legendre_moments(2.0, window, f, 96)
         coarse = tensor_gauss_legendre_moments(2.0, window, f, 64)
-        mm = s_moments_poisson(2.0, window, f,
-                               IntegrationSpec("monte_carlo", sample_count=2_000_000,
-                                               seed=RngSeed(55)))
+        mm = s_moments_poisson(2.0, window, f, 2_000_000, RngSeed(55))
         for comp, value in oracle.items():
             assert abs(coarse[comp] - value) < 1e-3 * mm.errors[comp], comp
             diff = abs(getattr(mm, comp) - value)
@@ -167,7 +156,7 @@ class TestMomentValues:
         # m - K stars outside the box adding zeros
         lam, m, seed = 3.0, 200_000, RngSeed(17)
         f = kernel_pair_function(KernelFunction("box", 0.05), 0.2, unit_square())
-        mm = s_moments_poisson(lam, unit_square(), f, IntegrationSpec(sample_count=m, seed=seed))
+        mm = s_moments_poisson(lam, unit_square(), f, m, seed)
         c = f.reach * (1.0 + 1e-9)
         rng = seed.substream(0).generator()
         k = rng.binomial(m, (c * (2.0 - c)) ** 2)
@@ -191,10 +180,9 @@ class TestMomentValues:
 
     def test_intensity_scaling_law(self):
         f = gaussian_pair_function()
-        spec = IntegrationSpec("monte_carlo", sample_count=50_000, seed=RngSeed(3))
-        base = s_moments_poisson(2.0, unit_square(), f, spec)
+        base = s_moments_poisson(2.0, unit_square(), f, 50_000, RngSeed(3))
         for c in (0.5, 2.0):
-            scaled = s_moments_poisson(2.0 * c, unit_square(), f, spec)
+            scaled = s_moments_poisson(2.0 * c, unit_square(), f, 50_000, RngSeed(3))
             assert scaled.s2 == pytest.approx(c**2 * base.s2, rel=1e-12)
             assert scaled.s3 == pytest.approx(c**3 * base.s3, rel=1e-12)
             assert scaled.s4 == pytest.approx(c**4 * base.s4, rel=1e-12)
@@ -203,26 +191,22 @@ class TestMomentValues:
     def test_s4_is_e_theta_squared(self):
         # Poisson truth: s4 = lam^4 I(f)^2 = (E theta)^2, with the error of
         # E theta propagated to first order at least
-        spec = IntegrationSpec("monte_carlo", sample_count=100_000, seed=RngSeed(66))
         for name, build in SMOOTH_SUITE:
-            m = s_moments_poisson(2.0, unit_square(), build(), spec)
+            m = s_moments_poisson(2.0, unit_square(), build(), 100_000, RngSeed(66))
             assert m.s4 == m.e_theta * m.e_theta, name
             assert m.errors["s4"] >= 2 * abs(m.e_theta) * m.errors["e_theta"], name
 
-    @pytest.mark.parametrize("method,kw", [
-        pytest.param("monte_carlo", {"sample_count": 2_000_000, "seed": RngSeed(55)},
-                     id="monte_carlo-kw1"),
-        pytest.param("monte_carlo", {"sample_count": 1_000_000, "seed": RngSeed(66)},
-                     id="monte_carlo-kw2"),
+    @pytest.mark.parametrize("kw", [
+        pytest.param({"sample_count": 2_000_000, "seed": RngSeed(55)}, id="monte_carlo-kw1"),
+        pytest.param({"sample_count": 1_000_000, "seed": RngSeed(66)}, id="monte_carlo-kw2"),
     ])
-    def test_constant_errors_bound_rounding(self, method, kw):
+    def test_constant_errors_bound_rounding(self, kw):
         # f = c: e = lam^2 c, s2 = lam^2 c^2, s3 = lam^3 c^2, s4 = lam^4 c^2,
         # exact in rationals for the binary value of c; sampling error is 0,
         # so each reported error must still cover the rounding
         c, lam = 0.7, 2.0
         f = constant_pair_function(unit_square(), c)
-        runs = [s_moments_poisson(lam, unit_square(), f, IntegrationSpec(method, threads=t, **kw))
-                for t in (1, 2)]
+        runs = [s_moments_poisson(lam, unit_square(), f, threads=t, **kw) for t in (1, 2)]
         assert runs[0].errors == runs[1].errors
         m = runs[0]
         qc, ql = Fraction(c), Fraction(lam)
@@ -236,17 +220,14 @@ class TestMomentValues:
         # box kernel: f^2 = f / (2b) pointwise, so s2 * 2b = e_theta exactly
         b = 0.02
         f = kernel_pair_function(KernelFunction("box", b), 0.15, unit_square())
-        m = s_moments_poisson(1.0, unit_square(), f,
-                              IntegrationSpec("monte_carlo", sample_count=4_000_000,
-                                              seed=RngSeed(77)))
+        m = s_moments_poisson(1.0, unit_square(), f, 4_000_000, RngSeed(77))
         budget = 2 * b * m.errors["s2"] + m.errors["e_theta"]
         assert abs(2 * b * m.s2 - m.e_theta) < budget
 
     def test_interval_window_rejected(self):
         f = constant_pair_function(Interval1(0.0, 1.0), 1.0)
         with pytest.raises(ParameterError, match="planar window"):
-            s_moments_poisson(1.0, Interval1(0.0, 1.0), f,
-                              IntegrationSpec("monte_carlo", sample_count=2000, seed=RngSeed(4)))
+            s_moments_poisson(1.0, Interval1(0.0, 1.0), f, 2000, RngSeed(4))
 
     def test_nonfinite_integrand_reported(self):
         def bad(x, y):
@@ -254,8 +235,7 @@ class TestMomentValues:
 
         f = PairFunction(bad, unit_square(), label="bad")
         with pytest.raises(NumericalError):
-            s_moments_poisson(1.0, unit_square(), f,
-                              IntegrationSpec("monte_carlo", sample_count=2000, seed=RngSeed(4)))
+            s_moments_poisson(1.0, unit_square(), f, 2000, RngSeed(4))
 
 
 class TestInReachDraw:
@@ -275,8 +255,8 @@ class TestInReachDraw:
         if rho < min(a, b):
             closed = math.pi * rho**2 * a * b - 4.0 / 3.0 * rho**3 * (a + b) + rho**4 / 2.0
             assert truth == pytest.approx(lam**2 * closed, rel=1e-12, abs=0)
-        mm = s_moments_poisson(lam, window, disc_pair_function(window, rho),
-                               IntegrationSpec(sample_count=2_000_000, seed=RngSeed(31)))
+        mm = s_moments_poisson(lam, window, disc_pair_function(window, rho), 2_000_000,
+                               RngSeed(31))
         for comp in ("e_theta", "s2"):
             diff = abs(getattr(mm, comp) - truth)
             assert diff < mm.errors[comp], f"{comp}: {diff} vs {mm.errors[comp]}"
@@ -316,8 +296,7 @@ class TestInReachDraw:
         diagonal = math.hypot(window.x_max - window.x_min, window.y_max - window.y_min)
         unbounded = constant_pair_function(window, c)
         spanning = PairFunction(unbounded.h, window, label="const-reach", reach=diagonal)
-        spec = IntegrationSpec(sample_count=300_000, seed=RngSeed(9))
-        runs = [s_moments_poisson(lam, window, f, spec) for f in (unbounded, spanning)]
+        runs = [s_moments_poisson(lam, window, f, 300_000, RngSeed(9)) for f in (unbounded, spanning)]
         assert runs[0] == runs[1]
         m = runs[0]
         qa, qc, ql = Fraction(window.area), Fraction(c), Fraction(lam)
@@ -342,8 +321,7 @@ class TestInReachDraw:
             return rows, v
 
         monkeypatch.setattr(PairFunction, "nonzero_rows", counting)
-        s_moments_poisson(50.0, unit_square(), f,
-                          IntegrationSpec(sample_count=samples, seed=RngSeed(20260808)))
+        s_moments_poisson(50.0, unit_square(), f, samples, RngSeed(20260808))
         # calls alternate per chunk: the (x1, x2) pairs, then x3 for their hits
         assert offered[1::2] == kept[0::2]
         c = f.reach * (1.0 + 1e-9)
@@ -373,14 +351,13 @@ class TestChunkStats:
 class TestVarianceFormulas:
     def test_zero_moments(self):
         f = constant_pair_function(unit_square(), 0.0)
-        m = s_moments_poisson(1.0, unit_square(), f,
-                              IntegrationSpec("monte_carlo", sample_count=2000, seed=RngSeed(5)))
+        m = s_moments_poisson(1.0, unit_square(), f, 2000, RngSeed(5))
         assert true_variance_poisson(m) == 0.0
         assert alpha_coefficients(None, "poissonized").variance(m.s4, m.s3, m.s2) == 0.0
 
     def test_unit_case_closed_forms(self):
         f = constant_pair_function(unit_square(), 1.0)
-        m = s_moments_poisson(1.0, unit_square(), f, SMALL_MC)
+        m = s_moments_poisson(1.0, unit_square(), f, **SMALL_MC)
         # full form 1 + 4 + 2 - 1 = 6 equals the reduced 4 s3 + 2 s2
         assert true_variance_poisson(m) == pytest.approx(6.0, rel=1e-12)
         assert m.reduced_true_variance() == pytest.approx(6.0, rel=1e-12)
@@ -389,7 +366,7 @@ class TestVarianceFormulas:
 
     def test_poissonized_expectation_is_reduced_form(self):
         f = gaussian_pair_function()
-        m = s_moments_poisson(2.0, unit_square(), f, SMALL_MC)
+        m = s_moments_poisson(2.0, unit_square(), f, **SMALL_MC)
         a_inf = alpha_coefficients(None, "poissonized")
         assert a_inf.variance(m.s4, m.s3, m.s2) == pytest.approx(
             4 * m.s3 + 6 * m.s2, rel=1e-12
@@ -397,7 +374,7 @@ class TestVarianceFormulas:
 
     def test_large_n_multinomial_close_to_poissonized(self):
         for name, build in SMOOTH_SUITE:
-            m = s_moments_poisson(2.0, unit_square(), build(), SMALL_MC)
+            m = s_moments_poisson(2.0, unit_square(), build(), **SMALL_MC)
             a_n = alpha_coefficients(10_000, "multinomial")
             a_inf = alpha_coefficients(None, "poissonized")
             v_n = a_n.variance(m.s4, m.s3, m.s2)
@@ -418,5 +395,5 @@ class TestVarianceFormulas:
         ])
         exact = 4 * mu**3 + 2 * mu**2
         assert abs(np.var(thetas, ddof=1) / exact - 1.0) < 0.10
-        m = s_moments_poisson(lam, unit_square(), f, SMALL_MC)
+        m = s_moments_poisson(lam, unit_square(), f, **SMALL_MC)
         assert true_variance_poisson(m) == pytest.approx(exact, rel=1e-10)

@@ -81,5 +81,7 @@ def test_traced_commands_report_every_layer_metric(tmp_path):
     assert metrics["twopoint.pair_matrix.calls"][0] == 1
     assert metrics["twopoint.pair_matrix.nonzero_frac"][0] > 0
     assert metrics["bootstrap.resamples"][0] == 50
+    # the tracer binds ``samples`` of _mc_mean by name: the config's sample count
+    assert metrics["moments.samples"][0] == 20000
     # the Poisson cdf the tracer wraps is the one the closed-form threshold calls
     assert metrics["intensity.poisson_cdf.calls"][0] > 0

@@ -16,7 +16,7 @@ from ppboot.geometry import (
     simulate_homogeneous_poisson,
     unit_square,
 )
-from ppboot.moments import IntegrationSpec, s_moments_poisson
+from ppboot.moments import s_moments_poisson
 from ppboot.rng import RngSeed
 from ppboot.twopoint import (
     KernelFunction,
@@ -168,9 +168,7 @@ class TestProductDensity:
         lam, r, b = 200.0, 0.05, 0.01
         window = unit_square()
         f = kernel_pair_function(KernelFunction("box", b), r, window)
-        m = s_moments_poisson(1.0, window, f,
-                              IntegrationSpec("monte_carlo", sample_count=20_000_000,
-                                              seed=RngSeed(201)))
+        m = s_moments_poisson(1.0, window, f, 20_000_000, RngSeed(201))
         target = lam**2 * m.e_theta / (2 * np.pi * r)
         reps = 2000
         seed = RngSeed(202)
