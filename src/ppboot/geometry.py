@@ -123,27 +123,27 @@ class PointPattern:
         return 2 if isinstance(self.window, Window2) else 1
 
 
-def _first_repeat(rows: np.ndarray) -> tuple[int, int] | None:
+def _first_repeat(rows: np.ndarray, grouped: bool = False) -> tuple[int, int] | None:
     """(k, e): the smallest index k whose row equals an earlier row e; None if all differ."""
-    if len(rows) < 2:
-        return None
-    # a stable sort puts equal rows next to each other in index order,
-    # so each adjacent equal pair's second index repeats an earlier row
-    order = np.lexsort(rows.T[::-1])
-    repeats = np.flatnonzero(np.all(rows[order[1:]] == rows[order[:-1]], axis=1))
+    # a stable sort puts equal rows next to each other in index order (``grouped``
+    # rows are so already), so each adjacent equal pair's second index repeats an earlier row
+    order = np.arange(len(rows)) if grouped else np.lexsort(rows.T[::-1])
+    ordered = rows if grouped else rows[order]
+    repeats = np.flatnonzero(np.logical_and.reduce([c[1:] == c[:-1] for c in ordered.T]))
     if not len(repeats):
         return None
     k = repeats[np.argmin(order[repeats + 1])]
     return int(order[k + 1]), int(order[k])
 
 
-def _check_replicates(points: np.ndarray, counts: np.ndarray, window: Window2 | Interval1) -> None:
+def _check_replicates(points: np.ndarray, counts: np.ndarray, window: Window2 | Interval1,
+                      grouped: bool = False) -> None:
     """Check stacked patterns as ``PointPattern`` checks one, naming a point by its replicate.
 
     Replicate g is the ``counts[g]`` points after those of the replicates
     before it.  Every point must lie inside ``window``, and the points of
     each replicate must be pairwise distinct; a point may repeat one of
-    another replicate.
+    another replicate.  ``grouped`` replicates are each sorted, so the search sorts nothing.
     """
     starts = np.cumsum(counts) - counts
     group = np.repeat(np.arange(len(counts)), counts)
@@ -152,7 +152,7 @@ def _check_replicates(points: np.ndarray, counts: np.ndarray, window: Window2 | 
         g = group[outside[0]]
         raise _point_error(OutOfWindowError, int(outside[0] - starts[g]),
                            f"of replicate {g} lies outside the window")
-    repeat = _first_repeat(np.column_stack([points, group]))
+    repeat = _first_repeat(np.column_stack([points, group]), grouped)
     if repeat is not None:
         g = group[repeat[0]]
         raise _point_error(DuplicatePointError, int(repeat[0] - starts[g]),
@@ -251,31 +251,51 @@ def _simulate_homogeneous_block(lam: float, window: Window2,
     return points, counts
 
 
-def simulate_inhomogeneous_poisson(
-    intensity: IntensityFunction, interval: Interval1, seed: RngSeed
-) -> PointPattern:
-    """Inhomogeneous Poisson process on an interval by thinning.
+def simulate_inhomogeneous_poisson(intensity: IntensityFunction, interval: Interval1,
+                                   seed: RngSeed) -> PointPattern:
+    """Inhomogeneous Poisson process on an interval by thinning, its points sorted.
 
     A homogeneous Poisson(lambda_max) proposal is thinned, keeping each
     point x with probability lambda(x) / lambda_max.  Exact as long as
     lambda(x) <= lambda_max everywhere; violations raise
     :class:`InvalidBoundError` when detected at evaluation.
     """
+    return PointPattern(_simulate_inhomogeneous_block(intensity, interval, [seed])[0], interval)
+
+
+def _simulate_inhomogeneous_block(intensity: IntensityFunction, interval: Interval1,
+                                  seeds: list[RngSeed]) -> tuple[np.ndarray, np.ndarray]:
+    """One thinned pattern per seed, as stacked points, sorted per pattern, and per-pattern counts.
+
+    Pattern g draws from ``seeds[g]`` alone: a Poisson count, that many
+    proposals, then as many uniforms.  lambda is evaluated and the block
+    thinned at once; a bad lambda is reported as the first pattern to
+    show it would report it alone.  The points are not checked.
+    """
     _require_window(interval, Interval1, "inhomogeneous simulation")
-    _require_drawable(intensity.lambda_max * interval.length)
-    rng = seed.generator()
-    n_prop = int(rng.poisson(intensity.lambda_max * interval.length))
-    proposals = rng.uniform(interval.lo, interval.hi, n_prop)
-    u = rng.uniform(0.0, 1.0, n_prop)
-    if n_prop == 0:
-        return PointPattern(np.empty(0), interval)
-    values = intensity(proposals)
-    if np.any(values < 0):
-        raise ParameterError("intensity function is negative at an evaluated point")
-    if np.any(values > intensity.lambda_max * (1 + 1e-12)):
-        x_bad = float(proposals[np.argmax(values)])
-        raise InvalidBoundError(
-            f"intensity exceeds declared lambda_max={intensity.lambda_max} at x={x_bad:.6g}"
-        )
-    kept = proposals[u * intensity.lambda_max < values]
-    return PointPattern(np.sort(kept), interval)
+    lam_max = intensity.lambda_max
+    _require_drawable(lam_max * interval.length)
+    proposals, uniforms = [], []
+    for seed in seeds:
+        rng = seed.generator()
+        n = int(rng.poisson(lam_max * interval.length))
+        proposals.append(rng.uniform(interval.lo, interval.hi, n))
+        uniforms.append(rng.uniform(0.0, 1.0, n))
+    x = np.concatenate(proposals)
+    starts = np.cumsum([0] + [len(p) for p in proposals])
+    values = intensity(x) if len(x) else x
+    bad = np.flatnonzero((values < 0) | (values > lam_max * (1 + 1e-12)))
+    if len(bad):
+        g = np.searchsorted(starts, bad[0], side="right") - 1
+        own = values[starts[g]:starts[g + 1]]
+        if np.any(own < 0):
+            raise ParameterError("intensity function is negative at an evaluated point")
+        raise InvalidBoundError(f"intensity exceeds declared lambda_max={lam_max} "
+                                f"at x={x[starts[g] + np.argmax(own)]:.6g}")
+    # the kept indices ascend, so pattern g keeps those from starts[g] to starts[g + 1]
+    kept = np.flatnonzero(np.concatenate(uniforms) * lam_max < values)
+    bounds = np.searchsorted(kept, starts)
+    points = x[kept]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        points[lo:hi].sort()
+    return points, np.diff(bounds)

@@ -46,8 +46,9 @@ from .geometry import (
     Interval1,
     IntensityFunction,
     PointPattern,
+    _check_replicates,
     _require_window,
-    simulate_inhomogeneous_poisson,
+    _simulate_inhomogeneous_block,
 )
 from .rng import RngSeed
 
@@ -70,6 +71,9 @@ stats = SimpleNamespace(poisson=SimpleNamespace(cdf=_poisson_cdf))
 # Monte Carlo draws are counted on the atoms p -+ (_ATOM_SPAN sqrt(p) + _ATOM_SPAN);
 # the Poisson(p) mass outside is below 1e-26 for every p
 _ATOM_SPAN = 12.0
+
+# Most proposals a coverage block expects; at 2^15 malloc returns and refaults block memory
+_BLOCK_PROPOSALS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -297,14 +301,25 @@ def _window_means(intensity: IntensityFunction, ends: tuple[np.ndarray, np.ndarr
 def window_counts(pattern: PointPattern, h: float, grid: np.ndarray) -> np.ndarray:
     """The counts p(x) behind the estimate lambda_hat(x) = p(x) / (2h), on a grid."""
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    return _counts_in(pattern.points, _window_ends(pattern.window, grid, h))
+    return _counts_in(np.sort(pattern.points), _window_ends(pattern.window, grid, h))
 
 
 def _counts_in(points: np.ndarray, ends: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """#{points in [lo, hi]} for every cut window (lo, hi) (closed interval)."""
-    xs = np.sort(np.asarray(points, dtype=float))
-    return (np.searchsorted(xs, ends[1], side="right")
-            - np.searchsorted(xs, ends[0], side="left")).astype(np.int64)
+    """#{points in [lo, hi]} for every cut window (lo, hi) (closed interval); ``points`` sorted."""
+    return (np.searchsorted(points, ends[1], side="right")
+            - np.searchsorted(points, ends[0], side="left")).astype(np.int64)
+
+
+def _replicate_counts(intensity: IntensityFunction, interval: Interval1, seeds: list[RngSeed],
+                      ends: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Counts in each cut window of ``ends``, a row per seed's pattern, simulated in blocks."""
+    block = max(1, int(_BLOCK_PROPOSALS / max(intensity.lambda_max * interval.length, 1.0)))
+    rows = []
+    for start in range(0, len(seeds), block):
+        points, counts = _simulate_inhomogeneous_block(intensity, interval, seeds[start:start + block])
+        _check_replicates(points, counts, interval, grouped=True)
+        rows += [_counts_in(p, ends) for p in np.split(points, np.cumsum(counts)[:-1])]
+    return np.array(rows)
 
 
 def _edge_flags(grid: np.ndarray, ends: tuple[np.ndarray, np.ndarray], h: float) -> list[str]:
@@ -445,7 +460,7 @@ def confidence_band(
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     ends = _window_ends(pattern.window, grid, h)
-    counts = _counts_in(pattern.points, ends)
+    counts = _counts_in(np.sort(pattern.points), ends)
     means = None if intensity is None else _window_means(intensity, ends)
     builder = _BandBuilder(h, alpha, method, mc_draws=mc_draws, seed=seed, means=means)
     lo, hi, ts, fallback = builder.bounds(counts)
@@ -483,20 +498,13 @@ class CoverageResult:
                 "coverage_e_lambda_hat_se": se(self.coverage_smoothed)}
 
 
-def coverage_experiment(
-    intensity: IntensityFunction,
-    interval: Interval1,
-    h: float,
-    alpha: float,
-    method: str,
-    reps: int,
-    grid: np.ndarray,
-    seed: RngSeed,
-    mc_draws: int = 100_000,
-) -> CoverageResult:
+def coverage_experiment(intensity: IntensityFunction, interval: Interval1, h: float, alpha: float,
+                        method: str, reps: int, grid: np.ndarray, seed: RngSeed,
+                        mc_draws: int = 100_000) -> CoverageResult:
     """Simulate fresh patterns and record how often the band captures each target.
 
-    Replicates run serially in blocks of 200, so memory does not grow with ``reps``.
+    Replicate r draws from ``seed.substream(0, r)``.  Replicates are counted 200 at a
+    time, so memory does not grow with ``reps``; no result depends on a block size.
     """
     if reps < 100:
         raise ParameterError(f"need at least 100 replications, got {reps}")
@@ -504,21 +512,12 @@ def coverage_experiment(
     ends = _window_ends(interval, grid, h)
     means = _window_means(intensity, ends)
     builder = _BandBuilder(h, alpha, method, mc_draws=mc_draws, seed=seed, means=means)
-    lam_true = intensity(grid)
-    lam_smoothed = means / (2.0 * h)
-
-    block = 200
-    hits_true = hits_smoothed = 0
-    for start in range(0, reps, block):
-        patterns = (simulate_inhomogeneous_poisson(intensity, interval, seed.substream(0, r))
-                    for r in range(start, min(start + block, reps)))
-        lo, hi, _, _ = builder.bounds(np.array([_counts_in(p.points, ends) for p in patterns]))
-        hits_true += ((lo <= lam_true) & (lam_true <= hi)).sum(axis=0)
-        hits_smoothed += ((lo <= lam_smoothed) & (lam_smoothed <= hi)).sum(axis=0)
-    return CoverageResult(
-        grid=grid,
-        coverage_true=hits_true / reps,
-        coverage_smoothed=hits_smoothed / reps,
-        reps=reps,
-        flags=tuple(_edge_flags(grid, ends, h)),
-    )
+    targets = np.stack([intensity(grid), means / (2.0 * h)])  # lambda and E lambda_hat
+    hits = 0
+    for start in range(0, reps, 200):
+        seeds = [seed.substream(0, r) for r in range(start, min(start + 200, reps))]
+        lo, hi, _, _ = builder.bounds(_replicate_counts(intensity, interval, seeds, ends))
+        hits += ((lo[:, None] <= targets) & (targets <= hi[:, None])).sum(axis=0)
+    return CoverageResult(grid=grid, coverage_true=hits[0] / reps,
+                          coverage_smoothed=hits[1] / reps, reps=reps,
+                          flags=tuple(_edge_flags(grid, ends, h)))

@@ -12,6 +12,7 @@ from ppboot.geometry import (
     Window2,
     _check_replicates,
     _simulate_homogeneous_block,
+    _simulate_inhomogeneous_block,
     constant_intensity,
     linear_intensity,
     simulate_homogeneous_poisson,
@@ -116,6 +117,27 @@ class TestReplicateChecks:
     def test_same_point_in_two_replicates_accepted(self, points, window):
         _check_replicates(points, np.array([2, 2]), window)
         _check_replicates(points, np.array([2, 0, 2]), window)
+
+    @pytest.mark.parametrize("replicates, index, earlier", [
+        ([[0.1, 0.3], [0.2, 0.5, 0.5, 0.7]], 2, 1),
+        ([[0.4], [0.2, 0.2, 0.2, 0.6]], 1, 0),  # three-way repeat
+        ([[0.3], [-0.0, 0.0, 0.5]], 1, 0),  # 0.0 and -0.0 coincide
+    ], ids=["1d", "1d-three-way", "1d-signed-zero"])
+    def test_sorted_repeat_named_without_a_sort(self, replicates, index, earlier):
+        # sorted replicates need no sort; with or without one the same repeat is named
+        points = np.concatenate([np.array(r, dtype=float) for r in replicates])
+        counts = np.array([len(r) for r in replicates])
+        for grouped in (True, False):
+            with pytest.raises(DuplicatePointError,
+                               match=f"point {index} of replicate 1 repeats its point {earlier};") as info:
+                _check_replicates(points, counts, Interval1(-1, 1), grouped=grouped)
+            assert info.value.index == index
+
+    def test_sorted_replicates_sharing_a_value_accepted(self):
+        # 0.5 ends the first replicate and starts the last: next to each other, in two replicates
+        points = np.array([0.2, 0.5, 0.5, 0.6])
+        _check_replicates(points, np.array([2, 2]), Interval1(0, 1), grouped=True)
+        _check_replicates(points, np.array([2, 0, 2]), Interval1(0, 1), grouped=True)
 
     def test_out_of_window_point_named_by_replicate(self):
         pts = np.array([[0.5, 0.5], [0.2, 0.2], [1.5, 0.5], [2.0, 0.0]])
@@ -265,6 +287,61 @@ class TestInhomogeneousSimulation:
                                      integral=lambda lo, hi: lo - hi)
         with pytest.raises(ParameterError):
             simulate_inhomogeneous_poisson(negative, Interval1(0, 1), RngSeed(4))
+
+
+def one_seed_outcome(intensity, seed):
+    """The error ``simulate_inhomogeneous_poisson`` raises at ``seed``, or None."""
+    try:
+        simulate_inhomogeneous_poisson(intensity, Interval1(0, 1), seed)
+    except ParameterError as exc:
+        return exc
+    return None
+
+
+class TestInhomogeneousBlock:
+    """A block reports a bad lambda as its first pattern to show it would report it alone."""
+
+    SEEDS = [RngSeed(2, (0, r)) for r in range(16)]
+
+    # 1 + x exceeds its declared 1.8 above x = 0.8, where Poisson(1.8) proposals
+    # fall with probability 0.30; NEGATIVE is negative below x = 0.1 (0.16)
+    LYING = IntensityFunction(lambda x: 1.0 + np.asarray(x), lambda_max=1.8,
+                              integral=lambda lo, hi: (hi - lo) * (1.0 + 0.5 * (lo + hi)))
+    NEGATIVE = IntensityFunction(lambda x: np.where(np.asarray(x) < 0.1, -1.0, 1.0),
+                                 lambda_max=1.8, integral=lambda lo, hi: hi - lo)
+    BOTH = IntensityFunction(lambda x: np.where(np.asarray(x) < 0.1, -1.0, 1.0 + np.asarray(x)),
+                             lambda_max=1.8, integral=lambda lo, hi: hi - lo)
+
+    @pytest.mark.parametrize("name", ["LYING", "NEGATIVE", "BOTH"])
+    def test_error_is_the_first_failing_patterns(self, name):
+        intensity = getattr(self, name)
+        outcomes = [one_seed_outcome(intensity, seed) for seed in self.SEEDS]
+        failing = [k for k, exc in enumerate(outcomes) if exc is not None]
+        # neither the block's first pattern nor its only failing one; in BOTH a negative
+        # lambda follows the first failure, an exceeded bound
+        assert failing[0] > 0 and len(failing) > 1
+        if name == "BOTH":
+            assert type(outcomes[failing[0]]) is InvalidBoundError
+            assert any(type(outcomes[k]) is ParameterError for k in failing[1:])
+        first = outcomes[failing[0]]
+        with pytest.raises(ParameterError) as info:
+            _simulate_inhomogeneous_block(intensity, Interval1(0, 1), self.SEEDS)
+        assert type(info.value) is type(first) and str(info.value) == str(first)
+
+    def test_bound_violation_names_the_patterns_largest_lambda(self):
+        outcomes = [one_seed_outcome(self.LYING, seed) for seed in self.SEEDS]
+        seed = self.SEEDS[next(k for k, exc in enumerate(outcomes) if exc is not None)]
+        rng = seed.generator()
+        proposals = rng.uniform(0.0, 1.0, rng.poisson(1.8))
+        x_bad = proposals[np.argmax(1.0 + proposals)]
+        with pytest.raises(InvalidBoundError) as info:
+            _simulate_inhomogeneous_block(self.LYING, Interval1(0, 1), self.SEEDS)
+        assert str(info.value) == f"intensity exceeds declared lambda_max=1.8 at x={x_bad:.6g}"
+
+    def test_negative_lambda_is_a_parameter_error(self):
+        with pytest.raises(ParameterError, match="negative at an evaluated point") as info:
+            _simulate_inhomogeneous_block(self.NEGATIVE, Interval1(0, 1), self.SEEDS)
+        assert type(info.value) is ParameterError
 
 
 class TestCountPointsIn:

@@ -5,7 +5,8 @@ import pytest
 from scipy import stats
 
 from ppboot import intensity
-from ppboot.errors import DegenerateCountError, ParameterError, UnattainableLevelError
+from ppboot.errors import (DegenerateCountError, DuplicatePointError, ParameterError,
+                           UnattainableLevelError)
 from ppboot.experiments import midpoint_grid
 from ppboot.geometry import (
     Interval1,
@@ -13,6 +14,7 @@ from ppboot.geometry import (
     constant_intensity,
     unit_square,
     linear_intensity,
+    _simulate_inhomogeneous_block,
     simulate_inhomogeneous_poisson,
 )
 from ppboot.intensity import (
@@ -21,6 +23,8 @@ from ppboot.intensity import (
     _atom_range,
     _draw_atom_counts,
     _garwood_interval,
+    _replicate_counts,
+    _window_ends,
     confidence_band,
     coverage_experiment,
     t_alpha_oracle,
@@ -695,3 +699,80 @@ class TestCoverageExperiment:
         h = 0.05
         smoothed = np.array([intensity.integral(x - h, x + h) for x in grid]) / (2 * h)
         np.testing.assert_allclose(smoothed, intensity(grid), rtol=1e-10)
+
+
+BLOCK_INTENSITIES = pytest.mark.parametrize("lam", [
+    linear_intensity(20.0, 2000.0, I01),
+    constant_intensity(40.0),
+    constant_intensity(0.0),
+    constant_intensity(0.7),  # no proposal at all in half the replicates
+], ids=["linear", "constant", "zero", "sparse"])
+
+
+def thinned_alone(lam, seed):
+    """One replicate on I01 as its own stream draws it: a count, its proposals, its uniforms."""
+    rng = seed.generator()
+    n = rng.poisson(lam.lambda_max)
+    proposals, u = rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)
+    return np.sort(proposals[u * lam.lambda_max < lam(proposals)])
+
+
+class TestCoverageBlocks:
+    """Coverage replicates are drawn, checked and counted a block at a time."""
+
+    SEEDS = [RngSeed(31, (0, r)) for r in range(40)]
+
+    @BLOCK_INTENSITIES
+    def test_block_is_each_seed_drawn_alone(self, lam):
+        points, counts = _simulate_inhomogeneous_block(lam, I01, self.SEEDS)
+        alone = [thinned_alone(lam, seed) for seed in self.SEEDS]
+        assert counts.tolist() == [len(a) for a in alone]
+        assert points.tobytes() == np.concatenate(alone).tobytes()
+        for seed, a in zip(self.SEEDS, alone):
+            assert simulate_inhomogeneous_poisson(lam, I01, seed).points.tobytes() == a.tobytes()
+        if lam.lambda_max < 1:
+            assert 0 in counts
+
+    @BLOCK_INTENSITIES
+    def test_batched_counts_equal_window_counts(self, lam):
+        grid, h = midpoint_grid(I01, 20), 0.05
+        counts = _replicate_counts(lam, I01, self.SEEDS, _window_ends(I01, grid, h))
+        alone = [window_counts(simulate_inhomogeneous_poisson(lam, I01, seed), h, grid)
+                 for seed in self.SEEDS]
+        assert counts.dtype == np.int64 and np.array_equal(counts, alone)
+
+    @pytest.mark.parametrize("method", BAND_METHODS)
+    def test_results_do_not_depend_on_block_size(self, monkeypatch, method):
+        lam, grid = linear_intensity(20.0, 2000.0, I01), midpoint_grid(I01, 10)
+
+        def run():
+            return coverage_experiment(lam, I01, 0.05, 0.05, method, 250, grid, RngSeed(33),
+                                       mc_draws=2000)
+
+        default = run()
+        for proposals in (1, 7 * 2020):  # blocks of 1 and of 7 replicates
+            monkeypatch.setattr(intensity, "_BLOCK_PROPOSALS", proposals)
+            blocked = run()
+            assert np.array_equal(blocked.coverage_true, default.coverage_true)
+            assert np.array_equal(blocked.coverage_smoothed, default.coverage_smoothed)
+
+    def test_no_pattern_built_per_replicate(self, monkeypatch):
+        built = []
+        check = PointPattern.__post_init__
+        monkeypatch.setattr(PointPattern, "__post_init__", lambda self: built.append(check(self)))
+        coverage_experiment(constant_intensity(40.0), I01, 0.1, 0.1, "exact_poisson", 300,
+                            midpoint_grid(I01, 4), RngSeed(14))
+        assert built == []
+
+    def test_each_block_checked(self, monkeypatch):
+        draw = intensity._simulate_inhomogeneous_block
+
+        def with_repeat(*args):
+            points, counts = draw(*args)
+            points[counts[0] + 1] = points[counts[0]]  # replicate 1 repeats its point 0
+            return points, counts
+
+        monkeypatch.setattr(intensity, "_simulate_inhomogeneous_block", with_repeat)
+        with pytest.raises(DuplicatePointError, match="point 1 of replicate 1 repeats its point 0;"):
+            coverage_experiment(constant_intensity(40.0), I01, 0.1, 0.1, "exact_poisson", 300,
+                                midpoint_grid(I01, 4), RngSeed(14))
