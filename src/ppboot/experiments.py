@@ -289,7 +289,7 @@ def run_variance_comparison(config: dict, threads: int = 1) -> ResultRecord:
     for lo in range(0, reps, block):
         seeds = [seed.substream(0, r) for r in range(lo, min(lo + block, reps))]
         points, counts = _simulate_homogeneous_block(lam, window, seeds)
-        _check_replicates(points, counts, window)
+        _check_replicates(points, counts, window, first=lo)
         sums = _grouped_sums(points, counts, f)
         thetas[lo:lo + len(seeds)] = sums.P
         limits[lo:lo + len(seeds)] = _limit_from_sums(sums, counts, cfg["scheme"])

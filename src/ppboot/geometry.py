@@ -137,10 +137,10 @@ def _first_repeat(rows: np.ndarray, grouped: bool = False) -> tuple[int, int] | 
 
 
 def _check_replicates(points: np.ndarray, counts: np.ndarray, window: Window2 | Interval1,
-                      grouped: bool = False) -> None:
+                      grouped: bool = False, first: int = 0) -> None:
     """Check stacked patterns as ``PointPattern`` checks one, naming a point by its replicate.
 
-    Replicate g is the ``counts[g]`` points after those of the replicates
+    Replicate first + g is the ``counts[g]`` points after those of the replicates
     before it.  Every point must lie inside ``window``, and the points of
     each replicate must be pairwise distinct; a point may repeat one of
     another replicate.  ``grouped`` replicates are each sorted, so the search sorts nothing.
@@ -151,12 +151,12 @@ def _check_replicates(points: np.ndarray, counts: np.ndarray, window: Window2 | 
     if len(outside):
         g = group[outside[0]]
         raise _point_error(OutOfWindowError, int(outside[0] - starts[g]),
-                           f"of replicate {g} lies outside the window")
+                           f"of replicate {first + g} lies outside the window")
     repeat = _first_repeat(np.column_stack([points, group]), grouped)
     if repeat is not None:
         g = group[repeat[0]]
         raise _point_error(DuplicatePointError, int(repeat[0] - starts[g]),
-                           f"of replicate {g} repeats its point {repeat[1] - starts[g]}; "
+                           f"of replicate {first + g} repeats its point {repeat[1] - starts[g]}; "
                            "points must be pairwise distinct")
 
 

@@ -310,18 +310,6 @@ def _counts_in(points: np.ndarray, ends: tuple[np.ndarray, np.ndarray]) -> np.nd
             - np.searchsorted(points, ends[0], side="left")).astype(np.int64)
 
 
-def _replicate_counts(intensity: IntensityFunction, interval: Interval1, seeds: list[RngSeed],
-                      ends: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Counts in each cut window of ``ends``, a row per seed's pattern, simulated in blocks."""
-    block = max(1, int(_BLOCK_PROPOSALS / max(intensity.lambda_max * interval.length, 1.0)))
-    rows = []
-    for start in range(0, len(seeds), block):
-        points, counts = _simulate_inhomogeneous_block(intensity, interval, seeds[start:start + block])
-        _check_replicates(points, counts, interval, grouped=True)
-        rows += [_counts_in(p, ends) for p in np.split(points, np.cumsum(counts)[:-1])]
-    return np.array(rows)
-
-
 def _edge_flags(grid: np.ndarray, ends: tuple[np.ndarray, np.ndarray], h: float) -> list[str]:
     """Mark grid points whose cut window (``_window_ends``) is shorter than [x-h, x+h]."""
     return ["edge" if cut else "" for cut in (ends[0] > grid - h) | (ends[1] < grid + h)]
@@ -340,13 +328,13 @@ def _garwood_interval(p: int, alpha: float) -> tuple[float, float]:
 
 
 class _BandBuilder:
-    """Maps observed counts on a grid to band bounds, caching per distinct count.
+    """Maps observed counts on a grid to band bounds.
 
-    One builder is reused across replications in coverage experiments so
-    Garwood intervals and threshold searches run once per count.  The
-    ``oracle_true_t`` threshold depends on the grid point's expected count
-    (``means``) instead, and is computed once per point at construction;
-    ``bounds`` centres the band on it wherever it is finite.
+    ``bounds`` runs the Garwood interval or threshold search once per
+    distinct count in its array; a band and a coverage experiment each make
+    one call.  The ``oracle_true_t`` threshold depends on the grid point's
+    expected count (``means``) instead, and is computed once per point at
+    construction; ``bounds`` centres the band on it wherever it is finite.
 
     The bootstrap threshold is undefined at a zero count and unattainable
     whenever exp(-p) >= alpha, and the oracle one whenever the expected
@@ -369,7 +357,6 @@ class _BandBuilder:
         self.method = method
         self.mc_draws = mc_draws
         self.seed = seed
-        self._by_count: dict[int, tuple[float, float, float, str]] = {}
         self._grid_t = None
         if method == "oracle_true_t":
             self._grid_t = np.array([self._oracle_threshold(float(m)) for m in means])
@@ -396,25 +383,18 @@ class _BandBuilder:
 
     def bounds_for_count(self, p: int) -> tuple[float, float, float, str]:
         """(lo, hi, t, flag) for observed count p; t is nan when not used."""
-        cached = self._by_count.get(p)
-        if cached is not None:
-            return cached
         if self.method == "exact_poisson":
-            out = (*self._exact(p), math.nan, "")
-        elif self.method == "oracle_true_t":
-            out = (*self._exact(p), math.nan, "level-unattainable")
-        elif p == 0:
-            out = (*self._exact(p), math.nan, "zero-count")
-        else:
-            try:
-                t = self._threshold(p)
-            except UnattainableLevelError:
-                out = (*self._exact(p), math.nan, "level-unattainable")
-            else:
-                lo, hi = _centered_band(p / (2.0 * self.h), t)
-                out = (float(lo), float(hi), t, "")
-        self._by_count[p] = out
-        return out
+            return (*self._exact(p), math.nan, "")
+        if self.method == "oracle_true_t":
+            return (*self._exact(p), math.nan, "level-unattainable")
+        if p == 0:
+            return (*self._exact(p), math.nan, "zero-count")
+        try:
+            t = self._threshold(p)
+        except UnattainableLevelError:
+            return (*self._exact(p), math.nan, "level-unattainable")
+        lo, hi = _centered_band(p / (2.0 * self.h), t)
+        return float(lo), float(hi), t, ""
 
     def bounds(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(lo, hi, t, flag) arrays for integer counts whose last axis runs over the grid."""
@@ -503,8 +483,9 @@ def coverage_experiment(intensity: IntensityFunction, interval: Interval1, h: fl
                         mc_draws: int = 100_000) -> CoverageResult:
     """Simulate fresh patterns and record how often the band captures each target.
 
-    Replicate r draws from ``seed.substream(0, r)``.  Replicates are counted 200 at a
-    time, so memory does not grow with ``reps``; no result depends on a block size.
+    The hits at grid point g sum, over the counts p seen, the replicates with count p at g
+    (``_count_histogram``) times 1[lo(p) <= target <= hi(p)], from one ``bounds`` call.  Memory
+    does not grow with ``reps``, and no result depends on a block size.
     """
     if reps < 100:
         raise ParameterError(f"need at least 100 replications, got {reps}")
@@ -512,12 +493,31 @@ def coverage_experiment(intensity: IntensityFunction, interval: Interval1, h: fl
     ends = _window_ends(interval, grid, h)
     means = _window_means(intensity, ends)
     builder = _BandBuilder(h, alpha, method, mc_draws=mc_draws, seed=seed, means=means)
-    targets = np.stack([intensity(grid), means / (2.0 * h)])  # lambda and E lambda_hat
-    hits = 0
-    for start in range(0, reps, 200):
-        seeds = [seed.substream(0, r) for r in range(start, min(start + 200, reps))]
-        lo, hi, _, _ = builder.bounds(_replicate_counts(intensity, interval, seeds, ends))
-        hits += ((lo[:, None] <= targets) & (targets <= hi[:, None])).sum(axis=0)
-    return CoverageResult(grid=grid, coverage_true=hits[0] / reps,
-                          coverage_smoothed=hits[1] / reps, reps=reps,
-                          flags=tuple(_edge_flags(grid, ends, h)))
+    targets = np.stack([intensity(grid), means / (2.0 * h)])[:, None]  # lambda and E lambda_hat
+    seen, hist = _count_histogram(intensity, interval, reps, seed, ends)
+    lo, hi, _, _ = builder.bounds(np.broadcast_to(seen[:, None], hist.shape))
+    coverage = (hist * ((lo <= targets) & (targets <= hi))).sum(axis=1) / reps
+    return CoverageResult(grid=grid, coverage_true=coverage[0], coverage_smoothed=coverage[1],
+                          reps=reps, flags=tuple(_edge_flags(grid, ends, h)))
+
+
+def _count_histogram(intensity: IntensityFunction, interval: Interval1, reps: int, seed: RngSeed,
+                     ends: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(seen, hist): the counts seen, ascending, and hist[k, g], the replicates with count seen[k] at g.
+
+    Replicate r draws from ``seed.substream(0, r)``.  Blocks of about ``_BLOCK_PROPOSALS`` proposals
+    are drawn, checked and counted into hist[p, g], which has a row per count up to the largest seen.
+    """
+    n_grid = len(ends[0])
+    hist = np.zeros((0, n_grid), dtype=np.int64)
+    block = max(1, int(_BLOCK_PROPOSALS / max(intensity.lambda_max * interval.length, 1.0)))
+    for start in range(0, reps, block):
+        seeds = [seed.substream(0, r) for r in range(start, min(start + block, reps))]
+        points, sizes = _simulate_inhomogeneous_block(intensity, interval, seeds)
+        _check_replicates(points, sizes, interval, grouped=True, first=start)
+        counts = np.array([_counts_in(p, ends) for p in np.split(points, np.cumsum(sizes)[:-1])])
+        if counts.max(initial=-1) >= len(hist):
+            hist = np.pad(hist, ((0, counts.max() + 1 - len(hist)), (0, 0)))
+        np.add.at(hist, (counts, np.arange(n_grid)), 1)
+    seen = np.flatnonzero(hist.any(axis=1))
+    return seen, hist[seen]

@@ -3,7 +3,7 @@ import pytest
 
 from ppboot import experiments
 from ppboot.bootstrap import bootstrap_variance_limit
-from ppboot.errors import ConfigError, UnattainableLevelError
+from ppboot.errors import ConfigError, DuplicatePointError, UnattainableLevelError
 from ppboot.experiments import (
     midpoint_grid,
     parse_f_spec,
@@ -166,6 +166,22 @@ class TestVarianceComparison:
         assert record.series["theta"] == [distinct_index_sums(p, f).P for p in patterns]
         assert record.series["bootstrap_limit"] == [bootstrap_variance_limit(p, f, scheme)
                                                     for p in patterns]
+
+    def test_repeat_in_a_later_block_named_by_its_replicate(self, monkeypatch):
+        draw, calls = experiments._simulate_homogeneous_block, []
+
+        def with_repeat(*args):
+            points, counts = draw(*args)
+            calls.append(len(counts))
+            if len(calls) == 2:
+                points[counts[0] + 1] = points[counts[0]]  # replicate 64 + 1 repeats its point 0
+            return points, counts
+
+        monkeypatch.setattr(experiments, "_simulate_homogeneous_block", with_repeat)
+        with pytest.raises(DuplicatePointError,
+                           match="point 1 of replicate 65 repeats its point 0;"):
+            run_variance_comparison(variance_config(reps=80))
+        assert calls == [64, 16]
 
     def test_integration_defaults_to_200000_samples(self):
         cfg = variance_config(reps=10, integration={"sample_count": 200000})

@@ -21,9 +21,9 @@ from ppboot.intensity import (
     BAND_METHODS,
     _BandBuilder,
     _atom_range,
+    _count_histogram,
     _draw_atom_counts,
     _garwood_interval,
-    _replicate_counts,
     _window_ends,
     confidence_band,
     coverage_experiment,
@@ -734,12 +734,18 @@ class TestCoverageBlocks:
             assert 0 in counts
 
     @BLOCK_INTENSITIES
-    def test_batched_counts_equal_window_counts(self, lam):
+    def test_histogram_equals_bincount_of_window_counts(self, monkeypatch, lam):
         grid, h = midpoint_grid(I01, 20), 0.05
-        counts = _replicate_counts(lam, I01, self.SEEDS, _window_ends(I01, grid, h))
-        alone = [window_counts(simulate_inhomogeneous_poisson(lam, I01, seed), h, grid)
-                 for seed in self.SEEDS]
-        assert counts.dtype == np.int64 and np.array_equal(counts, alone)
+        alone = np.array([window_counts(simulate_inhomogeneous_poisson(lam, I01, seed), h, grid)
+                          for seed in self.SEEDS])
+        expected = np.column_stack([np.bincount(column, minlength=alone.max() + 1)
+                                    for column in alone.T])
+        # blocks of 7 replicates
+        monkeypatch.setattr(intensity, "_BLOCK_PROPOSALS", 7 * max(lam.lambda_max, 1.0))
+        seen, hist = _count_histogram(lam, I01, len(self.SEEDS), RngSeed(31),
+                                      _window_ends(I01, grid, h))
+        assert seen.tolist() == np.unique(alone).tolist()
+        assert hist.dtype == np.int64 and np.array_equal(hist, expected[seen])
 
     @pytest.mark.parametrize("method", BAND_METHODS)
     def test_results_do_not_depend_on_block_size(self, monkeypatch, method):
@@ -764,6 +770,20 @@ class TestCoverageBlocks:
                             midpoint_grid(I01, 4), RngSeed(14))
         assert built == []
 
+    @pytest.mark.parametrize("method", ["bootstrap_mc", "bootstrap_closed_form"])
+    def test_one_threshold_per_distinct_positive_count(self, monkeypatch, method):
+        lam, grid, h, reps, seed = (constant_intensity(40.0), midpoint_grid(I01, 6), 0.1, 300,
+                                    RngSeed(3))
+        asked = []
+        threshold = _BandBuilder._threshold
+        monkeypatch.setattr(_BandBuilder, "_threshold",
+                            lambda self, p: asked.append(p) or threshold(self, p))
+        coverage_experiment(lam, I01, h, 0.1, method, reps, grid, seed, mc_draws=2000)
+        patterns = [simulate_inhomogeneous_poisson(lam, I01, seed.substream(0, r))
+                    for r in range(reps)]
+        seen = {int(p) for pattern in patterns for p in window_counts(pattern, h, grid)}
+        assert sorted(asked) == sorted(seen - {0})
+
     def test_each_block_checked(self, monkeypatch):
         draw = intensity._simulate_inhomogeneous_block
 
@@ -776,3 +796,21 @@ class TestCoverageBlocks:
         with pytest.raises(DuplicatePointError, match="point 1 of replicate 1 repeats its point 0;"):
             coverage_experiment(constant_intensity(40.0), I01, 0.1, 0.1, "exact_poisson", 300,
                                 midpoint_grid(I01, 4), RngSeed(14))
+
+    def test_repeat_in_a_later_block_named_by_its_replicate(self, monkeypatch):
+        draw, calls = intensity._simulate_inhomogeneous_block, []
+
+        def with_repeat(*args):
+            points, counts = draw(*args)
+            calls.append(len(counts))
+            if len(calls) == 3:
+                points[counts[0] + 1] = points[counts[0]]  # replicate 2 * 8 + 1 repeats its point 0
+            return points, counts
+
+        monkeypatch.setattr(intensity, "_BLOCK_PROPOSALS", 8 * 40)  # blocks of 8 at lambda_max 40
+        monkeypatch.setattr(intensity, "_simulate_inhomogeneous_block", with_repeat)
+        with pytest.raises(DuplicatePointError,
+                           match="point 1 of replicate 17 repeats its point 0;"):
+            coverage_experiment(constant_intensity(40.0), I01, 0.1, 0.1, "exact_poisson", 300,
+                                midpoint_grid(I01, 4), RngSeed(14))
+        assert calls == [8, 8, 8]
