@@ -26,6 +26,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -52,7 +53,7 @@ from .intensity import (
 )
 from .moments import s_moments_poisson, true_variance_poisson
 from .patternio import parse_window
-from .rng import RngSeed
+from .rng import RngSeed, replicate_generators
 from .twopoint import (_KERNELS, KernelFunction, PairFunction, _grouped_sums,
                        constant_pair_function, kernel_pair_function)
 
@@ -286,13 +287,13 @@ def run_variance_comparison(config: dict, threads: int = 1) -> ResultRecord:
     mu = lam * window.area
     pairs = 0.5 * mu * mu * min(1.0, math.pi * f.search_reach ** 2 / window.area)
     block = max(1, min(_GROUP_BLOCK, int(_GROUP_PAIRS / max(pairs, 1.0))))
+    rngs = replicate_generators(seed.substream(0), range(reps))
     for lo in range(0, reps, block):
-        seeds = [seed.substream(0, r) for r in range(lo, min(lo + block, reps))]
-        points, counts = _simulate_homogeneous_block(lam, window, seeds)
+        points, counts = _simulate_homogeneous_block(lam, window, islice(rngs, block))
         _check_replicates(points, counts, window, first=lo)
         sums = _grouped_sums(points, counts, f)
-        thetas[lo:lo + len(seeds)] = sums.P
-        limits[lo:lo + len(seeds)] = _limit_from_sums(sums, counts, cfg["scheme"])
+        thetas[lo:lo + len(counts)] = sums.P
+        limits[lo:lo + len(counts)] = _limit_from_sums(sums, counts, cfg["scheme"])
 
     mc_var, mc_var_err = variance_with_error(thetas)
     mean_limit = float(np.mean(limits))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -225,29 +225,33 @@ def simulate_homogeneous_poisson(lam: float, window: Window2, seed: RngSeed) -> 
     The count is Poisson(lam * area) and locations are i.i.d. uniform.
     Deterministic given the seed.
     """
-    return PointPattern(_simulate_homogeneous_block(lam, window, [seed])[0], window)
+    return PointPattern(_simulate_homogeneous_block(lam, window, [seed.generator()])[0], window)
 
 
 def _simulate_homogeneous_block(lam: float, window: Window2,
-                                seeds: list[RngSeed]) -> tuple[np.ndarray, np.ndarray]:
-    """One homogeneous Poisson pattern per seed, as stacked points and per-pattern counts.
+                                rngs: Iterable[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
+    """One homogeneous Poisson pattern per generator, as stacked points and per-pattern counts.
 
-    Pattern g draws from ``seeds[g]`` alone.  The points are not checked:
-    ``PointPattern`` checks one pattern, ``_check_replicates`` a block.
+    Pattern g draws from the g-th generator alone: a Poisson count, that
+    many x, then as many y.  Each pattern's draws end before the next
+    generator is taken, so ``rngs`` may be ``rng.replicate_generators``:
+    one generator, owned by the calling thread, set before replicate r to
+    the state ``RngSeed(s, prefix + (r,)).generator()`` starts from, which
+    is computed in bulk (through ``SeedSequence`` for r of 2^32 or more).
+    The points are not checked: ``PointPattern`` checks one pattern,
+    ``_check_replicates`` a block.
     """
     _require_window(window, Window2, "homogeneous simulation")
     if not (math.isfinite(lam) and lam >= 0):
         raise ParameterError(f"intensity must be finite and >= 0, got {lam}")
     _require_drawable(lam * window.area)
-    draws = []
-    for seed in seeds:
-        rng = seed.generator()
+    xs, ys = [], []
+    for rng in rngs:
         n = int(rng.poisson(lam * window.area))
-        xs = rng.uniform(window.x_min, window.x_max, n)
-        ys = rng.uniform(window.y_min, window.y_max, n)
-        draws.append(np.column_stack([xs, ys]))
-    points = np.concatenate(draws)
-    counts = np.array([len(d) for d in draws], dtype=np.intp)
+        xs.append(rng.uniform(window.x_min, window.x_max, n))
+        ys.append(rng.uniform(window.y_min, window.y_max, n))
+    points = np.column_stack([np.concatenate(xs), np.concatenate(ys)])
+    counts = np.array([len(x) for x in xs], dtype=np.intp)
     return points, counts
 
 
@@ -260,24 +264,28 @@ def simulate_inhomogeneous_poisson(intensity: IntensityFunction, interval: Inter
     lambda(x) <= lambda_max everywhere; violations raise
     :class:`InvalidBoundError` when detected at evaluation.
     """
-    return PointPattern(_simulate_inhomogeneous_block(intensity, interval, [seed])[0], interval)
+    return PointPattern(_simulate_inhomogeneous_block(intensity, interval, [seed.generator()])[0],
+                        interval)
 
 
 def _simulate_inhomogeneous_block(intensity: IntensityFunction, interval: Interval1,
-                                  seeds: list[RngSeed]) -> tuple[np.ndarray, np.ndarray]:
-    """One thinned pattern per seed, as stacked points, sorted per pattern, and per-pattern counts.
+                                  rngs: Iterable[np.random.Generator]
+                                  ) -> tuple[np.ndarray, np.ndarray]:
+    """One thinned pattern per generator: stacked points, sorted per pattern, and per-pattern counts.
 
-    Pattern g draws from ``seeds[g]`` alone: a Poisson count, that many
-    proposals, then as many uniforms.  lambda is evaluated and the block
-    thinned at once; a bad lambda is reported as the first pattern to
-    show it would report it alone.  The points are not checked.
+    Pattern g draws from the g-th generator alone: a Poisson count, that
+    many proposals, then as many uniforms, all before the next generator
+    is taken, so ``rngs`` may be ``rng.replicate_generators``'s one
+    reseeded generator, as for ``_simulate_homogeneous_block``.  lambda is
+    evaluated and the block thinned at once; a bad lambda is reported as
+    the first pattern to show it would report it alone.  The points are
+    not checked.
     """
     _require_window(interval, Interval1, "inhomogeneous simulation")
     lam_max = intensity.lambda_max
     _require_drawable(lam_max * interval.length)
     proposals, uniforms = [], []
-    for seed in seeds:
-        rng = seed.generator()
+    for rng in rngs:
         n = int(rng.poisson(lam_max * interval.length))
         proposals.append(rng.uniform(interval.lo, interval.hi, n))
         uniforms.append(rng.uniform(0.0, 1.0, n))

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from types import SimpleNamespace
 
 import numpy as np
@@ -50,7 +51,7 @@ from .geometry import (
     _require_window,
     _simulate_inhomogeneous_block,
 )
-from .rng import RngSeed
+from .rng import RngSeed, replicate_generators
 
 BAND_METHODS = ("bootstrap_mc", "bootstrap_closed_form", "exact_poisson", "oracle_true_t")
 
@@ -511,9 +512,9 @@ def _count_histogram(intensity: IntensityFunction, interval: Interval1, reps: in
     n_grid = len(ends[0])
     hist = np.zeros((0, n_grid), dtype=np.int64)
     block = max(1, int(_BLOCK_PROPOSALS / max(intensity.lambda_max * interval.length, 1.0)))
+    rngs = replicate_generators(seed.substream(0), range(reps))
     for start in range(0, reps, block):
-        seeds = [seed.substream(0, r) for r in range(start, min(start + block, reps))]
-        points, sizes = _simulate_inhomogeneous_block(intensity, interval, seeds)
+        points, sizes = _simulate_inhomogeneous_block(intensity, interval, islice(rngs, block))
         _check_replicates(points, sizes, interval, grouped=True, first=start)
         counts = np.array([_counts_in(p, ends) for p in np.split(points, np.cumsum(sizes)[:-1])])
         if counts.max(initial=-1) >= len(hist):

@@ -20,7 +20,7 @@ from ppboot.geometry import (
     unit_square,
 )
 from ppboot.intensity import window_counts
-from ppboot.rng import RngSeed
+from ppboot.rng import RngSeed, replicate_generators
 
 
 class TestWindows:
@@ -149,7 +149,8 @@ class TestReplicateChecks:
         # each seed's stream: a Poisson count, then that many x, then as many y
         window = Window2(1e6, 1e6 + 2.0, -1.0, 0.0)
         seeds = [RngSeed(5, (0, r)) for r in range(40)]
-        points, counts = _simulate_homogeneous_block(1.0, window, seeds)
+        points, counts = _simulate_homogeneous_block(
+            1.0, window, replicate_generators(RngSeed(5, (0,)), range(40)))
         want = []
         for seed in seeds:
             rng = seed.generator()
@@ -303,6 +304,10 @@ class TestInhomogeneousBlock:
 
     SEEDS = [RngSeed(2, (0, r)) for r in range(16)]
 
+    def block(self, intensity):
+        return _simulate_inhomogeneous_block(intensity, Interval1(0, 1),
+                                             replicate_generators(RngSeed(2, (0,)), range(16)))
+
     # 1 + x exceeds its declared 1.8 above x = 0.8, where Poisson(1.8) proposals
     # fall with probability 0.30; NEGATIVE is negative below x = 0.1 (0.16)
     LYING = IntensityFunction(lambda x: 1.0 + np.asarray(x), lambda_max=1.8,
@@ -325,7 +330,7 @@ class TestInhomogeneousBlock:
             assert any(type(outcomes[k]) is ParameterError for k in failing[1:])
         first = outcomes[failing[0]]
         with pytest.raises(ParameterError) as info:
-            _simulate_inhomogeneous_block(intensity, Interval1(0, 1), self.SEEDS)
+            self.block(intensity)
         assert type(info.value) is type(first) and str(info.value) == str(first)
 
     def test_bound_violation_names_the_patterns_largest_lambda(self):
@@ -335,12 +340,12 @@ class TestInhomogeneousBlock:
         proposals = rng.uniform(0.0, 1.0, rng.poisson(1.8))
         x_bad = proposals[np.argmax(1.0 + proposals)]
         with pytest.raises(InvalidBoundError) as info:
-            _simulate_inhomogeneous_block(self.LYING, Interval1(0, 1), self.SEEDS)
+            self.block(self.LYING)
         assert str(info.value) == f"intensity exceeds declared lambda_max=1.8 at x={x_bad:.6g}"
 
     def test_negative_lambda_is_a_parameter_error(self):
         with pytest.raises(ParameterError, match="negative at an evaluated point") as info:
-            _simulate_inhomogeneous_block(self.NEGATIVE, Interval1(0, 1), self.SEEDS)
+            self.block(self.NEGATIVE)
         assert type(info.value) is ParameterError
 
 

@@ -33,7 +33,7 @@ from ppboot.intensity import (
     t_star_monte_carlo_band,
     window_counts,
 )
-from ppboot.rng import RngSeed
+from ppboot.rng import RngSeed, replicate_generators
 
 from conftest import (
     coverage_probability,
@@ -724,7 +724,8 @@ class TestCoverageBlocks:
 
     @BLOCK_INTENSITIES
     def test_block_is_each_seed_drawn_alone(self, lam):
-        points, counts = _simulate_inhomogeneous_block(lam, I01, self.SEEDS)
+        points, counts = _simulate_inhomogeneous_block(
+            lam, I01, replicate_generators(RngSeed(31, (0,)), range(40)))
         alone = [thinned_alone(lam, seed) for seed in self.SEEDS]
         assert counts.tolist() == [len(a) for a in alone]
         assert points.tobytes() == np.concatenate(alone).tobytes()
