@@ -154,9 +154,9 @@ def _cmd_coverage(args) -> int:
     intensity = parse_lambda_spec(args.lambda_spec, interval)
     method = _CLI_METHODS.get(args.method, args.method)
     grid = midpoint_grid(interval, args.grid_steps)
-    cov = coverage_experiment(intensity, interval, args.h, args.alpha, method,
+    cov = coverage_experiment(intensity, interval, args.h, args.alpha, [method],
                               args.reps, grid, RngSeed(args.seed),
-                              mc_draws=args.mc_draws)
+                              mc_draws=args.mc_draws)[method]
     _write_csv(args.out, cov.columns())
     return 0
 

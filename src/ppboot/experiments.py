@@ -12,8 +12,8 @@ per block, and no replicate's points or sums depend on the block size.
 Threads serve only the moments.
 
 ``run_ci_suite`` builds intensity confidence bands on one realization by
-every configured method, runs coverage simulations for each, and
-tabulates closed-form versus Monte Carlo bootstrap thresholds.
+every configured method, scores every method's coverage on one shared
+simulation, and tabulates closed-form versus Monte Carlo bootstrap thresholds.
 
 Configurations are plain JSON-compatible dicts validated against a
 strict schema: unknown keys are rejected.
@@ -334,7 +334,7 @@ def run_variance_comparison(config: dict, threads: int = 1) -> ResultRecord:
 
 
 def run_ci_suite(config: dict, threads: int = 1) -> ResultRecord:
-    """Bands on one realization plus coverage tables, for every configured method.
+    """Every configured method's band on one realization, and its coverage on shared replicates.
 
     Nothing here is threaded; ``threads`` is accepted so every experiment runs alike.
     """
@@ -350,17 +350,16 @@ def run_ci_suite(config: dict, threads: int = 1) -> ResultRecord:
 
     reference = simulate_inhomogeneous_poisson(intensity, interval, seed.substream(0))
     bands = {}
-    coverage = {}
     for k, method in enumerate(cfg["methods"]):
         band = confidence_band(reference, h, alpha, grid, method,
                                intensity=intensity, mc_draws=cfg["mc_draws"],
                                seed=seed.substream(2, k))
         bands[method] = _json_columns(band.columns())
-        if alpha < 1.0:
-            cov = coverage_experiment(intensity, interval, h, alpha, method,
-                                      cfg["reps"], grid, seed.substream(3, k),
-                                      mc_draws=cfg["mc_draws"])
-            coverage[method] = _json_columns(cov.columns())
+    coverage = {}
+    if alpha < 1.0:
+        covs = coverage_experiment(intensity, interval, h, alpha, cfg["methods"], cfg["reps"],
+                                   grid, seed.substream(3, 0), mc_draws=cfg["mc_draws"])
+        coverage = {method: _json_columns(cov.columns()) for method, cov in covs.items()}
 
     # closed-form vs Monte Carlo thresholds at the counts seen on the grid
     ref_counts = window_counts(reference, h, grid)

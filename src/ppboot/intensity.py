@@ -35,6 +35,7 @@ t * sqrt(lambda_hat), and the lower edge is clipped at zero.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import islice
 from types import SimpleNamespace
@@ -353,14 +354,9 @@ class _BandBuilder:
             raise ParameterError("bootstrap_mc bands need a seed")
         if method == "oracle_true_t" and means is None:
             raise ParameterError("oracle_true_t bands need the true intensity")
-        self.h = h
-        self.alpha = alpha
-        self.method = method
-        self.mc_draws = mc_draws
-        self.seed = seed
-        self._grid_t = None
-        if method == "oracle_true_t":
-            self._grid_t = np.array([self._oracle_threshold(float(m)) for m in means])
+        self.h, self.alpha, self.method, self.mc_draws, self.seed = h, alpha, method, mc_draws, seed
+        self._grid_t = (np.array([self._oracle_threshold(float(m)) for m in means])
+                        if method == "oracle_true_t" else None)
 
     def _oracle_threshold(self, mean: float) -> float:
         try:
@@ -480,26 +476,31 @@ class CoverageResult:
 
 
 def coverage_experiment(intensity: IntensityFunction, interval: Interval1, h: float, alpha: float,
-                        method: str, reps: int, grid: np.ndarray, seed: RngSeed,
-                        mc_draws: int = 100_000) -> CoverageResult:
-    """Simulate fresh patterns and record how often the band captures each target.
+                        methods: Sequence[str], reps: int, grid: np.ndarray, seed: RngSeed,
+                        mc_draws: int = 100_000) -> dict[str, CoverageResult]:
+    """Simulate fresh patterns once and record how often each method's band captures each target.
 
-    The hits at grid point g sum, over the counts p seen, the replicates with count p at g
-    (``_count_histogram``) times 1[lo(p) <= target <= hi(p)], from one ``bounds`` call.  Memory
-    does not grow with ``reps``, and no result depends on a block size.
+    Every method is scored on the same replicates; no result depends on the others or on a block
+    size.  The hits at grid point g sum, over the counts p seen, the replicates with count p at g
+    (``_count_histogram``) times 1[lo(p) <= target <= hi(p)], from one ``bounds`` call per method.
     """
+    if isinstance(methods, str) or not methods:
+        raise ParameterError(f"methods must be a nonempty sequence of band methods, got {methods!r}")
     if reps < 100:
         raise ParameterError(f"need at least 100 replications, got {reps}")
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     ends = _window_ends(interval, grid, h)
     means = _window_means(intensity, ends)
-    builder = _BandBuilder(h, alpha, method, mc_draws=mc_draws, seed=seed, means=means)
+    builders = [_BandBuilder(h, alpha, m, mc_draws=mc_draws, seed=seed, means=means) for m in methods]
     targets = np.stack([intensity(grid), means / (2.0 * h)])[:, None]  # lambda and E lambda_hat
     seen, hist = _count_histogram(intensity, interval, reps, seed, ends)
-    lo, hi, _, _ = builder.bounds(np.broadcast_to(seen[:, None], hist.shape))
-    coverage = (hist * ((lo <= targets) & (targets <= hi))).sum(axis=1) / reps
-    return CoverageResult(grid=grid, coverage_true=coverage[0], coverage_smoothed=coverage[1],
-                          reps=reps, flags=tuple(_edge_flags(grid, ends, h)))
+    counts, flags = np.broadcast_to(seen[:, None], hist.shape), tuple(_edge_flags(grid, ends, h))
+    results = {}
+    for builder in builders:
+        lo, hi, _, _ = builder.bounds(counts)
+        true, smoothed = (hist * ((lo <= targets) & (targets <= hi))).sum(axis=1) / reps
+        results[builder.method] = CoverageResult(grid, true, smoothed, reps, flags)
+    return results
 
 
 def _count_histogram(intensity: IntensityFunction, interval: Interval1, reps: int, seed: RngSeed,

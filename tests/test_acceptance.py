@@ -198,8 +198,8 @@ def test_criterion_7_exact_band_coverage_and_clt():
     intensity = linear_intensity(50.0, 20.0, interval)
     grid = midpoint_grid(interval, 9)
     h, alpha, reps = 0.05, 0.05, 5000
-    cov = coverage_experiment(intensity, interval, h, alpha, "exact_poisson",
-                              reps, grid, RngSeed(90210))
+    cov = coverage_experiment(intensity, interval, h, alpha, ["exact_poisson"],
+                              reps, grid, RngSeed(90210))["exact_poisson"]
     assert all(flag == "" for flag in cov.flags), "grid points must be interior"
     floor = 0.95 - 3 * math.sqrt(0.95 * 0.05 / reps)
     assert np.all(cov.coverage_true >= floor), (

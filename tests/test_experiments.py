@@ -12,7 +12,7 @@ from ppboot.experiments import (
     run_variance_comparison,
 )
 from ppboot.geometry import Interval1, simulate_homogeneous_poisson, unit_square
-from ppboot.intensity import t_star_monte_carlo_band
+from ppboot.intensity import coverage_experiment, t_star_monte_carlo_band
 from ppboot.rng import RngSeed
 from ppboot.twopoint import distinct_index_sums
 
@@ -264,6 +264,20 @@ class TestCiSuite:
         values = np.array(cov["coverage_true_lambda"])
         se = np.sqrt(0.95 * 0.05 / 400)
         assert np.all(values >= 0.95 - 3 * se)
+
+    def test_coverage_is_one_shared_experiment(self):
+        # every method's coverage comes from one run on substream (3, 0)
+        cfg = ci_config(methods=["bootstrap_mc", "oracle_true_t", "exact_poisson"], reps=100,
+                        mc_draws=2000)
+        record = run_ci_suite(cfg)
+        interval = Interval1(0.0, 1.0)
+        cov = coverage_experiment(parse_lambda_spec(cfg["lambda_spec"], interval), interval,
+                                  cfg["h"], cfg["alpha"], cfg["methods"], cfg["reps"],
+                                  midpoint_grid(interval, cfg["grid_steps"]),
+                                  RngSeed(cfg["seed"]).substream(3, 0), mc_draws=cfg["mc_draws"])
+        assert list(record.results["coverage"]) == cfg["methods"]
+        assert record.results["coverage"] == {
+            method: experiments._json_columns(result.columns()) for method, result in cov.items()}
 
     def test_rerun_is_byte_identical(self):
         a = run_ci_suite(ci_config())

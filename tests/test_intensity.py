@@ -406,8 +406,8 @@ class TestConfidenceBand:
         assert grid[-1] + h == 1.0 and 1.0 - grid[-1] < h
         band = confidence_band(PointPattern(np.array([0.5]), I01), h, 0.05, grid,
                                "exact_poisson")
-        cov = coverage_experiment(constant_intensity(40.0), I01, h, 0.05, "exact_poisson",
-                                  100, grid, RngSeed(3))
+        cov = coverage_experiment(constant_intensity(40.0), I01, h, 0.05, ["exact_poisson"],
+                                  100, grid, RngSeed(3))["exact_poisson"]
         for flags in (band.flags, cov.flags):
             assert flags[0] == flags[-1] == ""
             assert flags[1:-1] == ("",) * 28
@@ -533,8 +533,8 @@ class TestBandPath:
     def test_coverage_hits_match_per_cell_loop(self, method):
         grid = midpoint_grid(I01, 8)
         reps, seed = 300, RngSeed(21)
-        cov = coverage_experiment(self.INTENSITY, I01, self.H, self.ALPHA, method, reps, grid,
-                                  seed, mc_draws=self.MC_DRAWS)
+        cov = coverage_experiment(self.INTENSITY, I01, self.H, self.ALPHA, [method], reps, grid,
+                                  seed, mc_draws=self.MC_DRAWS)[method]
         builder = self.builder(method, grid, seed)
         oracle_t = self.oracle_t(grid)
         lam_true = self.INTENSITY(grid)
@@ -605,8 +605,8 @@ class TestTAlphaOracle:
         intensity = linear_intensity(50.0, 20.0, I01)
         grid = midpoint_grid(I01, 5)
         reps = 5000
-        cov = coverage_experiment(intensity, I01, 0.05, 0.05, "oracle_true_t",
-                                  reps, grid, RngSeed(13))
+        cov = coverage_experiment(intensity, I01, 0.05, 0.05, ["oracle_true_t"],
+                                  reps, grid, RngSeed(13))["oracle_true_t"]
         se = math.sqrt(0.95 * 0.05 / reps)
         assert np.all(cov.coverage_smoothed >= 0.95 - 3 * se)
 
@@ -620,8 +620,8 @@ class TestTAlphaOracle:
         assert np.array_equal(oracle.lo, exact.lo) and np.array_equal(oracle.hi, exact.hi)
         assert np.all(np.isnan(oracle.t_values))
         assert all(flag.endswith("level-unattainable") for flag in oracle.flags)
-        cov = {method: coverage_experiment(intensity, I01, 0.05, 0.05, method, 100, grid,
-                                           RngSeed(23))
+        cov = {method: coverage_experiment(intensity, I01, 0.05, 0.05, [method], 100, grid,
+                                           RngSeed(23))[method]
                for method in ("oracle_true_t", "exact_poisson")}
         assert np.array_equal(cov["oracle_true_t"].coverage_true,
                               cov["exact_poisson"].coverage_true)
@@ -639,8 +639,8 @@ class TestTAlphaOracle:
         assert np.array_equal(oracle.hi[unattainable], exact.hi[unattainable])
         assert np.array_equal(np.isnan(oracle.t_values), unattainable)
         assert [f.endswith("level-unattainable") for f in oracle.flags] == unattainable.tolist()
-        cov = {method: coverage_experiment(intensity, I01, h, alpha, method, 100, grid,
-                                           RngSeed(25))
+        cov = {method: coverage_experiment(intensity, I01, h, alpha, [method], 100, grid,
+                                           RngSeed(25))[method]
                for method in ("oracle_true_t", "exact_poisson")}
         assert np.array_equal(cov["oracle_true_t"].coverage_true[unattainable],
                               cov["exact_poisson"].coverage_true[unattainable])
@@ -650,30 +650,53 @@ class TestCoverageExperiment:
     def test_reproducible(self):
         intensity = constant_intensity(30.0)
         grid = midpoint_grid(I01, 4)
-        a = coverage_experiment(intensity, I01, 0.1, 0.1, "exact_poisson", 300, grid, RngSeed(14))
-        b = coverage_experiment(intensity, I01, 0.1, 0.1, "exact_poisson", 300, grid, RngSeed(14))
+        a = coverage_experiment(intensity, I01, 0.1, 0.1, ["exact_poisson"], 300, grid,
+                                RngSeed(14))["exact_poisson"]
+        b = coverage_experiment(intensity, I01, 0.1, 0.1, ["exact_poisson"], 300, grid,
+                                RngSeed(14))["exact_poisson"]
         assert np.array_equal(a.coverage_true, b.coverage_true)
+
+    @pytest.mark.parametrize("methods", ["exact_poisson", [], ()])
+    def test_methods_must_be_a_nonempty_sequence(self, methods):
+        with pytest.raises(ParameterError, match="nonempty sequence of band methods"):
+            coverage_experiment(constant_intensity(30.0), I01, 0.1, 0.1, methods, 100, [0.5],
+                                RngSeed(16))
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ParameterError, match="unknown band method"):
+            coverage_experiment(constant_intensity(30.0), I01, 0.1, 0.1,
+                                ["exact_poisson", "mystery"], 100, [0.5], RngSeed(16))
+
+    def test_one_simulation_scores_every_method(self, monkeypatch):
+        calls = []
+        histogram = intensity._count_histogram
+        monkeypatch.setattr(intensity, "_count_histogram",
+                            lambda *args: calls.append(args) or histogram(*args))
+        cov = coverage_experiment(linear_intensity(20.0, 200.0, I01), I01, 0.05, 0.05,
+                                  BAND_METHODS, 100, midpoint_grid(I01, 5), RngSeed(16),
+                                  mc_draws=2000)
+        assert list(cov) == list(BAND_METHODS) and len(calls) == 1
 
     def test_needs_enough_reps(self):
         with pytest.raises(ParameterError):
             coverage_experiment(constant_intensity(30.0), I01, 0.1, 0.1,
-                                "exact_poisson", 50, [0.5], RngSeed(16))
+                                ["exact_poisson"], 50, [0.5], RngSeed(16))
 
     def test_planar_window_rejected(self):
         with pytest.raises(ParameterError, match="needs an interval"):
             coverage_experiment(constant_intensity(40.0), unit_square(), 0.1, 0.1,
-                                "exact_poisson", 100, [0.5], RngSeed(1))
+                                ["exact_poisson"], 100, [0.5], RngSeed(1))
 
     def test_grid_outside_interval_rejected(self):
         with pytest.raises(ParameterError, match="inside the observation interval"):
             coverage_experiment(constant_intensity(40.0), I01, 0.1, 0.1,
-                                "exact_poisson", 100, [1.5, 0.5], RngSeed(1))
+                                ["exact_poisson"], 100, [1.5, 0.5], RngSeed(1))
 
     def test_half_level_conservative(self):
         intensity = constant_intensity(40.0)
         grid = midpoint_grid(I01, 3)
-        cov = coverage_experiment(intensity, I01, 0.1, 0.5, "exact_poisson",
-                                  2000, grid, RngSeed(17))
+        cov = coverage_experiment(intensity, I01, 0.1, 0.5, ["exact_poisson"],
+                                  2000, grid, RngSeed(17))["exact_poisson"]
         se = math.sqrt(0.5 * 0.5 / 2000)
         assert np.all(cov.coverage_true >= 0.5 - 3 * se)
         # conservative but not wildly so
@@ -685,8 +708,8 @@ class TestCoverageExperiment:
         intensity = linear_intensity(20.0, 2000.0, I01)
         grid = midpoint_grid(I01, 20)
         reps = 2000
-        cov = coverage_experiment(intensity, I01, 0.05, 0.05, "exact_poisson",
-                                  reps, grid, RngSeed(18))
+        cov = coverage_experiment(intensity, I01, 0.05, 0.05, ["exact_poisson"],
+                                  reps, grid, RngSeed(18))["exact_poisson"]
         assert cov.flags[0] == cov.flags[-1] == "edge"
         se = math.sqrt(0.95 * 0.05 / reps)
         assert np.all(cov.coverage_smoothed[[0, -1]] >= 0.95 - 3 * se)
@@ -753,8 +776,8 @@ class TestCoverageBlocks:
         lam, grid = linear_intensity(20.0, 2000.0, I01), midpoint_grid(I01, 10)
 
         def run():
-            return coverage_experiment(lam, I01, 0.05, 0.05, method, 250, grid, RngSeed(33),
-                                       mc_draws=2000)
+            return coverage_experiment(lam, I01, 0.05, 0.05, [method], 250, grid, RngSeed(33),
+                                       mc_draws=2000)[method]
 
         default = run()
         for proposals in (1, 7 * 2020):  # blocks of 1 and of 7 replicates
@@ -767,7 +790,7 @@ class TestCoverageBlocks:
         built = []
         check = PointPattern.__post_init__
         monkeypatch.setattr(PointPattern, "__post_init__", lambda self: built.append(check(self)))
-        coverage_experiment(constant_intensity(40.0), I01, 0.1, 0.1, "exact_poisson", 300,
+        coverage_experiment(constant_intensity(40.0), I01, 0.1, 0.1, ["exact_poisson"], 300,
                             midpoint_grid(I01, 4), RngSeed(14))
         assert built == []
 
@@ -779,7 +802,7 @@ class TestCoverageBlocks:
         threshold = _BandBuilder._threshold
         monkeypatch.setattr(_BandBuilder, "_threshold",
                             lambda self, p: asked.append(p) or threshold(self, p))
-        coverage_experiment(lam, I01, h, 0.1, method, reps, grid, seed, mc_draws=2000)
+        coverage_experiment(lam, I01, h, 0.1, [method], reps, grid, seed, mc_draws=2000)
         patterns = [simulate_inhomogeneous_poisson(lam, I01, seed.substream(0, r))
                     for r in range(reps)]
         seen = {int(p) for pattern in patterns for p in window_counts(pattern, h, grid)}
@@ -795,7 +818,7 @@ class TestCoverageBlocks:
 
         monkeypatch.setattr(intensity, "_simulate_inhomogeneous_block", with_repeat)
         with pytest.raises(DuplicatePointError, match="point 1 of replicate 1 repeats its point 0;"):
-            coverage_experiment(constant_intensity(40.0), I01, 0.1, 0.1, "exact_poisson", 300,
+            coverage_experiment(constant_intensity(40.0), I01, 0.1, 0.1, ["exact_poisson"], 300,
                                 midpoint_grid(I01, 4), RngSeed(14))
 
     def test_repeat_in_a_later_block_named_by_its_replicate(self, monkeypatch):
@@ -812,6 +835,6 @@ class TestCoverageBlocks:
         monkeypatch.setattr(intensity, "_simulate_inhomogeneous_block", with_repeat)
         with pytest.raises(DuplicatePointError,
                            match="point 1 of replicate 17 repeats its point 0;"):
-            coverage_experiment(constant_intensity(40.0), I01, 0.1, 0.1, "exact_poisson", 300,
+            coverage_experiment(constant_intensity(40.0), I01, 0.1, 0.1, ["exact_poisson"], 300,
                                 midpoint_grid(I01, 4), RngSeed(14))
         assert calls == [8, 8, 8]
