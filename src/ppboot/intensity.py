@@ -333,8 +333,8 @@ class _BandBuilder:
     """Maps observed counts on a grid to band bounds.
 
     ``bounds`` runs the Garwood interval or threshold search once per
-    distinct count in its array; a band and a coverage experiment each make
-    one call.  The ``oracle_true_t`` threshold depends on the grid point's
+    distinct count in its array; a band makes one call, and a coverage
+    experiment one per method.  The ``oracle_true_t`` threshold depends on the grid point's
     expected count (``means``) instead, and is computed once per point at
     construction; ``bounds`` centres the band on it wherever it is finite.
 

@@ -110,7 +110,7 @@ def test_states_are_computed_a_chunk_at_a_time():
     assert len(taken) == 5000 and sizes == [rng_module._STATE_CHUNK] * 2
 
 
-# linear intensities a + b x on [0, 1], from nearly empty to about 200 points
+# linear intensities a + b x on [0, 1], with 0 to 135 expected points
 linear_lambdas = st.builds(lambda a, b: linear_intensity(a, b, Interval1(0.0, 1.0)),
                            st.floats(0.0, 60.0), st.floats(0.0, 150.0))
 
