@@ -6,9 +6,10 @@ patterns from a homogeneous Poisson truth, evaluates the closed-form
 bootstrap variance limit on each, and compares the Monte Carlo sample
 variance of the statistic against the integrated targets 4*s3 + 2*s2
 (truth) and 4*s3 + 6*s2 (what the bootstrap converges to), surfacing
-their ratio.  Replicate r draws from substream (0, r) of the seed; the
-replicates are simulated, checked and summed in blocks, one pair search
-per block, and no replicate's points or sums depend on the block size.
+their ratio.  The replicates draw in turn from one generator, on
+substream 0 of the seed; they are simulated, checked and summed in
+blocks, one pair search per block, and no replicate's points or sums
+depend on the block size.
 Threads serve only the moments.
 
 ``run_ci_suite`` builds intensity confidence bands on one realization by
@@ -26,7 +27,6 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from .intensity import (
 )
 from .moments import s_moments_poisson, true_variance_poisson
 from .patternio import parse_window
-from .rng import RngSeed, replicate_generators
+from .rng import RngSeed
 from .twopoint import (_KERNELS, KernelFunction, PairFunction, _grouped_sums,
                        constant_pair_function, kernel_pair_function)
 
@@ -263,8 +263,8 @@ _CI_SUITE_SCHEMA = {
 def midpoint_grid(interval: Interval1, steps: int) -> np.ndarray:
     """Cell-midpoint grid of the interval (steps points)."""
     _require_window(interval, Interval1, "a midpoint grid")
-    if steps < 1:
-        raise ParameterError(f"need at least 1 grid step, got {steps}")
+    if not isinstance(steps, numbers.Integral) or steps < 1:
+        raise ParameterError(f"grid steps must be an integer of at least 1, got {steps!r}")
     edges = np.linspace(interval.lo, interval.hi, steps + 1)
     return 0.5 * (edges[:-1] + edges[1:])
 
@@ -287,9 +287,9 @@ def run_variance_comparison(config: dict, threads: int = 1) -> ResultRecord:
     mu = lam * window.area
     pairs = 0.5 * mu * mu * min(1.0, math.pi * f.search_reach ** 2 / window.area)
     block = max(1, min(_GROUP_BLOCK, int(_GROUP_PAIRS / max(pairs, 1.0))))
-    rngs = replicate_generators(seed.substream(0), range(reps))
+    rng = seed.substream(0).generator()
     for lo in range(0, reps, block):
-        points, counts = _simulate_homogeneous_block(lam, window, islice(rngs, block))
+        points, counts = _simulate_homogeneous_block(lam, window, rng, min(block, reps - lo))
         _check_replicates(points, counts, window, first=lo)
         sums = _grouped_sums(points, counts, f)
         thetas[lo:lo + len(counts)] = sums.P

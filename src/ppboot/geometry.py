@@ -4,15 +4,16 @@ Planar homogeneous processes live on a rectangle :class:`Window2`;
 one-dimensional inhomogeneous processes live on an :class:`Interval1`.
 Patterns are immutable and validated on construction: points have the
 window's shape, every point lies inside its window, and points are
-pairwise distinct.  A block of simulated replicates, stacked without
-building a pattern for each, passes the same checks in one call, which
-shares the duplicate search with the pattern's.
+pairwise distinct.  A block of simulated replicates, drawn in turn from
+one generator and stacked without building a pattern for each, passes
+the same checks in one call, which shares the duplicate search with the
+pattern's.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -225,28 +226,24 @@ def simulate_homogeneous_poisson(lam: float, window: Window2, seed: RngSeed) -> 
     The count is Poisson(lam * area) and locations are i.i.d. uniform.
     Deterministic given the seed.
     """
-    return PointPattern(_simulate_homogeneous_block(lam, window, [seed.generator()])[0], window)
+    return PointPattern(_simulate_homogeneous_block(lam, window, seed.generator(), 1)[0], window)
 
 
-def _simulate_homogeneous_block(lam: float, window: Window2,
-                                rngs: Iterable[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
-    """One homogeneous Poisson pattern per generator, as stacked points and per-pattern counts.
+def _simulate_homogeneous_block(lam: float, window: Window2, rng: np.random.Generator,
+                                count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` homogeneous Poisson patterns, as stacked points and per-pattern counts.
 
-    Pattern g draws from the g-th generator alone: a Poisson count, that
-    many x, then as many y.  Each pattern's draws end before the next
-    generator is taken, so ``rngs`` may be ``rng.replicate_generators``:
-    one generator, owned by the calling thread, set before replicate r to
-    the state ``RngSeed(s, prefix + (r,)).generator()`` starts from, which
-    is computed in bulk (through ``SeedSequence`` for r of 2^32 or more).
-    The points are not checked: ``PointPattern`` checks one pattern,
-    ``_check_replicates`` a block.
+    The patterns draw from ``rng`` in turn, each a Poisson count, that many
+    x, then as many y, so blocks drawn one after another from one generator
+    equal one block of their total size.  The points are not checked:
+    ``PointPattern`` checks one pattern, ``_check_replicates`` a block.
     """
     _require_window(window, Window2, "homogeneous simulation")
     if not (math.isfinite(lam) and lam >= 0):
         raise ParameterError(f"intensity must be finite and >= 0, got {lam}")
     _require_drawable(lam * window.area)
     xs, ys = [], []
-    for rng in rngs:
+    for _ in range(count):
         n = int(rng.poisson(lam * window.area))
         xs.append(rng.uniform(window.x_min, window.x_max, n))
         ys.append(rng.uniform(window.y_min, window.y_max, n))
@@ -264,28 +261,26 @@ def simulate_inhomogeneous_poisson(intensity: IntensityFunction, interval: Inter
     lambda(x) <= lambda_max everywhere; violations raise
     :class:`InvalidBoundError` when detected at evaluation.
     """
-    return PointPattern(_simulate_inhomogeneous_block(intensity, interval, [seed.generator()])[0],
-                        interval)
+    return PointPattern(
+        _simulate_inhomogeneous_block(intensity, interval, seed.generator(), 1)[0], interval)
 
 
 def _simulate_inhomogeneous_block(intensity: IntensityFunction, interval: Interval1,
-                                  rngs: Iterable[np.random.Generator]
+                                  rng: np.random.Generator, count: int
                                   ) -> tuple[np.ndarray, np.ndarray]:
-    """One thinned pattern per generator: stacked points, sorted per pattern, and per-pattern counts.
+    """``count`` thinned patterns: stacked points, sorted per pattern, and per-pattern counts.
 
-    Pattern g draws from the g-th generator alone: a Poisson count, that
-    many proposals, then as many uniforms, all before the next generator
-    is taken, so ``rngs`` may be ``rng.replicate_generators``'s one
-    reseeded generator, as for ``_simulate_homogeneous_block``.  lambda is
-    evaluated and the block thinned at once; a bad lambda is reported as
-    the first pattern to show it would report it alone.  The points are
-    not checked.
+    The patterns draw from ``rng`` in turn, each a Poisson count, that many
+    proposals, then as many uniforms, as for ``_simulate_homogeneous_block``.
+    lambda is evaluated and the block thinned at once; a bad lambda is
+    reported as the first pattern to show it would report it alone.  The
+    points are not checked.
     """
     _require_window(interval, Interval1, "inhomogeneous simulation")
     lam_max = intensity.lambda_max
     _require_drawable(lam_max * interval.length)
     proposals, uniforms = [], []
-    for rng in rngs:
+    for _ in range(count):
         n = int(rng.poisson(lam_max * interval.length))
         proposals.append(rng.uniform(interval.lo, interval.hi, n))
         uniforms.append(rng.uniform(0.0, 1.0, n))

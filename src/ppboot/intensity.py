@@ -35,9 +35,9 @@ t * sqrt(lambda_hat), and the lower edge is clipped at zero.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import islice
 from types import SimpleNamespace
 
 import numpy as np
@@ -52,7 +52,7 @@ from .geometry import (
     _require_window,
     _simulate_inhomogeneous_block,
 )
-from .rng import RngSeed, replicate_generators
+from .rng import RngSeed
 
 BAND_METHODS = ("bootstrap_mc", "bootstrap_closed_form", "exact_poisson", "oracle_true_t")
 
@@ -109,7 +109,7 @@ def _check_level(h: float, alpha: float) -> None:
 
 def _check_t_star_args(p: int, h: float, alpha: float) -> None:
     """Preconditions shared by the closed-form and Monte Carlo bootstrap thresholds."""
-    if int(p) != p or p < 0:
+    if not (isinstance(p, numbers.Real) and math.isfinite(p)) or int(p) != p or p < 0:
         raise ParameterError(f"count p must be a nonnegative integer, got {p}")
     _check_level(h, alpha)
     if p < 1:
@@ -507,15 +507,17 @@ def _count_histogram(intensity: IntensityFunction, interval: Interval1, reps: in
                      ends: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """(seen, hist): the counts seen, ascending, and hist[k, g], the replicates with count seen[k] at g.
 
-    Replicate r draws from ``seed.substream(0, r)``.  Blocks of about ``_BLOCK_PROPOSALS`` proposals
-    are drawn, checked and counted into hist[p, g], which has a row per count up to the largest seen.
+    The replicates draw in turn from ``seed.substream(0)``.  Blocks of about ``_BLOCK_PROPOSALS``
+    proposals are drawn, checked and counted into hist[p, g], which has a row per count up to the
+    largest seen.
     """
     n_grid = len(ends[0])
     hist = np.zeros((0, n_grid), dtype=np.int64)
     block = max(1, int(_BLOCK_PROPOSALS / max(intensity.lambda_max * interval.length, 1.0)))
-    rngs = replicate_generators(seed.substream(0), range(reps))
+    rng = seed.substream(0).generator()
     for start in range(0, reps, block):
-        points, sizes = _simulate_inhomogeneous_block(intensity, interval, islice(rngs, block))
+        points, sizes = _simulate_inhomogeneous_block(intensity, interval, rng,
+                                                      min(block, reps - start))
         _check_replicates(points, sizes, interval, grouped=True, first=start)
         counts = np.array([_counts_in(p, ends) for p in np.split(points, np.cumsum(sizes)[:-1])])
         if counts.max(initial=-1) >= len(hist):

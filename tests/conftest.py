@@ -111,6 +111,12 @@ def seeded(seed: int, *stream: int) -> RngSeed:
     return RngSeed(seed).substream(*stream) if stream else RngSeed(seed)
 
 
+def one_at_a_time(simulate_block, *args, seed: RngSeed, reps: int) -> list[np.ndarray]:
+    """Each replicate's points, drawn as one-replicate blocks in turn from ``seed``'s generator."""
+    rng = seed.generator()
+    return [simulate_block(*args, rng, 1)[0] for _ in range(reps)]
+
+
 def multinomial_moment_oracle(n: int, exponents: tuple[int, ...]) -> Fraction:
     """Exact E[w(1)^a1 * ... * w(m)^am] for w ~ Multinomial(n; 1/n each).
 

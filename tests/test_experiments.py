@@ -3,7 +3,7 @@ import pytest
 
 from ppboot import experiments
 from ppboot.bootstrap import bootstrap_variance_limit
-from ppboot.errors import ConfigError, DuplicatePointError, UnattainableLevelError
+from ppboot.errors import ConfigError, DuplicatePointError, ParameterError, UnattainableLevelError
 from ppboot.experiments import (
     midpoint_grid,
     parse_f_spec,
@@ -11,10 +11,12 @@ from ppboot.experiments import (
     run_ci_suite,
     run_variance_comparison,
 )
-from ppboot.geometry import Interval1, simulate_homogeneous_poisson, unit_square
+from ppboot.geometry import Interval1, PointPattern, _simulate_homogeneous_block, unit_square
 from ppboot.intensity import coverage_experiment, t_star_monte_carlo_band
 from ppboot.rng import RngSeed
 from ppboot.twopoint import distinct_index_sums
+
+from conftest import one_at_a_time
 
 UNIT_WINDOW = {"x_min": 0.0, "x_max": 1.0, "y_min": 0.0, "y_max": 1.0}
 
@@ -83,6 +85,11 @@ class TestParsers:
     def test_midpoint_grid(self):
         grid = midpoint_grid(Interval1(0, 1), 4)
         np.testing.assert_allclose(grid, [0.125, 0.375, 0.625, 0.875])
+
+    @pytest.mark.parametrize("steps", [2.5, 4.0, "4", None, 0, -1])
+    def test_midpoint_grid_needs_a_positive_integer_step_count(self, steps):
+        with pytest.raises(ParameterError, match="grid step"):
+            midpoint_grid(Interval1(0, 1), steps)
 
 
 class TestConfigValidation:
@@ -161,7 +168,9 @@ class TestVarianceComparison:
         record = run_variance_comparison(cfg)
         window, seed = unit_square(), RngSeed(cfg["seed"])
         f = parse_f_spec(f_spec, window)
-        patterns = [simulate_homogeneous_poisson(3.0, window, seed.substream(0, r)) for r in range(30)]
+        patterns = [PointPattern(points, window)
+                    for points in one_at_a_time(_simulate_homogeneous_block, 3.0, window,
+                                                seed=seed.substream(0), reps=30)]
         assert {p.n for p in patterns} & {0, 1}
         assert record.series["theta"] == [distinct_index_sums(p, f).P for p in patterns]
         assert record.series["bootstrap_limit"] == [bootstrap_variance_limit(p, f, scheme)

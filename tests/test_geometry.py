@@ -20,7 +20,7 @@ from ppboot.geometry import (
     unit_square,
 )
 from ppboot.intensity import window_counts
-from ppboot.rng import RngSeed, replicate_generators
+from ppboot.rng import RngSeed
 
 
 class TestWindows:
@@ -146,20 +146,17 @@ class TestReplicateChecks:
         assert info.value.index == 1
 
     def test_block_draws_each_seed_alone(self):
-        # each seed's stream: a Poisson count, then that many x, then as many y
-        window = Window2(1e6, 1e6 + 2.0, -1.0, 0.0)
-        seeds = [RngSeed(5, (0, r)) for r in range(40)]
-        points, counts = _simulate_homogeneous_block(
-            1.0, window, replicate_generators(RngSeed(5, (0,)), range(40)))
-        want = []
-        for seed in seeds:
-            rng = seed.generator()
+        # each replicate in turn: a Poisson count, then that many x, then as many y
+        window, seed = Window2(1e6, 1e6 + 2.0, -1.0, 0.0), RngSeed(5, (0,))
+        points, counts = _simulate_homogeneous_block(1.0, window, seed.generator(), 40)
+        rng, want = seed.generator(), []
+        for _ in range(40):
             n = rng.poisson(window.area)
             want.append(np.column_stack([rng.uniform(1e6, 1e6 + 2.0, n), rng.uniform(-1.0, 0.0, n)]))
         assert counts.tolist() == [len(w) for w in want]
         assert 0 in counts
         assert np.array_equal(points, np.concatenate(want))
-        assert np.array_equal(simulate_homogeneous_poisson(1.0, window, seeds[3]).points, want[3])
+        assert np.array_equal(simulate_homogeneous_poisson(1.0, window, seed).points, want[0])
 
 
 class TestHomogeneousSimulation:
@@ -290,23 +287,27 @@ class TestInhomogeneousSimulation:
             simulate_inhomogeneous_poisson(negative, Interval1(0, 1), RngSeed(4))
 
 
-def one_seed_outcome(intensity, seed):
-    """The error ``simulate_inhomogeneous_poisson`` raises at ``seed``, or None."""
-    try:
-        simulate_inhomogeneous_poisson(intensity, Interval1(0, 1), seed)
-    except ParameterError as exc:
-        return exc
-    return None
+def one_at_a_time_outcomes(intensity, seed, reps):
+    """The error each one-replicate block, drawn in turn from ``seed``'s generator, raises, or None."""
+    rng, outcomes = seed.generator(), []
+    for _ in range(reps):
+        try:
+            _simulate_inhomogeneous_block(intensity, Interval1(0, 1), rng, 1)
+        except ParameterError as exc:
+            outcomes.append(exc)
+        else:
+            outcomes.append(None)
+    return outcomes
 
 
 class TestInhomogeneousBlock:
     """A block reports a bad lambda as its first pattern to show it would report it alone."""
 
-    SEEDS = [RngSeed(2, (0, r)) for r in range(16)]
+    SEED, REPS = RngSeed(2, (0,)), 16
 
     def block(self, intensity):
-        return _simulate_inhomogeneous_block(intensity, Interval1(0, 1),
-                                             replicate_generators(RngSeed(2, (0,)), range(16)))
+        return _simulate_inhomogeneous_block(intensity, Interval1(0, 1), self.SEED.generator(),
+                                             self.REPS)
 
     # 1 + x exceeds its declared 1.8 above x = 0.8, where Poisson(1.8) proposals
     # fall with probability 0.30; NEGATIVE is negative below x = 0.1 (0.16)
@@ -320,7 +321,7 @@ class TestInhomogeneousBlock:
     @pytest.mark.parametrize("name", ["LYING", "NEGATIVE", "BOTH"])
     def test_error_is_the_first_failing_patterns(self, name):
         intensity = getattr(self, name)
-        outcomes = [one_seed_outcome(intensity, seed) for seed in self.SEEDS]
+        outcomes = one_at_a_time_outcomes(intensity, self.SEED, self.REPS)
         failing = [k for k, exc in enumerate(outcomes) if exc is not None]
         # neither the block's first pattern nor its only failing one; in BOTH a negative
         # lambda follows the first failure, an exceeded bound
@@ -334,10 +335,12 @@ class TestInhomogeneousBlock:
         assert type(info.value) is type(first) and str(info.value) == str(first)
 
     def test_bound_violation_names_the_patterns_largest_lambda(self):
-        outcomes = [one_seed_outcome(self.LYING, seed) for seed in self.SEEDS]
-        seed = self.SEEDS[next(k for k, exc in enumerate(outcomes) if exc is not None)]
-        rng = seed.generator()
-        proposals = rng.uniform(0.0, 1.0, rng.poisson(1.8))
+        outcomes = one_at_a_time_outcomes(self.LYING, self.SEED, self.REPS)
+        rng = self.SEED.generator()
+        for _ in range(next(k for k, exc in enumerate(outcomes) if exc is not None) + 1):
+            n = rng.poisson(1.8)
+            proposals = rng.uniform(0.0, 1.0, n)
+            rng.uniform(0.0, 1.0, n)  # the pattern's thinning uniforms
         x_bad = proposals[np.argmax(1.0 + proposals)]
         with pytest.raises(InvalidBoundError) as info:
             self.block(self.LYING)

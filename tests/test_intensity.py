@@ -33,10 +33,11 @@ from ppboot.intensity import (
     t_star_monte_carlo_band,
     window_counts,
 )
-from ppboot.rng import RngSeed, replicate_generators
+from ppboot.rng import RngSeed
 
 from conftest import (
     coverage_probability,
+    one_at_a_time,
     reference_t_alpha_oracle,
     reference_t_star_closed_form,
     reference_t_star_monte_carlo_band,
@@ -108,6 +109,13 @@ class TestTStarArguments:
                     threshold(p, h, alpha)
             with pytest.raises(DegenerateCountError):
                 threshold(0, 0.1, 0.05)
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, np.float64(math.nan), "4"])
+    def test_count_that_is_not_a_finite_number(self, p):
+        for threshold in (t_star_closed_form,
+                          lambda *args: t_star_monte_carlo_band(*args, 1000, RngSeed(1))):
+            with pytest.raises(ParameterError, match="count p must be a nonnegative integer"):
+                threshold(p, 0.1, 0.05)
 
 
 class TestTStarClosedForm:
@@ -542,9 +550,9 @@ class TestBandPath:
         hits_true = np.zeros(len(grid), dtype=np.int64)
         hits_smoothed = np.zeros(len(grid), dtype=np.int64)
         seen = set()
-        for r in range(reps):
-            pattern = simulate_inhomogeneous_poisson(self.INTENSITY, I01, seed.substream(0, r))
-            counts = window_counts(pattern, self.H, grid)
+        for points in one_at_a_time(_simulate_inhomogeneous_block, self.INTENSITY, I01,
+                                    seed=seed.substream(0), reps=reps):
+            counts = window_counts(PointPattern(points, I01), self.H, grid)
             seen.update(int(p) for p in counts)
             for g, (x, p) in enumerate(zip(grid, counts)):
                 lo, hi, _, _ = reference_cell(builder, oracle_t, x, p)
@@ -732,9 +740,8 @@ BLOCK_INTENSITIES = pytest.mark.parametrize("lam", [
 ], ids=["linear", "constant", "zero", "sparse"])
 
 
-def thinned_alone(lam, seed):
-    """One replicate on I01 as its own stream draws it: a count, its proposals, its uniforms."""
-    rng = seed.generator()
+def thinned_alone(lam, rng):
+    """The next replicate on I01 drawn from ``rng``: a count, its proposals, its uniforms."""
     n = rng.poisson(lam.lambda_max)
     proposals, u = rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)
     return np.sort(proposals[u * lam.lambda_max < lam(proposals)])
@@ -743,30 +750,34 @@ def thinned_alone(lam, seed):
 class TestCoverageBlocks:
     """Coverage replicates are drawn, checked and counted a block at a time."""
 
-    SEEDS = [RngSeed(31, (0, r)) for r in range(40)]
+    SEED, REPS = RngSeed(31, (0,)), 40
 
     @BLOCK_INTENSITIES
     def test_block_is_each_seed_drawn_alone(self, lam):
-        points, counts = _simulate_inhomogeneous_block(
-            lam, I01, replicate_generators(RngSeed(31, (0,)), range(40)))
-        alone = [thinned_alone(lam, seed) for seed in self.SEEDS]
+        points, counts = _simulate_inhomogeneous_block(lam, I01, self.SEED.generator(), self.REPS)
+        rng = self.SEED.generator()
+        alone = [thinned_alone(lam, rng) for _ in range(self.REPS)]
         assert counts.tolist() == [len(a) for a in alone]
         assert points.tobytes() == np.concatenate(alone).tobytes()
-        for seed, a in zip(self.SEEDS, alone):
-            assert simulate_inhomogeneous_poisson(lam, I01, seed).points.tobytes() == a.tobytes()
+        for drawn, a in zip(one_at_a_time(_simulate_inhomogeneous_block, lam, I01, seed=self.SEED,
+                                          reps=self.REPS), alone):
+            assert drawn.tobytes() == a.tobytes()
+        first = simulate_inhomogeneous_poisson(lam, I01, self.SEED)
+        assert first.points.tobytes() == alone[0].tobytes()
         if lam.lambda_max < 1:
             assert 0 in counts
 
     @BLOCK_INTENSITIES
     def test_histogram_equals_bincount_of_window_counts(self, monkeypatch, lam):
         grid, h = midpoint_grid(I01, 20), 0.05
-        alone = np.array([window_counts(simulate_inhomogeneous_poisson(lam, I01, seed), h, grid)
-                          for seed in self.SEEDS])
+        alone = np.array([window_counts(PointPattern(points, I01), h, grid)
+                          for points in one_at_a_time(_simulate_inhomogeneous_block, lam, I01,
+                                                      seed=self.SEED, reps=self.REPS)])
         expected = np.column_stack([np.bincount(column, minlength=alone.max() + 1)
                                     for column in alone.T])
         # blocks of 7 replicates
         monkeypatch.setattr(intensity, "_BLOCK_PROPOSALS", 7 * max(lam.lambda_max, 1.0))
-        seen, hist = _count_histogram(lam, I01, len(self.SEEDS), RngSeed(31),
+        seen, hist = _count_histogram(lam, I01, self.REPS, RngSeed(31),
                                       _window_ends(I01, grid, h))
         assert seen.tolist() == np.unique(alone).tolist()
         assert hist.dtype == np.int64 and np.array_equal(hist, expected[seen])
@@ -803,9 +814,10 @@ class TestCoverageBlocks:
         monkeypatch.setattr(_BandBuilder, "_threshold",
                             lambda self, p: asked.append(p) or threshold(self, p))
         coverage_experiment(lam, I01, h, 0.1, [method], reps, grid, seed, mc_draws=2000)
-        patterns = [simulate_inhomogeneous_poisson(lam, I01, seed.substream(0, r))
-                    for r in range(reps)]
-        seen = {int(p) for pattern in patterns for p in window_counts(pattern, h, grid)}
+        patterns = one_at_a_time(_simulate_inhomogeneous_block, lam, I01, seed=seed.substream(0),
+                                 reps=reps)
+        seen = {int(p) for points in patterns
+                for p in window_counts(PointPattern(points, I01), h, grid)}
         assert sorted(asked) == sorted(seen - {0})
 
     def test_each_block_checked(self, monkeypatch):

@@ -3,7 +3,6 @@
 Examples are derandomized and their number fixed, so every run checks the
 same cases.
 """
-from itertools import islice
 from unittest import mock
 
 import numpy as np
@@ -12,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppboot import intensity as intensity_module
-from ppboot import rng as rng_module
+from ppboot.bootstrap import SCHEMES, _limit_from_sums, bootstrap_variance_limit
 from ppboot.errors import DuplicatePointError
 from ppboot.geometry import (
     Interval1,
+    PointPattern,
     Window2,
     _check_replicates,
     _first_repeat,
@@ -23,91 +23,45 @@ from ppboot.geometry import (
     _simulate_inhomogeneous_block,
     constant_intensity,
     linear_intensity,
-    simulate_homogeneous_poisson,
-    simulate_inhomogeneous_poisson,
 )
 from ppboot.intensity import (BAND_METHODS, _count_histogram, _window_ends, coverage_experiment,
                               window_counts)
-from ppboot.rng import RngSeed, replicate_generators
+from ppboot.rng import RngSeed
+from ppboot.twopoint import (KernelFunction, _grouped_sums, constant_pair_function,
+                             distinct_index_sums, kernel_pair_function)
+
+from conftest import brute_force_sums, one_at_a_time, pair_values
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=60)
 
-seeds = st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]),
-                  st.integers(0, 2**64 - 1))
-prefixes = st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2**40)), min_size=1, max_size=3)
-# replicate ids below, across and above 2^32, where an id takes a second entropy word
+# the number of a block's first replicate: small, and past 2^32
 starts = st.one_of(st.integers(0, 100), st.integers(2**32 - 6, 2**32 + 2))
-# how a run of replicates is split into blocks, and the chunk the states are computed in
+# how a run of replicates is split into blocks
 splits = st.lists(st.integers(1, 5), min_size=1, max_size=5)
-chunks = st.integers(1, 7)
-
-
-def numpy_state(seed: int, stream: tuple[int, ...]) -> dict:
-    return np.random.PCG64(np.random.SeedSequence(seed, spawn_key=stream)).state
 
 
 @SETTINGS
-@given(seed=seeds, prefix=prefixes, start=starts, n=st.integers(1, 8))
-def test_states_equal_numpys(seed, prefix, start, n):
-    ids = range(start, start + n)
-    got = [g.bit_generator.state for g in replicate_generators(RngSeed(seed, prefix), ids)]
-    assert got == [numpy_state(seed, tuple(prefix) + (r,)) for r in ids]
-
-
-@SETTINGS
-@given(seed=seeds, prefix=prefixes, start=starts, n=st.integers(1, 6), chunk=chunks)
-def test_draws_equal_a_fresh_generators(seed, prefix, start, n, chunk):
-    parent, ids = RngSeed(seed, prefix), range(start, start + n)
-    with mock.patch.object(rng_module, "_STATE_CHUNK", chunk):
-        for r, g in zip(ids, replicate_generators(parent, ids)):
-            fresh = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(prefix) + (r,)))
-            # an odd number of 32-bit draws leaves half a word buffered in the bit generator
-            for draw in (lambda x: x.integers(0, 2**32, 3, dtype=np.uint32),
-                         lambda x: x.random(2), lambda x: x.poisson(7.5, 2)):
-                assert draw(g).tobytes() == draw(fresh).tobytes()
-
-
-@SETTINGS
-@given(seed=st.integers(0, 2**64 - 1), first=starts, split=splits, chunk=chunks,
-       lam=st.sampled_from([0.0, 0.7, 6.0, 40.0]))
-def test_homogeneous_blocks_equal_one_seed_draws(seed, first, split, chunk, lam):
+@given(seed=st.integers(0, 2**64 - 1), split=splits, lam=st.sampled_from([0.0, 0.7, 6.0, 40.0]))
+def test_homogeneous_blocks_equal_one_seed_draws(seed, split, lam):
     window, parent = Window2(-1.0, 2.0, 1e6, 1e6 + 0.5), RngSeed(seed, (0,))
-    ids = range(first, first + sum(split))
-    with mock.patch.object(rng_module, "_STATE_CHUNK", chunk):
-        rngs = replicate_generators(parent, ids)
-        drawn = [_simulate_homogeneous_block(lam, window, islice(rngs, size)) for size in split]
-    alone = [simulate_homogeneous_poisson(lam, window, parent.substream(r)).points for r in ids]
+    rng = parent.generator()
+    drawn = [_simulate_homogeneous_block(lam, window, rng, size) for size in split]
+    alone = one_at_a_time(_simulate_homogeneous_block, lam, window, seed=parent, reps=sum(split))
     assert np.concatenate([counts for _, counts in drawn]).tolist() == [len(a) for a in alone]
     assert np.concatenate([p for p, _ in drawn]).tobytes() == np.concatenate(alone).tobytes()
 
 
 @SETTINGS
-@given(seed=st.integers(0, 2**64 - 1), first=starts, split=splits, chunk=chunks,
-       linear=st.booleans())
-def test_inhomogeneous_blocks_equal_one_seed_draws(seed, first, split, chunk, linear):
+@given(seed=st.integers(0, 2**64 - 1), split=splits, linear=st.booleans())
+def test_inhomogeneous_blocks_equal_one_seed_draws(seed, split, linear):
     interval, parent = Interval1(-0.5, 1.5), RngSeed(seed, (3, 0))
     lam = linear_intensity(12.0, 20.0, interval) if linear else constant_intensity(4.0)
-    ids = range(first, first + sum(split))
-    with mock.patch.object(rng_module, "_STATE_CHUNK", chunk):
-        rngs = replicate_generators(parent, ids)
-        drawn = [_simulate_inhomogeneous_block(lam, interval, islice(rngs, size))
-                 for size in split]
-    alone = [simulate_inhomogeneous_poisson(lam, interval, parent.substream(r)).points
-             for r in ids]
+    rng = parent.generator()
+    drawn = [_simulate_inhomogeneous_block(lam, interval, rng, size) for size in split]
+    alone = one_at_a_time(_simulate_inhomogeneous_block, lam, interval, seed=parent,
+                          reps=sum(split))
     assert np.concatenate([counts for _, counts in drawn]).tolist() == [len(a) for a in alone]
     assert np.concatenate([p for p, _ in drawn]).tobytes() == np.concatenate(alone).tobytes()
-
-
-def test_states_are_computed_a_chunk_at_a_time():
-    sizes, states = [], rng_module._pcg64_states
-
-    def counted(pool, const, last):
-        sizes.append(len(last))
-        return states(pool, const, last)
-
-    with mock.patch.object(rng_module, "_pcg64_states", counted):
-        taken = list(islice(replicate_generators(RngSeed(9), range(10**15)), 5000))
-    assert len(taken) == 5000 and sizes == [rng_module._STATE_CHUNK] * 2
 
 
 # linear intensities a + b x on [0, 1], with 0 to 135 expected points
@@ -145,9 +99,9 @@ def test_shared_coverage_equals_each_method_alone(seed, lam, methods, h, steps):
 def test_count_histogram_is_bincount_of_window_counts(seed, reps, proposals, lam, h, steps):
     interval, parent = Interval1(0.0, 1.0), RngSeed(seed)
     grid = np.linspace(0.0, 1.0, steps)
-    alone = np.array([window_counts(simulate_inhomogeneous_poisson(lam, interval,
-                                                                   parent.substream(0, r)), h, grid)
-                      for r in range(reps)])
+    alone = np.array([window_counts(PointPattern(points, interval), h, grid)
+                      for points in one_at_a_time(_simulate_inhomogeneous_block, lam, interval,
+                                                  seed=parent.substream(0), reps=reps)])
     with mock.patch.object(intensity_module, "_BLOCK_PROPOSALS", proposals):
         seen, hist = _count_histogram(lam, interval, reps, parent, _window_ends(interval, grid, h))
     expected = np.column_stack([np.bincount(column, minlength=alone.max() + 1)
@@ -199,3 +153,56 @@ def test_check_replicates_names_the_global_replicate(replicates, start):
         with pytest.raises(DuplicatePointError,
                            match=rf"^point {i} of replicate {start + g} repeats its point {j};"):
             _check_replicates(points, counts, interval, grouped=grouped, first=start)
+
+
+UNIT, FAR = Window2(0.0, 1.0, 0.0, 1.0), Window2(1e6, 1e6 + 1.0, -2e5, -2e5 + 0.5)
+# (window, f): a short-range kernel, one far from the origin, one whose reach is wider
+# than the window, and f == 1
+PAIR_CASES = {
+    "box": (UNIT, kernel_pair_function(KernelFunction("box", 0.1), 0.2, UNIT)),
+    "far": (FAR, kernel_pair_function(KernelFunction("epanechnikov", 0.1), 0.3, FAR)),
+    "wide": (UNIT, kernel_pair_function(KernelFunction("box", 0.5), 3.0, UNIT)),
+    "ones": (UNIT, constant_pair_function(UNIT, 1.0)),
+}
+# stacks of 1-5 patterns of 0-6 points, so that empty and one-point patterns are common
+stacks = st.tuples(st.lists(st.integers(0, 6), min_size=1, max_size=5), st.integers(0, 2**32 - 1),
+                   st.sampled_from(sorted(PAIR_CASES)))
+
+
+def stacked_patterns(stack):
+    """(points, counts, window, f) for a stack of uniform patterns."""
+    sizes, point_seed, case = stack
+    window, f = PAIR_CASES[case]
+    rng = np.random.default_rng(point_seed)
+    n = sum(sizes)
+    points = np.column_stack([rng.uniform(window.x_min, window.x_max, n),
+                              rng.uniform(window.y_min, window.y_max, n)])
+    return points, np.array(sizes), window, f
+
+
+def split_patterns(points, counts, window):
+    return [PointPattern(p, window) for p in np.split(points, np.cumsum(counts)[:-1])]
+
+
+@SETTINGS
+@given(stack=stacks)
+def test_grouped_sums_equal_each_pattern_alone(stack):
+    points, counts, window, f = stacked_patterns(stack)
+    sums = _grouped_sums(points, counts, f)
+    for g, pattern in enumerate(split_patterns(points, counts, window)):
+        alone = distinct_index_sums(pattern, f)
+        got = np.array([sums.P[g], sums.T3[g], sums.Q4[g], sums.R[g]])
+        assert got.tobytes() == np.array([alone.P, alone.T3, alone.Q4, alone.R]).tobytes()
+        want = brute_force_sums(pair_values(pattern, f))
+        scale = max(1.0, got[0] ** 2, *np.abs(want))
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+        assert abs(got[0] ** 2 - (got[2] + 4.0 * got[1] + 2.0 * got[3])) <= 1e-12 * scale
+
+
+@SETTINGS
+@given(stack=stacks, scheme=st.sampled_from(SCHEMES))
+def test_limits_from_grouped_sums_equal_each_pattern_alone(stack, scheme):
+    points, counts, window, f = stacked_patterns(stack)
+    limits = _limit_from_sums(_grouped_sums(points, counts, f), counts, scheme)
+    alone = [bootstrap_variance_limit(p, f, scheme) for p in split_patterns(points, counts, window)]
+    assert limits.tolist() == alone
