@@ -17,7 +17,8 @@ where Q4, T3, R are the distinct-index sums of the pattern and the
 alpha coefficients are moment differences of the weights that depend
 only on n and the scheme.  ``bootstrap_variance_limit`` evaluates this
 directly, with no simulation; ``bootstrap_statistics`` simulates the
-resamples it replaces.
+resamples it replaces, in chunks of 4096 with one generator each, and
+holds the weights of one row block of resamples at a time.
 """
 from __future__ import annotations
 
@@ -33,19 +34,17 @@ from .twopoint import PairFunction, TwoPointSums, distinct_index_sums
 
 SCHEMES = ("multinomial", "poissonized")
 
-# Resamples per parallel task, and per generator, at most _CHUNK_ENTRIES // n
-# of them so that a task's (resamples, n) weight block stays within 32 MB
+# Resamples per parallel task, and per generator
 _CHUNK = 4096
-_CHUNK_ENTRIES = 1 << 22
-# Bound on rows x points of one weight-draw sub-block
+# Bounds on rows x points and on rows x pairs of one row block (8 MB per temporary)
 _DRAW_ENTRIES = 1 << 16
-# Bound on rows x pairs of one quadratic-form sub-block (8 MB per temporary)
 _QUADFORM_ENTRIES = 1 << 20
 
 
-def _check_scheme(scheme: str) -> None:
+def _check_scheme(scheme: str) -> str:
     if scheme not in SCHEMES:
         raise ParameterError(f"unknown resampling scheme {scheme!r}; use one of {SCHEMES}")
+    return scheme
 
 
 @dataclass(frozen=True)
@@ -61,27 +60,19 @@ class AlphaCoefficients:
         return self.alpha4 * q4 + 4.0 * self.alpha3 * t3 + 2.0 * self.alpha2 * r
 
 
-def _draw_weights(n: int, scheme: str, seed: RngSeed, chunk: int, count: int) -> np.ndarray:
-    """Weights of the ``count`` resamples of chunk ``chunk`` as a (count, n) block.
+def _draw_weights(n: int, scheme: str, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Weights of ``count`` resamples drawn from ``rng``, as one (count, n) block.
 
-    The whole chunk draws from one generator, substream ``chunk`` of the
-    seed, in sub-blocks whose layout depends only on (n, count).  Each
-    resample draws its size, then that many point indices uniformly with
-    replacement; its weights are the index counts.  The caller checks
+    Each resample draws its size, then that many point indices uniformly
+    with replacement; its weights are the index counts.  The caller checks
     ``scheme``; anything but multinomial draws a Poisson(n) size.
     """
     if n < 1:
         raise ParameterError(f"need n >= 1 to resample, got {n}")
-    rng = seed.substream(chunk).generator()
-    w = np.empty((count, n))
-    step = max(1, _DRAW_ENTRIES // n)
-    for lo in range(0, count, step):
-        rows = min(step, count - lo)
-        sizes = np.full(rows, n) if scheme == "multinomial" else rng.poisson(n, rows)
-        cells = rng.integers(0, n, int(sizes.sum()))
-        cells += np.repeat(np.arange(rows) * n, sizes)
-        w[lo:lo + rows] = np.bincount(cells, minlength=rows * n).reshape(rows, n)
-    return w
+    sizes = np.full(count, n) if scheme == "multinomial" else rng.poisson(n, count)
+    cells = rng.integers(0, n, int(sizes.sum()))
+    cells += np.repeat(np.arange(count) * n, sizes)
+    return np.bincount(cells, minlength=count * n).reshape(count, n).astype(float)
 
 
 def bootstrap_variance(
@@ -95,8 +86,8 @@ def bootstrap_variance(
     """Sample variance of the bootstrap statistic over N independent resamples.
 
     The usual ddof=1 estimator over ``bootstrap_statistics``, whose
-    chunk c of resamples always uses substream c of the seed, so the
-    result is identical for any thread count.
+    chunk c, resamples 4096c to 4096c + 4095, always draws from substream
+    c of the seed, so the result is identical for any thread count.
     """
     stats = bootstrap_statistics(pattern, f, n_resamples, scheme, seed, threads=threads)
     return variance_with_error(stats)[0]
@@ -124,17 +115,21 @@ def bootstrap_statistics(
     _check_scheme(scheme)
     if n_resamples < 1:
         raise ParameterError(f"need at least 1 resample, got {n_resamples}")
-    if pattern.n == 0:
+    n = pattern.n
+    if n == 0:
         return np.zeros(n_resamples)
     i, j, v = f.pairs(pattern.points)
-    sizes = chunk_sizes(n_resamples, max(1, min(_CHUNK, _CHUNK_ENTRIES // pattern.n)))
-    rows = max(1, _QUADFORM_ENTRIES // max(len(v), 1))
+    sizes = chunk_sizes(n_resamples, _CHUNK)
+    rows = max(1, min(_DRAW_ENTRIES // n, _QUADFORM_ENTRIES // max(len(v), 1)))
 
     def run_chunk(c: int) -> np.ndarray:
-        w = _draw_weights(pattern.n, scheme, seed, c, sizes[c])
-        # w^T F w = 2 sum over pairs i < j of w(i) w(j) f(x_i, x_j)
-        return np.concatenate([2.0 * ((ws[:, i] * ws[:, j]) @ v)
-                               for ws in np.split(w, range(rows, len(w), rows))])
+        rng = seed.substream(c).generator()
+        out = np.empty(sizes[c])
+        for lo in range(0, sizes[c], rows):
+            w = _draw_weights(n, scheme, rng, min(rows, sizes[c] - lo))
+            # w^T F w = 2 sum over pairs i < j of w(i) w(j) f(x_i, x_j)
+            out[lo:lo + len(w)] = 2.0 * ((w[:, i] * w[:, j]) @ v)
+        return out
 
     return np.concatenate(parallel_map(run_chunk, len(sizes), threads=threads))
 

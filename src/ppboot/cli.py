@@ -19,7 +19,7 @@ import numpy as np
 
 from .bootstrap import (SCHEMES, _limit_from_sums, alpha_coefficients, bootstrap_statistics,
                         variance_with_error)
-from .errors import ConfigError, DataError, ParameterError, PpbootError
+from .errors import ConfigError, ParameterError, PpbootError
 from .experiments import (
     midpoint_grid,
     parse_f_spec,
@@ -28,11 +28,11 @@ from .experiments import (
     run_variance_comparison,
 )
 from .geometry import simulate_homogeneous_poisson, simulate_inhomogeneous_poisson
-from .intensity import confidence_band, coverage_experiment
-from .moments import s_moments_poisson
+from .intensity import _MC_DRAWS, confidence_band, coverage_experiment
+from .moments import _MC_SAMPLES, s_moments_poisson
 from .patternio import ingest_pattern, parse_window, read_window, write_pattern
 from .rng import RngSeed
-from .twopoint import KernelFunction, distinct_index_sums, estimate_product_density
+from .twopoint import _KERNELS, KernelFunction, distinct_index_sums, estimate_product_density
 
 _CLI_METHODS = {"mc": "bootstrap_mc", "closed": "bootstrap_closed_form", "exact": "exact_poisson"}
 
@@ -146,10 +146,10 @@ def _cmd_ci_band(args) -> int:
 
 
 def _cmd_coverage(args) -> int:
-    lo, _, hi = args.interval.partition(",")
     try:
+        lo, hi = (float(v) for v in args.interval.split(","))
         interval = parse_window({"lo": lo, "hi": hi})
-    except DataError as exc:
+    except ValueError as exc:
         raise ConfigError(f"--interval must be lo,hi: {exc}") from exc
     intensity = parse_lambda_spec(args.lambda_spec, interval)
     method = _CLI_METHODS.get(args.method, args.method)
@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rmax", type=float, required=True)
     p.add_argument("--rsteps", type=int, required=True)
     p.add_argument("--bandwidth", type=float, required=True)
-    p.add_argument("--kernel", choices=["box", "epa"], default="box")
+    p.add_argument("--kernel", choices=sorted(_KERNELS), default="box")
     _add_common(p, seed=False)
     p.set_defaults(func=_cmd_pcf)
 
@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", required=True)
     p.add_argument("--f-spec", required=True)
     p.add_argument("--method", choices=["mc"], default="mc", help="mc: Monte Carlo")
-    p.add_argument("--samples", type=int, default=200_000)
+    p.add_argument("--samples", type=int, default=_MC_SAMPLES)
     _add_common(p)
     p.set_defaults(func=_cmd_moments)
 
@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--method", choices=list(_CLI_METHODS), required=True)
     p.add_argument("--grid-steps", type=int, default=20)
-    p.add_argument("--mc-draws", type=int, default=100_000)
+    p.add_argument("--mc-draws", type=int, default=_MC_DRAWS)
     _add_common(p)
     p.set_defaults(func=_cmd_ci_band)
 
@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="mc, closed, exact, or a full method name (e.g. oracle_true_t)")
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--grid-steps", type=int, default=9)
-    p.add_argument("--mc-draws", type=int, default=100_000)
+    p.add_argument("--mc-draws", type=int, default=_MC_DRAWS)
     _add_common(p)
     p.set_defaults(func=_cmd_coverage)
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bootstrap import SCHEMES, _limit_from_sums, alpha_coefficients, variance_with_error
+from .bootstrap import _check_scheme, _limit_from_sums, alpha_coefficients, variance_with_error
 from .errors import ConfigError, ParameterError, UnattainableLevelError
 from .geometry import (
     Interval1,
@@ -44,6 +44,7 @@ from .geometry import (
     simulate_inhomogeneous_poisson,
 )
 from .intensity import (
+    _MC_DRAWS,
     BAND_METHODS,
     confidence_band,
     coverage_experiment,
@@ -51,8 +52,8 @@ from .intensity import (
     t_star_monte_carlo_band,
     window_counts,
 )
-from .moments import s_moments_poisson, true_variance_poisson
-from .patternio import parse_window
+from .moments import _MC_SAMPLES, s_moments_poisson, true_variance_poisson
+from .patternio import _number, parse_window
 from .rng import RngSeed
 from .twopoint import (_KERNELS, KernelFunction, PairFunction, _grouped_sums,
                        constant_pair_function, kernel_pair_function)
@@ -64,9 +65,6 @@ from .twopoint import (_KERNELS, KernelFunction, PairFunction, _grouped_sums,
 # MB when patterns are large or the reach is wide.
 _GROUP_BLOCK = 64
 _GROUP_PAIRS = 1 << 16
-
-# Monte Carlo stars for the moments when a config gives no sample count
-_MC_SAMPLES = 200_000
 
 
 def parse_f_spec(spec: str, window) -> PairFunction:
@@ -169,13 +167,6 @@ def _validate_config(config: dict, schema: dict[str, tuple], experiment: str) ->
     return out
 
 
-def _number(v) -> float:
-    """A finite JSON number; strings, booleans and infinities are refused."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
-        raise ValueError(f"must be a finite number, got {v!r}")
-    return float(v)
-
-
 def _positive_float(v) -> float:
     x = _number(v)
     if not x > 0:
@@ -197,12 +188,6 @@ def _int_at_least(least: int):
             raise ValueError(f"must be an integer >= {least}, got {v!r}")
         return int(v)
     return check
-
-
-def _scheme(v) -> str:
-    if v not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {v!r}")
-    return v
 
 
 def _integration(v) -> int:
@@ -230,18 +215,11 @@ def _methods_list(v) -> list[str]:
     return list(v)
 
 
-def _window(v) -> Window2 | Interval1:
-    """A window object whose bounds are finite JSON numbers."""
-    if isinstance(v, dict):
-        v = {key: _number(bound) for key, bound in v.items()}
-    return parse_window(v)
-
-
 _VARIANCE_SCHEMA = {
     "lambda": (_positive_float, True, None),
-    "window": (_window, True, None),
+    "window": (parse_window, True, None),
     "f_spec": (str, True, None),
-    "scheme": (_scheme, True, None),
+    "scheme": (_check_scheme, True, None),
     "reps": (_int_at_least(2), True, None),
     "integration": (_integration, False, _MC_SAMPLES),
     "seed": (_int_at_least(0), True, None),
@@ -249,13 +227,13 @@ _VARIANCE_SCHEMA = {
 
 _CI_SUITE_SCHEMA = {
     "lambda_spec": (str, True, None),
-    "interval": (_window, True, None),
+    "interval": (parse_window, True, None),
     "h": (_positive_float, True, None),
     "alpha": (_level, True, None),
     "methods": (_methods_list, True, None),
     "reps": (_int_at_least(100), True, None),
     "grid_steps": (_int_at_least(1), True, None),
-    "mc_draws": (_int_at_least(1000), False, 100_000),
+    "mc_draws": (_int_at_least(1000), False, _MC_DRAWS),
     "seed": (_int_at_least(0), True, None),
 }
 

@@ -74,6 +74,9 @@ stats = SimpleNamespace(poisson=SimpleNamespace(cdf=_poisson_cdf))
 # the Poisson(p) mass outside is below 1e-26 for every p
 _ATOM_SPAN = 12.0
 
+# Monte Carlo draws per bootstrap_mc threshold when none are given
+_MC_DRAWS = 100_000
+
 # Most proposals a coverage block expects; at 2^15 malloc returns and refaults block memory
 _BLOCK_PROPOSALS = 1 << 14
 
@@ -344,7 +347,7 @@ class _BandBuilder:
     and carry a per-point flag ("zero-count" or "level-unattainable").
     """
 
-    def __init__(self, h: float, alpha: float, method: str, mc_draws: int = 100_000,
+    def __init__(self, h: float, alpha: float, method: str, mc_draws: int = _MC_DRAWS,
                  seed: RngSeed | None = None, means: np.ndarray | None = None):
         if method not in BAND_METHODS:
             raise ParameterError(f"unknown band method {method!r}; use one of {BAND_METHODS}")
@@ -425,7 +428,7 @@ def confidence_band(
     method: str,
     *,
     intensity: IntensityFunction | None = None,
-    mc_draws: int = 100_000,
+    mc_draws: int = _MC_DRAWS,
     seed: RngSeed | None = None,
 ) -> ConfidenceBand:
     """Pointwise band for lambda(x) on a grid, by the chosen method.
@@ -477,7 +480,7 @@ class CoverageResult:
 
 def coverage_experiment(intensity: IntensityFunction, interval: Interval1, h: float, alpha: float,
                         methods: Sequence[str], reps: int, grid: np.ndarray, seed: RngSeed,
-                        mc_draws: int = 100_000) -> dict[str, CoverageResult]:
+                        mc_draws: int = _MC_DRAWS) -> dict[str, CoverageResult]:
     """Simulate fresh patterns once and record how often each method's band captures each target.
 
     Every method is scored on the same replicates; no result depends on the others or on a block

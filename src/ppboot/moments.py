@@ -48,6 +48,8 @@ from .rng import RngSeed, chunk_sizes, parallel_map
 from .twopoint import PairFunction
 
 _MC_CHUNK = 1 << 19
+# Monte Carlo stars when no sample count is given
+_MC_SAMPLES = 200_000
 
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 

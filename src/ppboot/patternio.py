@@ -6,14 +6,17 @@ patterns), one point per row.  The sidecar declares the window::
     {"window": {"x_min": 0.0, "x_max": 1.0, "y_min": 0.0, "y_max": 1.0}}
     {"window": {"lo": 0.0, "hi": 1.0}}
 
-Ingestion parses the header and every row; :class:`PointPattern` then
-checks that points lie inside the window and are pairwise distinct.
-Failures carry the offending row number.
+Window bounds are finite JSON numbers.  Ingestion parses the header and
+every row; :class:`PointPattern` then checks that points lie inside the
+window and are pairwise distinct.  Failures carry the offending row
+number.
 """
 from __future__ import annotations
 
 import csv
 import json
+import math
+import numbers
 from dataclasses import asdict
 from pathlib import Path
 
@@ -26,6 +29,13 @@ _WINDOW2_KEYS = {"x_min", "x_max", "y_min", "y_max"}
 _INTERVAL_KEYS = {"lo", "hi"}
 
 
+def _number(v) -> float:
+    """A finite JSON number; strings, booleans and infinities are refused."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+        raise ValueError(f"must be a finite number, got {v!r}")
+    return float(v)
+
+
 def parse_window(doc) -> Window2 | Interval1:
     """A Window2 or Interval1 from its key/value object, as in the sidecar's ``window``."""
     if not isinstance(doc, dict):
@@ -33,10 +43,10 @@ def parse_window(doc) -> Window2 | Interval1:
     keys = set(doc)
     try:
         if keys == _WINDOW2_KEYS:
-            return Window2(**{k: float(doc[k]) for k in _WINDOW2_KEYS})
+            return Window2(**{k: _number(v) for k, v in doc.items()})
         if keys == _INTERVAL_KEYS:
-            return Interval1(lo=float(doc["lo"]), hi=float(doc["hi"]))
-    except (TypeError, ValueError) as exc:
+            return Interval1(lo=_number(doc["lo"]), hi=_number(doc["hi"]))
+    except ValueError as exc:
         raise DataError(f"bad window values: {exc}") from exc
     raise DataError(
         f"window keys must be exactly {sorted(_WINDOW2_KEYS)} or {sorted(_INTERVAL_KEYS)}, "
@@ -45,13 +55,17 @@ def parse_window(doc) -> Window2 | Interval1:
 
 
 def read_window(path: str | Path) -> Window2 | Interval1:
-    """Parse a window sidecar JSON into a Window2 or Interval1."""
+    """Parse a window sidecar JSON, an object whose ``window`` key holds the window."""
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read window file {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"window file {path} must hold a JSON object, got {type(doc).__name__}")
+    if "window" not in doc:
+        raise DataError(f"window file {path} has no 'window' key, only {sorted(doc)}")
     try:
-        return parse_window(doc.get("window") if isinstance(doc, dict) else None)
+        return parse_window(doc["window"])
     except DataError as exc:
         raise DataError(f"window file {path}: {exc}") from exc
 

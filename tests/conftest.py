@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from ppboot import bootstrap
 from ppboot.errors import ParameterError, UnattainableLevelError
 from ppboot.geometry import PointPattern, Window2, unit_square
 from ppboot.intensity import _check_level, _check_t_star_args
@@ -115,6 +116,19 @@ def one_at_a_time(simulate_block, *args, seed: RngSeed, reps: int) -> list[np.nd
     """Each replicate's points, drawn as one-replicate blocks in turn from ``seed``'s generator."""
     rng = seed.generator()
     return [simulate_block(*args, rng, 1)[0] for _ in range(reps)]
+
+
+def drawn_weights(n: int, scheme: str, seed: RngSeed, count: int, chunk: int = 0,
+                  pairs: int = 0) -> np.ndarray:
+    """The weights of chunk ``chunk``'s first ``count`` resamples, as one (count, n) array.
+
+    Row blocks of ``bootstrap_statistics``'s size at n points and ``pairs``
+    pairs, drawn in turn from substream ``chunk`` of the seed.
+    """
+    rows = max(1, min(bootstrap._DRAW_ENTRIES // n, bootstrap._QUADFORM_ENTRIES // max(pairs, 1)))
+    rng = seed.substream(chunk).generator()
+    return np.concatenate([bootstrap._draw_weights(n, scheme, rng, min(rows, count - lo))
+                           for lo in range(0, count, rows)])
 
 
 def multinomial_moment_oracle(n: int, exponents: tuple[int, ...]) -> Fraction:

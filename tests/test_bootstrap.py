@@ -6,7 +6,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ppboot import bootstrap
 from ppboot.bootstrap import (
     _CHUNK,
     _draw_weights,
@@ -32,6 +31,7 @@ from ppboot.rng import RngSeed
 from conftest import (
     UndefinedMomentError,
     alpha_fractions_from_moments,
+    drawn_weights,
     multinomial_moment_oracle,
     pair_values,
     random_pattern,
@@ -58,12 +58,12 @@ def raw_enumeration_moment(n: int, exponents: tuple[int, ...]) -> Fraction:
 class TestWeightVector:
     def test_weights_are_nonnegative_integers(self):
         for scheme in ("multinomial", "poissonized"):
-            w = _draw_weights(20, scheme, RngSeed(5), 0, 50)
+            w = drawn_weights(20, scheme, RngSeed(5), 50)
             assert w.shape == (50, 20)
             assert np.all(w >= 0) and np.all(w == np.round(w))
 
     def test_multinomial_sum_constraint(self):
-        w = _draw_weights(7, "multinomial", RngSeed(6), 0, 200)
+        w = drawn_weights(7, "multinomial", RngSeed(6), 200)
         assert np.all(w.sum(axis=1) == 7)
 
     def test_unknown_scheme_rejected(self):
@@ -75,16 +75,16 @@ class TestWeightVector:
 class TestDrawWeights:
     def test_n_zero_rejected(self):
         with pytest.raises(ParameterError):
-            _draw_weights(0, "multinomial", RngSeed(1), 0, 1)
+            _draw_weights(0, "multinomial", RngSeed(1).generator(), 1)
 
     def test_single_point_multinomial_is_deterministic(self):
         for s in range(5):
-            assert _draw_weights(1, "multinomial", RngSeed(s), 0, 3).tolist() == [[1], [1], [1]]
+            assert drawn_weights(1, "multinomial", RngSeed(s), 3).tolist() == [[1], [1], [1]]
 
     def test_multinomial_two_point_probabilities(self):
         # enumeration oracle: outcomes (2,0), (1,1), (0,2) with probs 1/4, 1/2, 1/4
         draws = 100_000
-        w = _draw_weights(2, "multinomial", RngSeed(303), 0, draws)
+        w = drawn_weights(2, "multinomial", RngSeed(303), draws)
         hits = int(np.count_nonzero(np.all(w == 1, axis=1)))
         se = math.sqrt(0.5 * 0.5 / draws)
         assert abs(hits / draws - 0.5) < 3 * se
@@ -92,21 +92,21 @@ class TestDrawWeights:
     def test_poissonized_moments(self):
         draws = 2000
         n = 100
-        w = _draw_weights(n, "poissonized", RngSeed(404), 0, draws)
+        w = drawn_weights(n, "poissonized", RngSeed(404), draws)
         total = draws * n  # every component is Poisson(1)
         assert abs(w.mean() - 1.0) < 4 * math.sqrt(1.0 / total)
         kappa_minus_1 = 2.0 + 1.0  # Poisson(1): (kappa - 1) sigma^4 = 3 sigma^4 with sigma^2 = 1
         assert abs(w.var(ddof=1) - 1.0) < 4 * math.sqrt(kappa_minus_1 / total)
 
     def test_deterministic_given_seed(self):
-        a = _draw_weights(50, "multinomial", RngSeed(7, (3,)), 0, 4)
-        b = _draw_weights(50, "multinomial", RngSeed(7, (3,)), 0, 4)
+        a = drawn_weights(50, "multinomial", RngSeed(7, (3,)), 4)
+        b = drawn_weights(50, "multinomial", RngSeed(7, (3,)), 4)
         assert np.array_equal(a, b)
 
     def test_multinomial_rows_above_sub_block_size_sum_to_n(self):
-        # n > 2**16 draws one row per sub-block
+        # n > 2**16 draws one row per row block
         n = 70_000
-        w = _draw_weights(n, "multinomial", RngSeed(9), 0, 3)
+        w = drawn_weights(n, "multinomial", RngSeed(9), 3)
         assert w.shape == (3, n) and w.dtype == np.float64
         assert np.all(w.sum(axis=1) == n)
 
@@ -124,13 +124,13 @@ class TestWeightLaw:
 
     @pytest.mark.parametrize("scheme, want", [("multinomial", (N - 1) / N), ("poissonized", 1.0)])
     def test_factorial_moments(self, scheme, want):
-        w = _draw_weights(self.N, scheme, RngSeed(505), 0, self.ROWS)
+        w = drawn_weights(self.N, scheme, RngSeed(505), self.ROWS)
         self.assert_mean_within_4_sigma(w[:, 0] * w[:, 1], want)
         self.assert_mean_within_4_sigma(w[:, 0] * (w[:, 0] - 1), want)
 
     def test_poissonized_row_sums_are_poisson_n(self):
         n, rows = self.N, self.ROWS
-        sums = _draw_weights(n, "poissonized", RngSeed(506), 0, rows).sum(axis=1)
+        sums = drawn_weights(n, "poissonized", RngSeed(506), rows).sum(axis=1)
         assert abs(sums.mean() - n) < 4 * math.sqrt(n / rows)
         # Poisson(n): fourth central moment n + 3n^2, so var(s^2) ~ (n + 2n^2) / rows
         assert abs(sums.var(ddof=1) - n) < 4 * math.sqrt((n + 2 * n * n) / rows)
@@ -158,7 +158,7 @@ class TestChunkStreams:
         n_resamples = 2 * _CHUNK + 17
         seed = RngSeed(14)
         stats = bootstrap_statistics(pat, f, n_resamples, scheme, seed)
-        blocks = [_draw_weights(pat.n, scheme, seed, c, size)
+        blocks = [drawn_weights(pat.n, scheme, seed, size, c)
                   for c, size in enumerate((_CHUNK, _CHUNK, 17))]
         assert not np.array_equal(blocks[0], blocks[1])
         for c, w in enumerate(blocks):
@@ -166,18 +166,22 @@ class TestChunkStreams:
             assert stats[c * _CHUNK:c * _CHUNK + len(w)] == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("scheme", ["multinomial", "poissonized"])
-    def test_capped_chunks_identical_for_one_and_two_threads(self, monkeypatch, scheme):
-        monkeypatch.setattr(bootstrap, "_CHUNK_ENTRIES", 5 * 12)  # chunks of 5 resamples at n = 12
+    def test_chunks_past_n_1024_hold_4096_resamples(self, scheme):
+        # about 1,200 pairs: row blocks of 59 resamples, bound by the weight draw
         rng = np.random.default_rng(46)
-        pat = random_pattern(12, rng)
-        f = random_smooth_pair_function(rng)
+        pat = random_pattern(1100, rng)
+        f = kernel_pair_function(KernelFunction("box", 0.005), 0.02, unit_square())
         seed = RngSeed(15)
-        one = bootstrap_statistics(pat, f, 23, scheme, seed, threads=1)
-        two = bootstrap_statistics(pat, f, 23, scheme, seed, threads=2)
+        one = bootstrap_statistics(pat, f, _CHUNK + 7, scheme, seed, threads=1)
+        two = bootstrap_statistics(pat, f, _CHUNK + 7, scheme, seed, threads=2)
         assert one.tobytes() == two.tobytes()
-        w = _draw_weights(pat.n, scheme, seed, 1, 5)
-        want = np.einsum("ki,ij,kj->k", w, pair_values(pat, f), w)
-        assert one[5:10] == pytest.approx(want, rel=1e-12)
+        pairs = len(f.pairs(pat.points)[2])
+        first = drawn_weights(pat.n, scheme, seed, _CHUNK, 0, pairs)[[0, 1, -2, -1]]
+        second = drawn_weights(pat.n, scheme, seed, 7, 1, pairs)
+        assert not np.array_equal(first, second[:4])
+        mat = f.pair_matrix(pat.points)
+        for got, w in ((one[[0, 1, _CHUNK - 2, _CHUNK - 1]], first), (one[_CHUNK:], second)):
+            assert got == pytest.approx(np.einsum("ki,ij,kj->k", w, mat, w), rel=1e-12)
 
     def test_weight_block_memory_bounded(self):
         # about 2,500 pairs; one uncapped chunk would hold 1,000 x 20,000 weights (160 MB)
@@ -191,6 +195,18 @@ class TestChunkStreams:
             tracemalloc.stop()
         assert peak < 64 * 2**20
 
+    def test_weight_memory_is_one_row_block(self):
+        # row blocks of 3 resamples at n = 20,000 hold 0.5 MB of weights; all 1,000 take 160 MB
+        pat = random_pattern(20_000, np.random.default_rng(47))
+        f = kernel_pair_function(KernelFunction("box", 0.0005), 0.002, unit_square())
+        tracemalloc.start()
+        try:
+            bootstrap_statistics(pat, f, 1000, "multinomial", RngSeed(16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
 
 class TestBootstrapStatistic:
     """Each statistic is sum_{i != j} f(x_i, x_j) w(i) w(j) of its resample's weights."""
@@ -200,7 +216,7 @@ class TestBootstrapStatistic:
         rng = np.random.default_rng(30)
         pat = random_pattern(2, rng)
         f = random_smooth_pair_function(rng)
-        w = _draw_weights(2, "multinomial", RngSeed(30), 0, 64)
+        w = drawn_weights(2, "multinomial", RngSeed(30), 64)
         stats = bootstrap_statistics(pat, f, 64, "multinomial", RngSeed(30))
         ones = np.all(w == 1, axis=1)
         assert ones.any()
@@ -210,7 +226,7 @@ class TestBootstrapStatistic:
         rng = np.random.default_rng(31)
         pat = random_pattern(2, rng)
         f = random_smooth_pair_function(rng)
-        w = _draw_weights(2, "multinomial", RngSeed(31), 0, 64)
+        w = drawn_weights(2, "multinomial", RngSeed(31), 64)
         stats = bootstrap_statistics(pat, f, 64, "multinomial", RngSeed(31))
         single = np.count_nonzero(w, axis=1) == 1
         assert single.any()
@@ -220,7 +236,7 @@ class TestBootstrapStatistic:
         rng = np.random.default_rng(32)
         pat = random_pattern(8, rng)
         f = random_smooth_pair_function(rng)
-        w = _draw_weights(8, "poissonized", RngSeed(32), 0, 5)
+        w = drawn_weights(8, "poissonized", RngSeed(32), 5)
         stats = bootstrap_statistics(pat, f, 5, "poissonized", RngSeed(32))
         for k in range(5):
             by_loop = math.fsum(

@@ -113,6 +113,17 @@ class TestPcf:
         assert first[0] == pytest.approx(table[0, 0])
         assert first[1] == pytest.approx(table[0, 1])
 
+    def test_kernel_takes_every_kernel_name(self, tmp_path, planar_pattern):
+        # the flag takes the names --f-spec takes: epa and epanechnikov are one kernel
+        outs = {}
+        for kind in ("box", "epa", "epanechnikov"):
+            outs[kind] = tmp_path / f"{kind}.csv"
+            assert main(["pcf", "--input", planar_pattern, "--rmin", "0.02", "--rmax", "0.2",
+                         "--rsteps", "4", "--bandwidth", "0.01", "--kernel", kind,
+                         "--out", str(outs[kind])]) == 0
+        assert outs["epa"].read_bytes() == outs["epanechnikov"].read_bytes()
+        assert outs["epa"].read_bytes() != outs["box"].read_bytes()
+
     def test_bad_radius_config(self, planar_pattern, tmp_path):
         rc = main(["pcf", "--input", planar_pattern, "--rmin", "0.2", "--rmax", "0.1",
                    "--rsteps", "5", "--bandwidth", "0.01", "--out", str(tmp_path / "x.csv")])

@@ -3,7 +3,7 @@ import pytest
 
 from ppboot.errors import DataError, DuplicatePointError, OutOfWindowError
 from ppboot.geometry import Interval1, PointPattern, Window2, unit_square
-from ppboot.patternio import ingest_pattern, read_window, write_pattern, write_window
+from ppboot.patternio import ingest_pattern, parse_window, read_window, write_pattern, write_window
 
 
 def test_round_trip_planar(tmp_path):
@@ -82,3 +82,37 @@ def test_explicit_window_path(tmp_path):
     (tmp_path / "custom.json").write_text('{"window": {"lo": 0.0, "hi": 1.0}}')
     pat = ingest_pattern(tmp_path / "p.csv", tmp_path / "custom.json")
     assert pat.window == Interval1(0.0, 1.0)
+
+
+def test_sidecar_without_window_key_names_the_missing_key(tmp_path):
+    (tmp_path / "w.json").write_text('{"x_min": 0, "x_max": 1, "y_min": 0, "y_max": 1}')
+    with pytest.raises(DataError, match=r"w\.json has no 'window' key, only "
+                                        r"\['x_max', 'x_min', 'y_max', 'y_min'\]"):
+        read_window(tmp_path / "w.json")
+
+
+@pytest.mark.parametrize("text, kind", [("[1, 2]", "list"), ("3", "int"), ("null", "NoneType")])
+def test_sidecar_that_is_not_an_object_says_so(tmp_path, text, kind):
+    (tmp_path / "w.json").write_text(text)
+    with pytest.raises(DataError, match=rf"w\.json must hold a JSON object, got {kind}$"):
+        read_window(tmp_path / "w.json")
+
+
+@pytest.mark.parametrize("window", [
+    '{"x_min": false, "x_max": true, "y_min": "0", "y_max": "1e0"}',
+    '{"x_min": 0, "x_max": 1, "y_min": 0, "y_max": "1"}',
+    '{"x_min": 0, "x_max": NaN, "y_min": 0, "y_max": 1}',
+    '{"lo": "0", "hi": 1}',
+    '{"lo": 0, "hi": true}',
+    '{"lo": 0, "hi": Infinity}',
+])
+def test_window_bounds_must_be_finite_json_numbers(tmp_path, window):
+    (tmp_path / "w.json").write_text(f'{{"window": {window}}}')
+    with pytest.raises(DataError, match="bad window values: must be a finite number"):
+        read_window(tmp_path / "w.json")
+
+
+def test_parse_window_keeps_integer_and_float_bounds():
+    assert parse_window({"lo": 0, "hi": 2.5}) == Interval1(0.0, 2.5)
+    assert parse_window({"x_min": -1, "x_max": 1, "y_min": 0.0, "y_max": 3}) == \
+        Window2(-1.0, 1.0, 0.0, 3.0)

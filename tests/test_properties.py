@@ -7,12 +7,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from ppboot import bootstrap as bootstrap_module
 from ppboot import intensity as intensity_module
-from ppboot.bootstrap import SCHEMES, _limit_from_sums, bootstrap_variance_limit
-from ppboot.errors import DuplicatePointError
+from ppboot import moments as moments_module
+from ppboot.bootstrap import (SCHEMES, _limit_from_sums, bootstrap_statistics,
+                              bootstrap_variance_limit)
+from ppboot.errors import DuplicatePointError, UnattainableLevelError
 from ppboot.geometry import (
     Interval1,
     PointPattern,
@@ -24,13 +27,15 @@ from ppboot.geometry import (
     constant_intensity,
     linear_intensity,
 )
-from ppboot.intensity import (BAND_METHODS, _count_histogram, _window_ends, coverage_experiment,
-                              window_counts)
+from ppboot.intensity import (BAND_METHODS, _count_histogram, _min_t_threshold, _window_ends,
+                              coverage_experiment, window_counts)
+from ppboot.moments import s_moments_poisson
 from ppboot.rng import RngSeed
 from ppboot.twopoint import (KernelFunction, _grouped_sums, constant_pair_function,
                              distinct_index_sums, kernel_pair_function)
 
-from conftest import brute_force_sums, one_at_a_time, pair_values
+from conftest import (brute_force_sums, drawn_weights, one_at_a_time, pair_values,
+                      random_pattern, reference_min_t_threshold)
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=60)
 
@@ -206,3 +211,85 @@ def test_limits_from_grouped_sums_equal_each_pattern_alone(stack, scheme):
     limits = _limit_from_sums(_grouped_sums(points, counts, f), counts, scheme)
     alone = [bootstrap_variance_limit(p, f, scheme) for p in split_patterns(points, counts, window)]
     assert limits.tolist() == alone
+
+
+# (chunk, draw entries, quadform entries, resamples): the library's bounds, under which
+# `ones` binds the pair bound from n = 34 on and every chunk holds more than one row
+# block, or small bounds that split a few resamples
+layouts = st.one_of(
+    st.tuples(st.just(None), st.just(None), st.just(None), st.integers(4000, 9000)),
+    st.tuples(st.integers(1, 30), st.integers(1, 300), st.integers(1, 300), st.integers(1, 120)))
+
+
+# shrinking these examples of thousands of resamples takes minutes; a failure is reported as drawn
+BOOTSTRAP_SETTINGS = settings(SETTINGS, phases=(Phase.explicit, Phase.generate))
+
+
+def patched_bounds(*values):
+    """The bootstrap's bounds set to ``values``; None keeps the library's bound."""
+    names = ("_CHUNK", "_DRAW_ENTRIES", "_QUADFORM_ENTRIES")
+    return mock.patch.multiple(bootstrap_module, **{
+        k: getattr(bootstrap_module, k) if v is None else v for k, v in zip(names, values)})
+
+
+@BOOTSTRAP_SETTINGS
+@given(n=st.integers(0, 45), point_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**64 - 1),
+       case=st.sampled_from(sorted(PAIR_CASES)), scheme=st.sampled_from(SCHEMES), layout=layouts)
+def test_statistics_are_dense_forms_of_row_blocks_drawn_in_turn(n, point_seed, seed, case,
+                                                                scheme, layout):
+    window, f = PAIR_CASES[case]
+    *bounds, n_resamples = layout
+    pattern = random_pattern(n, np.random.default_rng(point_seed), window)
+    with patched_bounds(*bounds):
+        stats = bootstrap_statistics(pattern, f, n_resamples, scheme, RngSeed(seed))
+        if n == 0:
+            assert stats.tolist() == [0.0] * n_resamples
+            return
+        pairs, mat = len(f.pairs(pattern.points)[2]), f.pair_matrix(pattern.points)
+        chunk = bootstrap_module._CHUNK
+        for c, lo in enumerate(range(0, n_resamples, chunk)):
+            w = drawn_weights(n, scheme, RngSeed(seed), min(chunk, n_resamples - lo), c, pairs)
+            want = np.einsum("ki,ij,kj->k", w, mat, w)
+            assert stats[lo:lo + len(w)] == pytest.approx(want, rel=1e-12)
+
+
+@BOOTSTRAP_SETTINGS
+@given(n=st.integers(0, 45), point_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**64 - 1),
+       case=st.sampled_from(sorted(PAIR_CASES)), scheme=st.sampled_from(SCHEMES), layout=layouts)
+def test_statistics_identical_for_one_and_two_threads(n, point_seed, seed, case, scheme, layout):
+    window, f = PAIR_CASES[case]
+    *bounds, n_resamples = layout
+    pattern = random_pattern(n, np.random.default_rng(point_seed), window)
+    with patched_bounds(*bounds):
+        one, two = (bootstrap_statistics(pattern, f, n_resamples, scheme, RngSeed(seed), threads=t)
+                    for t in (1, 2))
+    assert one.tobytes() == two.tobytes()
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=15)
+@given(seed=st.integers(0, 2**64 - 1), samples=st.integers(1000, 3000),
+       chunk=st.integers(100, 1500), case=st.sampled_from(sorted(PAIR_CASES)))
+def test_moments_identical_for_one_and_two_threads(seed, samples, chunk, case):
+    window, f = PAIR_CASES[case]
+    with mock.patch.object(moments_module, "_MC_CHUNK", chunk):
+        one, two = (s_moments_poisson(30.0, window, f, samples, RngSeed(seed), threads=t)
+                    for t in (1, 2))
+    assert one == two
+
+
+def threshold_outcome(fn, *args):
+    """fn's result, or the type and message of the UnattainableLevelError it raised."""
+    try:
+        return repr(fn(*args))
+    except UnattainableLevelError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@SETTINGS
+@given(mean=st.one_of(st.integers(0, 150).map(float), st.floats(0.0, 150.0)),
+       two_h=st.floats(0.002, 1.0),
+       alpha=st.one_of(st.sampled_from([0.0, 1e-6, 0.05, 0.5, 1.0, 1.5]), st.floats(1e-6, 0.99)))
+def test_min_t_threshold_equals_the_atom_scan(mean, two_h, alpha):
+    want = threshold_outcome(reference_min_t_threshold, mean, mean, two_h, alpha,
+                             mean.is_integer())
+    assert threshold_outcome(_min_t_threshold, mean, two_h, alpha) == want

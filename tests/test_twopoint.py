@@ -7,7 +7,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from ppboot import twopoint
-from ppboot.bootstrap import _draw_weights, bootstrap_statistics
+from ppboot.bootstrap import bootstrap_statistics
 from ppboot.errors import ParameterError
 from ppboot.geometry import (
     Interval1,
@@ -29,7 +29,8 @@ from ppboot.twopoint import (
     two_point_statistic,
 )
 
-from conftest import brute_force_sums, pair_values, random_pattern, random_smooth_pair_function
+from conftest import (brute_force_sums, drawn_weights, pair_values, random_pattern,
+                      random_smooth_pair_function)
 
 
 class TestKernels:
@@ -356,7 +357,7 @@ class TestSparsePairs:
     def test_bootstrap_matches_dense_quadratic_form(self, pat, f):
         if pat.n == 0:
             return
-        w = _draw_weights(pat.n, "poissonized", RngSeed(62), 0, 20)
+        w = drawn_weights(pat.n, "poissonized", RngSeed(62), 20)
         dense = np.einsum("ki,ij,kj->k", w, pair_values(pat, f), w)
         stats = bootstrap_statistics(pat, f, 20, "poissonized", RngSeed(62))
         np.testing.assert_allclose(stats, dense, rtol=1e-12, atol=0)
