@@ -35,6 +35,9 @@ from .rng import RngSeed
 from .twopoint import _KERNELS, KernelFunction, distinct_index_sums, estimate_product_density
 
 _CLI_METHODS = {"mc": "bootstrap_mc", "closed": "bootstrap_closed_form", "exact": "exact_poisson"}
+# ci-band and coverage take a short name or any full method name, which the library checks
+_METHOD_OPTION = {"type": lambda m: _CLI_METHODS.get(m, m), "required": True,
+                  "help": "mc, closed, exact, or a full method name (e.g. oracle_true_t)"}
 
 
 def _fmt(v) -> str:
@@ -139,7 +142,7 @@ def _cmd_moments(args) -> int:
 def _cmd_ci_band(args) -> int:
     pattern = ingest_pattern(args.input, args.window)
     grid = midpoint_grid(pattern.window, args.grid_steps)
-    band = confidence_band(pattern, args.h, args.alpha, grid, _CLI_METHODS[args.method],
+    band = confidence_band(pattern, args.h, args.alpha, grid, args.method,
                            mc_draws=args.mc_draws, seed=RngSeed(args.seed))
     _write_csv(args.out, {**band.columns(), "flag": [flag or "ok" for flag in band.flags]})
     return 0
@@ -152,11 +155,10 @@ def _cmd_coverage(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"--interval must be lo,hi: {exc}") from exc
     intensity = parse_lambda_spec(args.lambda_spec, interval)
-    method = _CLI_METHODS.get(args.method, args.method)
     grid = midpoint_grid(interval, args.grid_steps)
-    cov = coverage_experiment(intensity, interval, args.h, args.alpha, [method],
+    cov = coverage_experiment(intensity, interval, args.h, args.alpha, [args.method],
                               args.reps, grid, RngSeed(args.seed),
-                              mc_draws=args.mc_draws)[method]
+                              mc_draws=args.mc_draws)[args.method]
     _write_csv(args.out, cov.columns())
     return 0
 
@@ -229,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", default=None)
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--method", choices=list(_CLI_METHODS), required=True)
+    p.add_argument("--method", **_METHOD_OPTION)
     p.add_argument("--grid-steps", type=int, default=20)
     p.add_argument("--mc-draws", type=int, default=_MC_DRAWS)
     _add_common(p)
@@ -240,8 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval", default="0,1", help="lo,hi")
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--method", required=True,
-                   help="mc, closed, exact, or a full method name (e.g. oracle_true_t)")
+    p.add_argument("--method", **_METHOD_OPTION)
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--grid-steps", type=int, default=9)
     p.add_argument("--mc-draws", type=int, default=_MC_DRAWS)

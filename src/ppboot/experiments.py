@@ -6,10 +6,10 @@ patterns from a homogeneous Poisson truth, evaluates the closed-form
 bootstrap variance limit on each, and compares the Monte Carlo sample
 variance of the statistic against the integrated targets 4*s3 + 2*s2
 (truth) and 4*s3 + 6*s2 (what the bootstrap converges to), surfacing
-their ratio.  The replicates draw in turn from one generator, on
-substream 0 of the seed; they are simulated, checked and summed in
-blocks, one pair search per block, and no replicate's points or sums
-depend on the block size.
+their ratio.  The replicates' counts, x and y draw from substreams
+(0, 0), (0, 1) and (0, 2) of the seed; they are simulated, checked and
+summed in blocks, one pair search per block, and no replicate's points or
+sums depend on the block size.
 Threads serve only the moments.
 
 ``run_ci_suite`` builds intensity confidence bands on one realization by
@@ -265,9 +265,9 @@ def run_variance_comparison(config: dict, threads: int = 1) -> ResultRecord:
     mu = lam * window.area
     pairs = 0.5 * mu * mu * min(1.0, math.pi * f.search_reach ** 2 / window.area)
     block = max(1, min(_GROUP_BLOCK, int(_GROUP_PAIRS / max(pairs, 1.0))))
-    rng = seed.substream(0).generator()
+    rngs = [seed.substream(0, k).generator() for k in range(3)]
     for lo in range(0, reps, block):
-        points, counts = _simulate_homogeneous_block(lam, window, rng, min(block, reps - lo))
+        points, counts = _simulate_homogeneous_block(lam, window, rngs, min(block, reps - lo))
         _check_replicates(points, counts, window, first=lo)
         sums = _grouped_sums(points, counts, f)
         thetas[lo:lo + len(counts)] = sums.P

@@ -4,8 +4,8 @@ Planar homogeneous processes live on a rectangle :class:`Window2`;
 one-dimensional inhomogeneous processes live on an :class:`Interval1`.
 Patterns are immutable and validated on construction: points have the
 window's shape, every point lies inside its window, and points are
-pairwise distinct.  A block of simulated replicates, drawn in turn from
-one generator and stacked without building a pattern for each, passes
+pairwise distinct.  One Poisson block sampler draws every simulation.  A
+block of replicates, stacked without building a pattern for each, passes
 the same checks in one call, which shares the duplicate search with the
 pattern's.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -213,11 +213,22 @@ def linear_intensity(a: float, b: float, interval: Interval1) -> IntensityFuncti
 _MAX_EXPECTED_COUNT = 1e8
 
 
-def _require_drawable(mean: float) -> None:
+def _poisson_block(rngs: Sequence[np.random.Generator], mean: float, box: Window2,
+                   count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` patterns of Poisson(mean) i.i.d. uniform points in ``box``: stacked points, counts.
+
+    The counts draw from ``rngs[0]``, every point's x from ``rngs[1]`` and its y from ``rngs[2]``,
+    each in replicate order, so blocks drawn one after another equal one block of their total
+    size.  One generator in all three roles draws one pattern's count, x, then y.
+    """
     if not mean <= _MAX_EXPECTED_COUNT:
         raise ParameterError(
             f"expected point count {mean:.6g} exceeds the simulation cap {_MAX_EXPECTED_COUNT:.0e}"
         )
+    counts = rngs[0].poisson(mean, count)
+    total = int(counts.sum())
+    return np.column_stack([rngs[1].uniform(box.x_min, box.x_max, total),
+                            rngs[2].uniform(box.y_min, box.y_max, total)]), counts
 
 
 def simulate_homogeneous_poisson(lam: float, window: Window2, seed: RngSeed) -> PointPattern:
@@ -226,30 +237,21 @@ def simulate_homogeneous_poisson(lam: float, window: Window2, seed: RngSeed) -> 
     The count is Poisson(lam * area) and locations are i.i.d. uniform.
     Deterministic given the seed.
     """
-    return PointPattern(_simulate_homogeneous_block(lam, window, seed.generator(), 1)[0], window)
+    rng = seed.generator()
+    return PointPattern(_simulate_homogeneous_block(lam, window, (rng,) * 3, 1)[0], window)
 
 
-def _simulate_homogeneous_block(lam: float, window: Window2, rng: np.random.Generator,
+def _simulate_homogeneous_block(lam: float, window: Window2, rngs: Sequence[np.random.Generator],
                                 count: int) -> tuple[np.ndarray, np.ndarray]:
     """``count`` homogeneous Poisson patterns, as stacked points and per-pattern counts.
 
-    The patterns draw from ``rng`` in turn, each a Poisson count, that many
-    x, then as many y, so blocks drawn one after another from one generator
-    equal one block of their total size.  The points are not checked:
+    A ``_poisson_block`` on the window.  The points are not checked:
     ``PointPattern`` checks one pattern, ``_check_replicates`` a block.
     """
     _require_window(window, Window2, "homogeneous simulation")
     if not (math.isfinite(lam) and lam >= 0):
         raise ParameterError(f"intensity must be finite and >= 0, got {lam}")
-    _require_drawable(lam * window.area)
-    xs, ys = [], []
-    for _ in range(count):
-        n = int(rng.poisson(lam * window.area))
-        xs.append(rng.uniform(window.x_min, window.x_max, n))
-        ys.append(rng.uniform(window.y_min, window.y_max, n))
-    points = np.column_stack([np.concatenate(xs), np.concatenate(ys)])
-    counts = np.array([len(x) for x in xs], dtype=np.intp)
-    return points, counts
+    return _poisson_block(rngs, lam * window.area, window, count)
 
 
 def simulate_inhomogeneous_poisson(intensity: IntensityFunction, interval: Interval1,
@@ -261,31 +263,27 @@ def simulate_inhomogeneous_poisson(intensity: IntensityFunction, interval: Inter
     lambda(x) <= lambda_max everywhere; violations raise
     :class:`InvalidBoundError` when detected at evaluation.
     """
+    rng = seed.generator()
     return PointPattern(
-        _simulate_inhomogeneous_block(intensity, interval, seed.generator(), 1)[0], interval)
+        _simulate_inhomogeneous_block(intensity, interval, (rng,) * 3, 1)[0], interval)
 
 
 def _simulate_inhomogeneous_block(intensity: IntensityFunction, interval: Interval1,
-                                  rng: np.random.Generator, count: int
+                                  rngs: Sequence[np.random.Generator], count: int
                                   ) -> tuple[np.ndarray, np.ndarray]:
     """``count`` thinned patterns: stacked points, sorted per pattern, and per-pattern counts.
 
-    The patterns draw from ``rng`` in turn, each a Poisson count, that many
-    proposals, then as many uniforms, as for ``_simulate_homogeneous_block``.
+    The proposals and their uniforms are a ``_poisson_block`` on interval x [0, 1].
     lambda is evaluated and the block thinned at once; a bad lambda is
     reported as the first pattern to show it would report it alone.  The
     points are not checked.
     """
     _require_window(interval, Interval1, "inhomogeneous simulation")
     lam_max = intensity.lambda_max
-    _require_drawable(lam_max * interval.length)
-    proposals, uniforms = [], []
-    for _ in range(count):
-        n = int(rng.poisson(lam_max * interval.length))
-        proposals.append(rng.uniform(interval.lo, interval.hi, n))
-        uniforms.append(rng.uniform(0.0, 1.0, n))
-    x = np.concatenate(proposals)
-    starts = np.cumsum([0] + [len(p) for p in proposals])
+    proposals, counts = _poisson_block(rngs, lam_max * interval.length,
+                                       Window2(interval.lo, interval.hi, 0.0, 1.0), count)
+    x, uniforms = np.ascontiguousarray(proposals.T)
+    starts = np.concatenate([[0], np.cumsum(counts)])
     values = intensity(x) if len(x) else x
     bad = np.flatnonzero((values < 0) | (values > lam_max * (1 + 1e-12)))
     if len(bad):
@@ -296,7 +294,7 @@ def _simulate_inhomogeneous_block(intensity: IntensityFunction, interval: Interv
         raise InvalidBoundError(f"intensity exceeds declared lambda_max={lam_max} "
                                 f"at x={x[starts[g] + np.argmax(own)]:.6g}")
     # the kept indices ascend, so pattern g keeps those from starts[g] to starts[g + 1]
-    kept = np.flatnonzero(np.concatenate(uniforms) * lam_max < values)
+    kept = np.flatnonzero(uniforms * lam_max < values)
     bounds = np.searchsorted(kept, starts)
     points = x[kept]
     for lo, hi in zip(bounds[:-1], bounds[1:]):

@@ -510,16 +510,16 @@ def _count_histogram(intensity: IntensityFunction, interval: Interval1, reps: in
                      ends: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """(seen, hist): the counts seen, ascending, and hist[k, g], the replicates with count seen[k] at g.
 
-    The replicates draw in turn from ``seed.substream(0)``.  Blocks of about ``_BLOCK_PROPOSALS``
-    proposals are drawn, checked and counted into hist[p, g], which has a row per count up to the
-    largest seen.
+    The counts, x and y draw from ``seed.substream(0, k)``, k = 0, 1, 2.  Blocks of about
+    ``_BLOCK_PROPOSALS`` proposals are drawn, checked and counted into hist[p, g], which has a row
+    per count up to the largest seen.
     """
     n_grid = len(ends[0])
     hist = np.zeros((0, n_grid), dtype=np.int64)
     block = max(1, int(_BLOCK_PROPOSALS / max(intensity.lambda_max * interval.length, 1.0)))
-    rng = seed.substream(0).generator()
+    rngs = [seed.substream(0, k).generator() for k in range(3)]
     for start in range(0, reps, block):
-        points, sizes = _simulate_inhomogeneous_block(intensity, interval, rng,
+        points, sizes = _simulate_inhomogeneous_block(intensity, interval, rngs,
                                                       min(block, reps - start))
         _check_replicates(points, sizes, interval, grouped=True, first=start)
         counts = np.array([_counts_in(p, ends) for p in np.split(points, np.cumsum(sizes)[:-1])])

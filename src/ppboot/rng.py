@@ -5,8 +5,8 @@ substream path identifies one random stream, independent of how many
 workers execute the job, so parallel and serial runs produce identical
 results.  Threaded Monte Carlo drivers give each chunk its own substream
 and combine results in index order.  A replicate loop, which is not
-threaded, draws every replicate in order from one generator, so its draws
-do not depend on how the loop is blocked and no replicate pays for seeding.
+threaded, draws counts, x and y from one generator each, in replicate
+order, so its draws do not depend on the blocking and no replicate is seeded.
 """
 from __future__ import annotations
 

@@ -113,9 +113,17 @@ def seeded(seed: int, *stream: int) -> RngSeed:
 
 
 def one_at_a_time(simulate_block, *args, seed: RngSeed, reps: int) -> list[np.ndarray]:
-    """Each replicate's points, drawn as one-replicate blocks in turn from ``seed``'s generator."""
-    rng = seed.generator()
-    return [simulate_block(*args, rng, 1)[0] for _ in range(reps)]
+    """Each replicate's points, drawn as one-replicate blocks in turn.
+
+    The counts, x and y streams are substreams 0, 1 and 2 of ``seed``.
+    """
+    rngs = stream_generators(seed)
+    return [simulate_block(*args, rngs, 1)[0] for _ in range(reps)]
+
+
+def stream_generators(seed: RngSeed) -> list[np.random.Generator]:
+    """A block simulator's counts, x and y generators: substreams 0, 1 and 2 of ``seed``."""
+    return [seed.substream(k).generator() for k in range(3)]
 
 
 def drawn_weights(n: int, scheme: str, seed: RngSeed, count: int, chunk: int = 0,

@@ -231,6 +231,18 @@ class TestCiBand:
         rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
         assert any("zero-count" in row[4] for row in rows)
 
+    @pytest.mark.parametrize("short, full", [("mc", "bootstrap_mc"),
+                                             ("closed", "bootstrap_closed_form"),
+                                             ("exact", "exact_poisson")])
+    def test_full_method_name_same_as_short(self, tmp_path, interval_pattern, short, full):
+        # ci-band takes the method names coverage takes
+        outs = [tmp_path / f"{m}.csv" for m in (short, full)]
+        for method, out in zip((short, full), outs):
+            assert main(["ci-band", "--input", interval_pattern, "--h", "0.05", "--alpha", "0.05",
+                         "--method", method, "--grid-steps", "6", "--seed", "3",
+                         "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
 
 class TestCoverage:
     def test_csv_with_error_columns(self, tmp_path):
@@ -392,6 +404,10 @@ EXIT_CODES = [
                  id="ci-band-grid-steps-0"),
     pytest.param(_CI_BAND + ["--method", "closed", "--grid-steps", "-2"], 2, _PARAM,
                  id="ci-band-grid-steps--2"),
+    pytest.param(_CI_BAND + ["--method", "oracle_true_t"], 2,
+                 f"{_PARAM}oracle_true_t bands need the true intensity", id="ci-band-oracle"),
+    pytest.param(_CI_BAND + ["--method", "nonsense"], 2, f"{_PARAM}unknown band method",
+                 id="ci-band-unknown-method"),
     pytest.param(_COVERAGE + ["--grid-steps", "0"], 2, _PARAM, id="coverage-grid-steps-0"),
     pytest.param(_COVERAGE[:-4] + ["--method", "nonsense", "--reps", "200"], 2,
                  f"{_PARAM}unknown band method", id="coverage-unknown-method"),

@@ -22,6 +22,8 @@ from ppboot.geometry import (
 from ppboot.intensity import window_counts
 from ppboot.rng import RngSeed
 
+from conftest import stream_generators
+
 
 class TestWindows:
     def test_area(self):
@@ -146,17 +148,34 @@ class TestReplicateChecks:
         assert info.value.index == 1
 
     def test_block_draws_each_seed_alone(self):
-        # each replicate in turn: a Poisson count, then that many x, then as many y
+        # the counts, every x and every y, each from its own stream in replicate order
         window, seed = Window2(1e6, 1e6 + 2.0, -1.0, 0.0), RngSeed(5, (0,))
-        points, counts = _simulate_homogeneous_block(1.0, window, seed.generator(), 40)
-        rng, want = seed.generator(), []
+        points, counts = _simulate_homogeneous_block(1.0, window, stream_generators(seed), 40)
+        counts_rng, x_rng, y_rng = (seed.substream(k).generator() for k in range(3))
+        want = []
         for _ in range(40):
-            n = rng.poisson(window.area)
-            want.append(np.column_stack([rng.uniform(1e6, 1e6 + 2.0, n), rng.uniform(-1.0, 0.0, n)]))
+            n = counts_rng.poisson(window.area)
+            want.append(np.column_stack([x_rng.uniform(1e6, 1e6 + 2.0, n),
+                                         y_rng.uniform(-1.0, 0.0, n)]))
         assert counts.tolist() == [len(w) for w in want]
         assert 0 in counts
         assert np.array_equal(points, np.concatenate(want))
-        assert np.array_equal(simulate_homogeneous_poisson(1.0, window, seed).points, want[0])
+        # one pattern: a Poisson count, then that many x, then as many y, from one generator
+        rng = seed.generator()
+        n = rng.poisson(window.area)
+        one = np.column_stack([rng.uniform(1e6, 1e6 + 2.0, n), rng.uniform(-1.0, 0.0, n)])
+        assert np.array_equal(simulate_homogeneous_poisson(1.0, window, seed).points, one)
+
+    def test_one_thinned_pattern_draws_from_one_generator(self):
+        # a Poisson count, then that many proposals, then as many uniforms
+        interval, seed = Interval1(0.5, 2.5), RngSeed(6, (3, 0))
+        lam = linear_intensity(10.0, 20.0, interval)
+        rng = seed.generator()
+        n = rng.poisson(lam.lambda_max * interval.length)
+        proposals, u = rng.uniform(0.5, 2.5, n), rng.uniform(0.0, 1.0, n)
+        want = np.sort(proposals[u * lam.lambda_max < lam(proposals)])
+        assert 0 < len(want) < n
+        assert simulate_inhomogeneous_poisson(lam, interval, seed).points.tobytes() == want.tobytes()
 
 
 class TestHomogeneousSimulation:
@@ -288,11 +307,11 @@ class TestInhomogeneousSimulation:
 
 
 def one_at_a_time_outcomes(intensity, seed, reps):
-    """The error each one-replicate block, drawn in turn from ``seed``'s generator, raises, or None."""
-    rng, outcomes = seed.generator(), []
+    """The error each one-replicate block, drawn in turn from ``seed``'s streams, raises, or None."""
+    rngs, outcomes = stream_generators(seed), []
     for _ in range(reps):
         try:
-            _simulate_inhomogeneous_block(intensity, Interval1(0, 1), rng, 1)
+            _simulate_inhomogeneous_block(intensity, Interval1(0, 1), rngs, 1)
         except ParameterError as exc:
             outcomes.append(exc)
         else:
@@ -303,11 +322,11 @@ def one_at_a_time_outcomes(intensity, seed, reps):
 class TestInhomogeneousBlock:
     """A block reports a bad lambda as its first pattern to show it would report it alone."""
 
-    SEED, REPS = RngSeed(2, (0,)), 16
+    SEED, REPS = RngSeed(17, (0,)), 16
 
     def block(self, intensity):
-        return _simulate_inhomogeneous_block(intensity, Interval1(0, 1), self.SEED.generator(),
-                                             self.REPS)
+        return _simulate_inhomogeneous_block(intensity, Interval1(0, 1),
+                                             stream_generators(self.SEED), self.REPS)
 
     # 1 + x exceeds its declared 1.8 above x = 0.8, where Poisson(1.8) proposals
     # fall with probability 0.30; NEGATIVE is negative below x = 0.1 (0.16)
@@ -336,11 +355,10 @@ class TestInhomogeneousBlock:
 
     def test_bound_violation_names_the_patterns_largest_lambda(self):
         outcomes = one_at_a_time_outcomes(self.LYING, self.SEED, self.REPS)
-        rng = self.SEED.generator()
+        # replayed from the counts and x streams; the thinning uniforms have their own
+        counts_rng, x_rng = (self.SEED.substream(k).generator() for k in range(2))
         for _ in range(next(k for k, exc in enumerate(outcomes) if exc is not None) + 1):
-            n = rng.poisson(1.8)
-            proposals = rng.uniform(0.0, 1.0, n)
-            rng.uniform(0.0, 1.0, n)  # the pattern's thinning uniforms
+            proposals = x_rng.uniform(0.0, 1.0, counts_rng.poisson(1.8))
         x_bad = proposals[np.argmax(1.0 + proposals)]
         with pytest.raises(InvalidBoundError) as info:
             self.block(self.LYING)

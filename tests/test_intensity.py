@@ -41,6 +41,7 @@ from conftest import (
     reference_t_alpha_oracle,
     reference_t_star_closed_form,
     reference_t_star_monte_carlo_band,
+    stream_generators,
 )
 
 I01 = Interval1(0.0, 1.0)
@@ -740,10 +741,10 @@ BLOCK_INTENSITIES = pytest.mark.parametrize("lam", [
 ], ids=["linear", "constant", "zero", "sparse"])
 
 
-def thinned_alone(lam, rng):
-    """The next replicate on I01 drawn from ``rng``: a count, its proposals, its uniforms."""
-    n = rng.poisson(lam.lambda_max)
-    proposals, u = rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)
+def thinned_alone(lam, rngs):
+    """The next replicate on I01: a count, its proposals and its uniforms, from ``rngs`` in turn."""
+    n = rngs[0].poisson(lam.lambda_max)
+    proposals, u = rngs[1].uniform(0.0, 1.0, n), rngs[2].uniform(0.0, 1.0, n)
     return np.sort(proposals[u * lam.lambda_max < lam(proposals)])
 
 
@@ -754,16 +755,17 @@ class TestCoverageBlocks:
 
     @BLOCK_INTENSITIES
     def test_block_is_each_seed_drawn_alone(self, lam):
-        points, counts = _simulate_inhomogeneous_block(lam, I01, self.SEED.generator(), self.REPS)
-        rng = self.SEED.generator()
-        alone = [thinned_alone(lam, rng) for _ in range(self.REPS)]
+        points, counts = _simulate_inhomogeneous_block(lam, I01, stream_generators(self.SEED),
+                                                       self.REPS)
+        rngs = [self.SEED.substream(k).generator() for k in range(3)]
+        alone = [thinned_alone(lam, rngs) for _ in range(self.REPS)]
         assert counts.tolist() == [len(a) for a in alone]
         assert points.tobytes() == np.concatenate(alone).tobytes()
         for drawn, a in zip(one_at_a_time(_simulate_inhomogeneous_block, lam, I01, seed=self.SEED,
                                           reps=self.REPS), alone):
             assert drawn.tobytes() == a.tobytes()
         first = simulate_inhomogeneous_poisson(lam, I01, self.SEED)
-        assert first.points.tobytes() == alone[0].tobytes()
+        assert first.points.tobytes() == thinned_alone(lam, (self.SEED.generator(),) * 3).tobytes()
         if lam.lambda_max < 1:
             assert 0 in counts
 

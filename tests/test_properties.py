@@ -7,10 +7,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from ppboot import bootstrap as bootstrap_module
+from ppboot import experiments as experiments_module
 from ppboot import intensity as intensity_module
 from ppboot import moments as moments_module
 from ppboot.bootstrap import (SCHEMES, _limit_from_sums, bootstrap_statistics,
@@ -22,6 +23,7 @@ from ppboot.geometry import (
     Window2,
     _check_replicates,
     _first_repeat,
+    _poisson_block,
     _simulate_homogeneous_block,
     _simulate_inhomogeneous_block,
     constant_intensity,
@@ -35,7 +37,7 @@ from ppboot.twopoint import (KernelFunction, _grouped_sums, constant_pair_functi
                              distinct_index_sums, kernel_pair_function)
 
 from conftest import (brute_force_sums, drawn_weights, one_at_a_time, pair_values,
-                      random_pattern, reference_min_t_threshold)
+                      random_pattern, reference_min_t_threshold, stream_generators)
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=60)
 
@@ -46,11 +48,25 @@ splits = st.lists(st.integers(1, 5), min_size=1, max_size=5)
 
 
 @SETTINGS
+@given(seed=st.integers(0, 2**64 - 1), split=splits, mean=st.sampled_from([0.0, 0.7, 6.0, 40.0]))
+def test_poisson_blocks_read_each_stream_in_replicate_order(seed, split, mean):
+    box, parent = Window2(-1.0, 2.0, 1e6, 1e6 + 0.5), RngSeed(seed, (0,))
+    rngs = stream_generators(parent)
+    drawn = [_poisson_block(rngs, mean, box, size) for size in split]
+    counts_rng, x_rng, y_rng = (parent.substream(k).generator() for k in range(3))
+    counts = [counts_rng.poisson(mean) for _ in range(sum(split))]
+    want = [np.column_stack([x_rng.uniform(-1.0, 2.0, n), y_rng.uniform(1e6, 1e6 + 0.5, n)])
+            for n in counts]
+    assert np.concatenate([c for _, c in drawn]).tolist() == counts
+    assert np.concatenate([p for p, _ in drawn]).tobytes() == np.concatenate(want).tobytes()
+
+
+@SETTINGS
 @given(seed=st.integers(0, 2**64 - 1), split=splits, lam=st.sampled_from([0.0, 0.7, 6.0, 40.0]))
 def test_homogeneous_blocks_equal_one_seed_draws(seed, split, lam):
     window, parent = Window2(-1.0, 2.0, 1e6, 1e6 + 0.5), RngSeed(seed, (0,))
-    rng = parent.generator()
-    drawn = [_simulate_homogeneous_block(lam, window, rng, size) for size in split]
+    rngs = stream_generators(parent)
+    drawn = [_simulate_homogeneous_block(lam, window, rngs, size) for size in split]
     alone = one_at_a_time(_simulate_homogeneous_block, lam, window, seed=parent, reps=sum(split))
     assert np.concatenate([counts for _, counts in drawn]).tolist() == [len(a) for a in alone]
     assert np.concatenate([p for p, _ in drawn]).tobytes() == np.concatenate(alone).tobytes()
@@ -61,8 +77,8 @@ def test_homogeneous_blocks_equal_one_seed_draws(seed, split, lam):
 def test_inhomogeneous_blocks_equal_one_seed_draws(seed, split, linear):
     interval, parent = Interval1(-0.5, 1.5), RngSeed(seed, (3, 0))
     lam = linear_intensity(12.0, 20.0, interval) if linear else constant_intensity(4.0)
-    rng = parent.generator()
-    drawn = [_simulate_inhomogeneous_block(lam, interval, rng, size) for size in split]
+    rngs = stream_generators(parent)
+    drawn = [_simulate_inhomogeneous_block(lam, interval, rngs, size) for size in split]
     alone = one_at_a_time(_simulate_inhomogeneous_block, lam, interval, seed=parent,
                           reps=sum(split))
     assert np.concatenate([counts for _, counts in drawn]).tolist() == [len(a) for a in alone]
@@ -160,6 +176,50 @@ def test_check_replicates_names_the_global_replicate(replicates, start):
             _check_replicates(points, counts, interval, grouped=grouped, first=start)
 
 
+def with_repeat_at(draw, target):
+    """``draw``, a block simulator, with point 1 of replicate ``target`` set to its point 0.
+
+    The replicate is found by counting the replicates drawn before, not by
+    any block offset of the loop under test.
+    """
+    drawn = [0]
+
+    def draw_block(*args):
+        points, counts = draw(*args)
+        k = target - drawn[0]
+        if 0 <= k < len(counts):
+            assert counts[k] >= 2
+            start = counts[:k].sum()
+            points[start + 1] = points[start]
+        drawn[0] += len(counts)
+        return points, counts
+
+    return draw_block
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**64 - 1), block=st.integers(1, 8), reps=st.integers(2, 30),
+       data=st.data())
+def test_both_replicate_loops_name_the_repeating_replicate(seed, block, reps, data):
+    target = data.draw(st.integers(0, reps - 1), label="target")
+    message = rf"^point 1 of replicate {target} repeats its point 0;"
+    # 30 and 40 expected points, so that every replicate has two
+    config = {"lambda": 30.0, "window": {"x_min": 0.0, "x_max": 1.0, "y_min": 0.0, "y_max": 1.0},
+              "f_spec": "ones", "scheme": "poissonized", "reps": reps, "seed": seed}
+    with mock.patch.object(experiments_module, "_GROUP_BLOCK", block), \
+            mock.patch.object(experiments_module, "_simulate_homogeneous_block",
+                              with_repeat_at(_simulate_homogeneous_block, target)), \
+            pytest.raises(DuplicatePointError, match=message):
+        experiments_module.run_variance_comparison(config)
+    interval = Interval1(0.0, 1.0)
+    with mock.patch.object(intensity_module, "_BLOCK_PROPOSALS", block * 40.0), \
+            mock.patch.object(intensity_module, "_simulate_inhomogeneous_block",
+                              with_repeat_at(_simulate_inhomogeneous_block, target)), \
+            pytest.raises(DuplicatePointError, match=message):
+        _count_histogram(constant_intensity(40.0), interval, reps, RngSeed(seed),
+                         _window_ends(interval, np.array([0.5]), 0.1))
+
+
 UNIT, FAR = Window2(0.0, 1.0, 0.0, 1.0), Window2(1e6, 1e6 + 1.0, -2e5, -2e5 + 0.5)
 # (window, f): a short-range kernel, one far from the origin, one whose reach is wider
 # than the window, and f == 1
@@ -169,19 +229,23 @@ PAIR_CASES = {
     "wide": (UNIT, kernel_pair_function(KernelFunction("box", 0.5), 3.0, UNIT)),
     "ones": (UNIT, constant_pair_function(UNIT, 1.0)),
 }
-# stacks of 1-5 patterns of 0-6 points, so that empty and one-point patterns are common
+# stacks of 1-5 patterns of 0-6 points, so that empty and one-point patterns are common;
+# ``shared`` patterns are prefixes of one list, so points coincide across patterns, and
+# one-point patterns then span nothing
 stacks = st.tuples(st.lists(st.integers(0, 6), min_size=1, max_size=5), st.integers(0, 2**32 - 1),
-                   st.sampled_from(sorted(PAIR_CASES)))
+                   st.sampled_from(sorted(PAIR_CASES)), st.booleans())
 
 
 def stacked_patterns(stack):
     """(points, counts, window, f) for a stack of uniform patterns."""
-    sizes, point_seed, case = stack
+    sizes, point_seed, case, shared = stack
     window, f = PAIR_CASES[case]
     rng = np.random.default_rng(point_seed)
-    n = sum(sizes)
+    n = max(sizes) if shared else sum(sizes)
     points = np.column_stack([rng.uniform(window.x_min, window.x_max, n),
                               rng.uniform(window.y_min, window.y_max, n)])
+    if shared:
+        points = np.concatenate([points[:size] for size in sizes])
     return points, np.array(sizes), window, f
 
 
@@ -191,6 +255,7 @@ def split_patterns(points, counts, window):
 
 @SETTINGS
 @given(stack=stacks)
+@example(stack=([1, 1, 1], 0, "ones", True))  # one place for every point: a zero span
 def test_grouped_sums_equal_each_pattern_alone(stack):
     points, counts, window, f = stacked_patterns(stack)
     sums = _grouped_sums(points, counts, f)
