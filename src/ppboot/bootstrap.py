@@ -17,8 +17,8 @@ where Q4, T3, R are the distinct-index sums of the pattern and the
 alpha coefficients are moment differences of the weights that depend
 only on n and the scheme.  ``bootstrap_variance_limit`` evaluates this
 directly, with no simulation; ``bootstrap_statistics`` simulates the
-resamples it replaces, in chunks of 4096 with one generator each, and
-holds the weights of one row block of resamples at a time.
+resamples it replaces, in chunks of 4096 with one generator each; a chunk
+draws every size first, then holds one row block of weights at a time.
 """
 from __future__ import annotations
 
@@ -30,15 +30,14 @@ import numpy as np
 from .errors import ParameterError
 from .geometry import PointPattern
 from .rng import RngSeed, chunk_sizes, parallel_map
-from .twopoint import PairFunction, TwoPointSums, distinct_index_sums
+from .twopoint import _PAIR_ENTRIES, PairFunction, TwoPointSums, distinct_index_sums
 
 SCHEMES = ("multinomial", "poissonized")
 
 # Resamples per parallel task, and per generator
 _CHUNK = 4096
-# Bounds on rows x points and on rows x pairs of one row block (8 MB per temporary)
+# Most rows x points of one row block's weights; ``_PAIR_ENTRIES`` bounds its rows x pairs
 _DRAW_ENTRIES = 1 << 16
-_QUADFORM_ENTRIES = 1 << 20
 
 
 def _check_scheme(scheme: str) -> str:
@@ -60,19 +59,17 @@ class AlphaCoefficients:
         return self.alpha4 * q4 + 4.0 * self.alpha3 * t3 + 2.0 * self.alpha2 * r
 
 
-def _draw_weights(n: int, scheme: str, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Weights of ``count`` resamples drawn from ``rng``, as one (count, n) block.
+def _draw_weights(n: int, sizes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Weights of resamples of the given sizes, as one (len(sizes), n) block.
 
-    Each resample draws its size, then that many point indices uniformly
-    with replacement; its weights are the index counts.  The caller checks
-    ``scheme``; anything but multinomial draws a Poisson(n) size.
+    Resample k draws ``sizes[k]`` point indices from ``rng``, uniformly with
+    replacement; its weights are the index counts.
     """
     if n < 1:
         raise ParameterError(f"need n >= 1 to resample, got {n}")
-    sizes = np.full(count, n) if scheme == "multinomial" else rng.poisson(n, count)
     cells = rng.integers(0, n, int(sizes.sum()))
-    cells += np.repeat(np.arange(count) * n, sizes)
-    return np.bincount(cells, minlength=count * n).reshape(count, n).astype(float)
+    cells += np.repeat(np.arange(len(sizes)) * n, sizes)
+    return np.bincount(cells, minlength=len(sizes) * n).reshape(len(sizes), n).astype(float)
 
 
 def bootstrap_variance(
@@ -94,13 +91,17 @@ def bootstrap_variance(
 
 
 def variance_with_error(x: np.ndarray) -> tuple[float, float]:
-    """Sample variance (ddof=1) of x and its 3-sigma error from the fourth central moment."""
-    if len(x) < 2:
-        raise ParameterError(f"a sample variance needs at least 2 values, got {len(x)}")
-    var = float(np.var(x, ddof=1))
+    """Sample variance (ddof=1) of x and its 3-sigma error.
+
+    Var(s^2) is about (m4 - (N-3)/(N-1) m2^2) / N, with central moments m2 and m4 (ddof=0),
+    which is positive for any sample that is not constant, since m4 >= m2^2.
+    """
+    n = len(x)
+    if n < 2:
+        raise ParameterError(f"a sample variance needs at least 2 values, got {n}")
     dev = x - x.mean()
-    m4 = float(np.mean(dev**4))
-    return var, 3.0 * float(np.sqrt(max(m4 - var**2, 0.0) / len(x)))
+    m2, m4 = float(np.mean(dev**2)), float(np.mean(dev**4))
+    return float(np.var(x, ddof=1)), 3.0 * float(np.sqrt((m4 - (n - 3) / (n - 1) * m2 * m2) / n))
 
 
 def bootstrap_statistics(
@@ -119,19 +120,20 @@ def bootstrap_statistics(
     if n == 0:
         return np.zeros(n_resamples)
     i, j, v = f.pairs(pattern.points)
-    sizes = chunk_sizes(n_resamples, _CHUNK)
-    rows = max(1, min(_DRAW_ENTRIES // n, _QUADFORM_ENTRIES // max(len(v), 1)))
+    chunks = chunk_sizes(n_resamples, _CHUNK)
+    rows = max(1, min(_DRAW_ENTRIES // n, _PAIR_ENTRIES // max(len(v), 1)))
 
     def run_chunk(c: int) -> np.ndarray:
         rng = seed.substream(c).generator()
-        out = np.empty(sizes[c])
-        for lo in range(0, sizes[c], rows):
-            w = _draw_weights(n, scheme, rng, min(rows, sizes[c] - lo))
+        sizes = np.full(chunks[c], n) if scheme == "multinomial" else rng.poisson(n, chunks[c])
+        out = np.empty(chunks[c])
+        for lo in range(0, chunks[c], rows):
+            w = _draw_weights(n, sizes[lo:lo + rows], rng)
             # w^T F w = 2 sum over pairs i < j of w(i) w(j) f(x_i, x_j)
             out[lo:lo + len(w)] = 2.0 * ((w[:, i] * w[:, j]) @ v)
         return out
 
-    return np.concatenate(parallel_map(run_chunk, len(sizes), threads=threads))
+    return np.concatenate(parallel_map(run_chunk, len(chunks), threads=threads))
 
 
 def alpha_polynomials_exact(n: int) -> tuple[Fraction, Fraction, Fraction]:

@@ -6,11 +6,9 @@ patterns from a homogeneous Poisson truth, evaluates the closed-form
 bootstrap variance limit on each, and compares the Monte Carlo sample
 variance of the statistic against the integrated targets 4*s3 + 2*s2
 (truth) and 4*s3 + 6*s2 (what the bootstrap converges to), surfacing
-their ratio.  The replicates' counts, x and y draw from substreams
-(0, 0), (0, 1) and (0, 2) of the seed; they are simulated, checked and
-summed in blocks, one pair search per block, and no replicate's points or
-sums depend on the block size.
-Threads serve only the moments.
+their ratio.  The replicates come from ``geometry._replicate_blocks`` and
+are summed a block at a time, one pair search per block; no replicate's
+points or sums depend on the block size.  Threads serve only the moments.
 
 ``run_ci_suite`` builds intensity confidence bands on one realization by
 every configured method, scores every method's coverage on one shared
@@ -27,6 +25,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -36,9 +35,9 @@ from .geometry import (
     Interval1,
     IntensityFunction,
     Window2,
-    _check_replicates,
+    _poisson_block,
+    _replicate_blocks,
     _require_window,
-    _simulate_homogeneous_block,
     constant_intensity,
     linear_intensity,
     simulate_inhomogeneous_poisson,
@@ -58,12 +57,9 @@ from .rng import RngSeed
 from .twopoint import (_KERNELS, KernelFunction, PairFunction, _grouped_sums,
                        constant_pair_function, kernel_pair_function)
 
-# Most replicates ``run_variance_comparison`` sums per pair search, and
-# most candidate pairs it expects in one search.  64 replicates of 50
-# points already amortize the per-search Python, and larger blocks only
-# hold more memory; the pair bound keeps a block's pair arrays to a few
-# MB when patterns are large or the reach is wide.
-_GROUP_BLOCK = 64
+# Most candidate pairs ``run_variance_comparison`` expects in one pair
+# search: it keeps a block's pair arrays to a few MB when patterns are
+# large or the reach is wide.
 _GROUP_PAIRS = 1 << 16
 
 
@@ -184,7 +180,8 @@ def _level(v) -> float:
 def _int_at_least(least: int):
     """A checker for integers no smaller than ``least``."""
     def check(v) -> int:
-        if _number(v) != int(v) or v < least:
+        _number(v)  # refuses strings, booleans and infinities
+        if int(v) != v or v < least:  # v itself: past 2^53 an integer has no exact float
             raise ValueError(f"must be an integer >= {least}, got {v!r}")
         return int(v)
     return check
@@ -264,11 +261,8 @@ def run_variance_comparison(config: dict, threads: int = 1) -> ResultRecord:
     # a replicate expects about mu^2/2 pairs, times the share of W its search disc covers
     mu = lam * window.area
     pairs = 0.5 * mu * mu * min(1.0, math.pi * f.search_reach ** 2 / window.area)
-    block = max(1, min(_GROUP_BLOCK, int(_GROUP_PAIRS / max(pairs, 1.0))))
-    rngs = [seed.substream(0, k).generator() for k in range(3)]
-    for lo in range(0, reps, block):
-        points, counts = _simulate_homogeneous_block(lam, window, rngs, min(block, reps - lo))
-        _check_replicates(points, counts, window, first=lo)
+    for lo, points, counts in _replicate_blocks(partial(_poisson_block, mu, window), mu, window,
+                                                reps, seed, most=_GROUP_PAIRS / max(pairs, 1.0)):
         sums = _grouped_sums(points, counts, f)
         thetas[lo:lo + len(counts)] = sums.P
         limits[lo:lo + len(counts)] = _limit_from_sums(sums, counts, cfg["scheme"])

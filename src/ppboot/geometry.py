@@ -4,16 +4,16 @@ Planar homogeneous processes live on a rectangle :class:`Window2`;
 one-dimensional inhomogeneous processes live on an :class:`Interval1`.
 Patterns are immutable and validated on construction: points have the
 window's shape, every point lies inside its window, and points are
-pairwise distinct.  One Poisson block sampler draws every simulation.  A
-block of replicates, stacked without building a pattern for each, passes
-the same checks in one call, which shares the duplicate search with the
-pattern's.
+pairwise distinct.  One Poisson block sampler draws every simulation, and
+one driver, ``_replicate_blocks``, every loop over replicates: it checks a
+block of stacked replicates in one call, which shares the duplicate search
+with the pattern's.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,13 +42,13 @@ class Window2:
         return (self.x_max - self.x_min) * (self.y_max - self.y_min)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        """Boolean mask of rows of an (n, 2) array lying inside the window."""
-        p = np.atleast_2d(np.asarray(points, dtype=float))
+        """Boolean mask of the points of a (..., 2) array lying inside the window."""
+        p = np.asarray(points, dtype=float)
         return (
-            (p[:, 0] >= self.x_min)
-            & (p[:, 0] <= self.x_max)
-            & (p[:, 1] >= self.y_min)
-            & (p[:, 1] <= self.y_max)
+            (p[..., 0] >= self.x_min)
+            & (p[..., 0] <= self.x_max)
+            & (p[..., 1] >= self.y_min)
+            & (p[..., 1] <= self.y_max)
         )
 
 
@@ -213,13 +213,14 @@ def linear_intensity(a: float, b: float, interval: Interval1) -> IntensityFuncti
 _MAX_EXPECTED_COUNT = 1e8
 
 
-def _poisson_block(rngs: Sequence[np.random.Generator], mean: float, box: Window2,
+def _poisson_block(mean: float, box: Window2, rngs: Sequence[np.random.Generator],
                    count: int) -> tuple[np.ndarray, np.ndarray]:
     """``count`` patterns of Poisson(mean) i.i.d. uniform points in ``box``: stacked points, counts.
 
     The counts draw from ``rngs[0]``, every point's x from ``rngs[1]`` and its y from ``rngs[2]``,
     each in replicate order, so blocks drawn one after another equal one block of their total
-    size.  One generator in all three roles draws one pattern's count, x, then y.
+    size.  One generator in all three roles draws one pattern's count, x, then y.  The points
+    are not checked: ``PointPattern`` checks one pattern, ``_replicate_blocks`` a block.
     """
     if not mean <= _MAX_EXPECTED_COUNT:
         raise ParameterError(
@@ -231,27 +232,39 @@ def _poisson_block(rngs: Sequence[np.random.Generator], mean: float, box: Window
                             rngs[2].uniform(box.y_min, box.y_max, total)]), counts
 
 
+# Most points a block of replicates expects; at 2^15 malloc returns and refaults block memory
+_BLOCK_POINTS = 1 << 14
+
+
+def _replicate_blocks(draw: Callable, mean: float, window: Window2 | Interval1, reps: int,
+                      seed: RngSeed, most: float = math.inf,
+                      grouped: bool = False) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Blocks (first, points, counts) of replicates 0 to reps - 1, each checked, in order.
+
+    ``draw(rngs, count)`` stacks ``count`` replicates from the counts, x and y generators on
+    substreams (0, 0), (0, 1) and (0, 2) of ``seed``, each read in replicate order, so no draw
+    depends on the blocks.  A block expects about ``_BLOCK_POINTS`` points at ``mean`` per
+    replicate, holds at most ``most`` replicates, and names a fault by replicate first + g.
+    """
+    rngs = [seed.substream(0, k).generator() for k in range(3)]
+    block = max(1, int(min(most, _BLOCK_POINTS / max(mean, 1.0))))
+    for first in range(0, reps, block):
+        points, counts = draw(rngs, min(block, reps - first))
+        _check_replicates(points, counts, window, grouped, first)
+        yield first, points, counts
+
+
 def simulate_homogeneous_poisson(lam: float, window: Window2, seed: RngSeed) -> PointPattern:
     """Homogeneous Poisson process on a rectangle.
 
     The count is Poisson(lam * area) and locations are i.i.d. uniform.
     Deterministic given the seed.
     """
-    rng = seed.generator()
-    return PointPattern(_simulate_homogeneous_block(lam, window, (rng,) * 3, 1)[0], window)
-
-
-def _simulate_homogeneous_block(lam: float, window: Window2, rngs: Sequence[np.random.Generator],
-                                count: int) -> tuple[np.ndarray, np.ndarray]:
-    """``count`` homogeneous Poisson patterns, as stacked points and per-pattern counts.
-
-    A ``_poisson_block`` on the window.  The points are not checked:
-    ``PointPattern`` checks one pattern, ``_check_replicates`` a block.
-    """
     _require_window(window, Window2, "homogeneous simulation")
     if not (math.isfinite(lam) and lam >= 0):
         raise ParameterError(f"intensity must be finite and >= 0, got {lam}")
-    return _poisson_block(rngs, lam * window.area, window, count)
+    rng = seed.generator()
+    return PointPattern(_poisson_block(lam * window.area, window, (rng,) * 3, 1)[0], window)
 
 
 def simulate_inhomogeneous_poisson(intensity: IntensityFunction, interval: Interval1,
@@ -280,8 +293,8 @@ def _simulate_inhomogeneous_block(intensity: IntensityFunction, interval: Interv
     """
     _require_window(interval, Interval1, "inhomogeneous simulation")
     lam_max = intensity.lambda_max
-    proposals, counts = _poisson_block(rngs, lam_max * interval.length,
-                                       Window2(interval.lo, interval.hi, 0.0, 1.0), count)
+    proposals, counts = _poisson_block(lam_max * interval.length,
+                                       Window2(interval.lo, interval.hi, 0.0, 1.0), rngs, count)
     x, uniforms = np.ascontiguousarray(proposals.T)
     starts = np.concatenate([[0], np.cumsum(counts)])
     values = intensity(x) if len(x) else x

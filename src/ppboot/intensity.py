@@ -38,6 +38,7 @@ import math
 import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -48,7 +49,7 @@ from .geometry import (
     Interval1,
     IntensityFunction,
     PointPattern,
-    _check_replicates,
+    _replicate_blocks,
     _require_window,
     _simulate_inhomogeneous_block,
 )
@@ -76,9 +77,6 @@ _ATOM_SPAN = 12.0
 
 # Monte Carlo draws per bootstrap_mc threshold when none are given
 _MC_DRAWS = 100_000
-
-# Most proposals a coverage block expects; at 2^15 malloc returns and refaults block memory
-_BLOCK_PROPOSALS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -510,18 +508,15 @@ def _count_histogram(intensity: IntensityFunction, interval: Interval1, reps: in
                      ends: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """(seen, hist): the counts seen, ascending, and hist[k, g], the replicates with count seen[k] at g.
 
-    The counts, x and y draw from ``seed.substream(0, k)``, k = 0, 1, 2.  Blocks of about
-    ``_BLOCK_PROPOSALS`` proposals are drawn, checked and counted into hist[p, g], which has a row
-    per count up to the largest seen.
+    The replicates are thinned blocks from ``geometry._replicate_blocks``, sized by their
+    proposals; each block is counted into hist[p, g], which has a row per count up to the
+    largest seen.
     """
     n_grid = len(ends[0])
     hist = np.zeros((0, n_grid), dtype=np.int64)
-    block = max(1, int(_BLOCK_PROPOSALS / max(intensity.lambda_max * interval.length, 1.0)))
-    rngs = [seed.substream(0, k).generator() for k in range(3)]
-    for start in range(0, reps, block):
-        points, sizes = _simulate_inhomogeneous_block(intensity, interval, rngs,
-                                                      min(block, reps - start))
-        _check_replicates(points, sizes, interval, grouped=True, first=start)
+    draw = partial(_simulate_inhomogeneous_block, intensity, interval)
+    for _, points, sizes in _replicate_blocks(draw, intensity.lambda_max * interval.length,
+                                              interval, reps, seed, grouped=True):
         counts = np.array([_counts_in(p, ends) for p in np.split(points, np.cumsum(sizes)[:-1])])
         if counts.max(initial=-1) >= len(hist):
             hist = np.pad(hist, ((0, counts.max() + 1 - len(hist)), (0, 0)))

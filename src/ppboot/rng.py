@@ -4,9 +4,8 @@ Every randomized operation takes an :class:`RngSeed`.  A seed plus a
 substream path identifies one random stream, independent of how many
 workers execute the job, so parallel and serial runs produce identical
 results.  Threaded Monte Carlo drivers give each chunk its own substream
-and combine results in index order.  A replicate loop, which is not
-threaded, draws counts, x and y from one generator each, in replicate
-order, so its draws do not depend on the blocking and no replicate is seeded.
+and combine results in index order.  Replicate loops, which are not
+threaded, draw from three streams (``geometry._replicate_blocks``).
 """
 from __future__ import annotations
 

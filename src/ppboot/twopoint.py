@@ -34,10 +34,10 @@ from .geometry import Interval1, PointPattern, Window2
 # differently in the tree and in h stays a candidate.
 _REACH_PAD = 1e-9
 
-# Most (radius, pair) kernel values ``estimate_product_density`` holds at
-# once: radii are summed in blocks of this many elements, at least one
-# radius each, so its temporaries stay O(pairs) however many radii.
-_PCF_BLOCK = 1 << 20
+# Most entries of one (rows, pairs) temporary (8 MB): ``estimate_product_density``
+# sums radii, and ``bootstrap_statistics`` reduces resamples, in blocks of at most
+# this many, at least one row each, so temporaries stay O(pairs) however many rows.
+_PAIR_ENTRIES = 1 << 20
 
 
 def _box(u: np.ndarray) -> np.ndarray:
@@ -127,13 +127,7 @@ class PairFunction:
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        if isinstance(self.window, Window2):
-            in_x = self.window.contains(x.reshape(-1, 2)).reshape(x.shape[:-1])
-            in_y = self.window.contains(y.reshape(-1, 2)).reshape(y.shape[:-1])
-        else:
-            in_x = self.window.contains(x)
-            in_y = self.window.contains(y)
-        return np.where(in_x & in_y, self.h(x, y), 0.0)
+        return np.where(self.window.contains(x) & self.window.contains(y), self.h(x, y), 0.0)
 
     def pairs(self, points: np.ndarray,
               group: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -283,7 +277,7 @@ def estimate_product_density(
     with no border correction.  Returns an array of shape (len(r_grid), 2)
     with columns (r, rho_hat).  Only pairs within max(r_grid) + b enter,
     and the kernel is evaluated on blocks of radii of at most
-    ``_PCF_BLOCK`` (radius, pair) values.
+    ``_PAIR_ENTRIES`` (radius, pair) values.
     """
     r_grid = np.atleast_1d(np.asarray(r_grid, dtype=float))
     if r_grid.size == 0:
@@ -296,7 +290,7 @@ def estimate_product_density(
     i, j = _close_pairs(pts, float(r_grid.max()) + kernel.bandwidth)
     diff = pts[i] - pts[j]
     pair_d = np.sqrt(np.sum(diff * diff, axis=-1))
-    step = max(1, _PCF_BLOCK // max(len(pair_d), 1))
+    step = max(1, _PAIR_ENTRIES // max(len(pair_d), 1))
     # ordered pairs count each unordered pair twice
     sums = 2.0 * np.concatenate([kernel(r_grid[k:k + step, None] - pair_d[None, :]).sum(axis=1)
                                  for k in range(0, len(r_grid), step)])

@@ -126,17 +126,15 @@ def stream_generators(seed: RngSeed) -> list[np.random.Generator]:
     return [seed.substream(k).generator() for k in range(3)]
 
 
-def drawn_weights(n: int, scheme: str, seed: RngSeed, count: int, chunk: int = 0,
-                  pairs: int = 0) -> np.ndarray:
-    """The weights of chunk ``chunk``'s first ``count`` resamples, as one (count, n) array.
+def drawn_weights(n: int, scheme: str, seed: RngSeed, count: int, chunk: int = 0) -> np.ndarray:
+    """The weights of chunk ``chunk``, of ``count`` resamples, as one (count, n) array.
 
-    Row blocks of ``bootstrap_statistics``'s size at n points and ``pairs``
-    pairs, drawn in turn from substream ``chunk`` of the seed.
+    Substream ``chunk`` of the seed draws every resample's size (n, or
+    Poisson(n)), then all their point indices in one call.
     """
-    rows = max(1, min(bootstrap._DRAW_ENTRIES // n, bootstrap._QUADFORM_ENTRIES // max(pairs, 1)))
     rng = seed.substream(chunk).generator()
-    return np.concatenate([bootstrap._draw_weights(n, scheme, rng, min(rows, count - lo))
-                           for lo in range(0, count, rows)])
+    sizes = np.full(count, n) if scheme == "multinomial" else rng.poisson(n, count)
+    return bootstrap._draw_weights(n, sizes, rng)
 
 
 def multinomial_moment_oracle(n: int, exponents: tuple[int, ...]) -> Fraction:

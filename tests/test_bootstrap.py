@@ -15,6 +15,7 @@ from ppboot.bootstrap import (
     bootstrap_statistics,
     bootstrap_variance,
     bootstrap_variance_limit,
+    variance_with_error,
 )
 from ppboot.errors import ParameterError
 from ppboot.geometry import PointPattern, simulate_homogeneous_poisson, unit_square
@@ -75,7 +76,7 @@ class TestWeightVector:
 class TestDrawWeights:
     def test_n_zero_rejected(self):
         with pytest.raises(ParameterError):
-            _draw_weights(0, "multinomial", RngSeed(1).generator(), 1)
+            _draw_weights(0, np.array([0]), RngSeed(1).generator())
 
     def test_single_point_multinomial_is_deterministic(self):
         for s in range(5):
@@ -175,9 +176,8 @@ class TestChunkStreams:
         one = bootstrap_statistics(pat, f, _CHUNK + 7, scheme, seed, threads=1)
         two = bootstrap_statistics(pat, f, _CHUNK + 7, scheme, seed, threads=2)
         assert one.tobytes() == two.tobytes()
-        pairs = len(f.pairs(pat.points)[2])
-        first = drawn_weights(pat.n, scheme, seed, _CHUNK, 0, pairs)[[0, 1, -2, -1]]
-        second = drawn_weights(pat.n, scheme, seed, 7, 1, pairs)
+        first = drawn_weights(pat.n, scheme, seed, _CHUNK, 0)[[0, 1, -2, -1]]
+        second = drawn_weights(pat.n, scheme, seed, 7, 1)
         assert not np.array_equal(first, second[:4])
         mat = f.pair_matrix(pat.points)
         for got, w in ((one[[0, 1, _CHUNK - 2, _CHUNK - 1]], first), (one[_CHUNK:], second)):
@@ -244,6 +244,35 @@ class TestBootstrapStatistic:
                 for i in range(8) for j in range(8) if i != j
             )
             assert stats[k] == pytest.approx(by_loop, rel=1e-12)
+
+
+class TestVarianceWithError:
+    """The 3-sigma bar of s^2 from Var(s^2) ~ (m4 - (N-3)/(N-1) m2^2) / N."""
+
+    def test_balanced_two_valued_sample(self):
+        # m2 = 1/4 and m4 = 1/16 = m2^2, so Var(s^2) ~ (1/16 - (1/3)(1/16)) / 4 = 1/96
+        var, err = variance_with_error(np.array([0.0, 1.0, 0.0, 1.0]))
+        assert var == pytest.approx(1 / 3, rel=1e-15)
+        assert err == pytest.approx(3 * math.sqrt(1 / 96), rel=1e-15)
+
+    def test_constant_sample_has_no_error(self):
+        assert variance_with_error(np.full(5, 2.0)) == (0.0, 0.0)
+
+    def test_normal_sample_matches_the_exact_variance(self):
+        # for normal data Var(s^2) = 2 sigma^4 / (N - 1)
+        n = 200_000
+        var, err = variance_with_error(np.random.default_rng(40).normal(0.0, 2.0, n))
+        assert err == pytest.approx(3 * math.sqrt(2 * 16 / (n - 1)), rel=0.03)
+
+    @pytest.mark.parametrize("seed", [3, 5, 6, 9, 12])
+    def test_two_point_bar_covers_the_limit(self, seed):
+        # n = 2: a statistic is 0 or 2 f(x1, x2), each with probability 1/2
+        pat = PointPattern(np.array([[0.1, 0.1], [0.12, 0.1]]), unit_square())
+        f = kernel_pair_function(KernelFunction("box", 0.01), 0.02, unit_square())
+        stats = bootstrap_statistics(pat, f, 10_000, "multinomial", RngSeed(seed))
+        var, err = variance_with_error(stats)
+        assert err > 0
+        assert abs(var - bootstrap_variance_limit(pat, f, "multinomial")) <= err
 
 
 class TestBootstrapVariance:

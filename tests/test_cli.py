@@ -9,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ppboot import cli, errors
-from ppboot.bootstrap import alpha_coefficients, bootstrap_variance_limit
+from ppboot import bootstrap, cli, errors, experiments, geometry, twopoint
+from ppboot.bootstrap import SCHEMES, alpha_coefficients, bootstrap_variance_limit
 from ppboot.cli import main
 from ppboot.geometry import Interval1, unit_square
+from ppboot.intensity import BAND_METHODS
 from ppboot.patternio import ingest_pattern, write_window
 from ppboot.twopoint import KernelFunction, estimate_product_density, kernel_pair_function
 
@@ -335,6 +336,61 @@ class TestConfigDriven:
         cfg_path.write_text(json.dumps({"experiment": "ci_suite", "bogus": 1}))
         assert main(["ci-suite", "--config", str(cfg_path),
                      "--out", str(tmp_path / "x.json")]) == 2
+
+
+class TestMemoryBudgets:
+    """Memory budgets size blocks only: with every one at 1, each command writes the same bytes."""
+
+    BUDGETS = [(geometry, "_BLOCK_POINTS"), (experiments, "_GROUP_PAIRS"),
+               (bootstrap, "_DRAW_ENTRIES"), (bootstrap, "_PAIR_ENTRIES"),
+               (twopoint, "_PAIR_ENTRIES")]
+
+    @staticmethod
+    def commands(tmp_path, planar_pattern) -> dict[str, list[str]]:
+        configs = {
+            "variance-comparison": {"lambda": 30.0, "window": {"x_min": 0.0, "x_max": 1.0,
+                                                               "y_min": 0.0, "y_max": 1.0},
+                                    "f_spec": "box:r=0.1,b=0.05", "scheme": "poissonized",
+                                    "reps": 40, "integration": {"sample_count": 1000}, "seed": 5},
+            "ci-suite": {"lambda_spec": "linear:50,20", "interval": {"lo": 0.0, "hi": 1.0},
+                         "h": 0.05, "alpha": 0.05, "methods": list(BAND_METHODS), "reps": 150,
+                         "grid_steps": 5, "mc_draws": 2000, "seed": 6},
+        }
+        argv = {}
+        for name, cfg in configs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+            argv[name] = [name, "--config", str(tmp_path / f"{name}.json")]
+        argv["pcf"] = ["pcf", "--input", planar_pattern, "--rmin", "0.01", "--rmax", "0.2",
+                       "--rsteps", "12", "--bandwidth", "0.02"]
+        for scheme in SCHEMES:
+            # 9,000 resamples: two full chunks of 4,096 and a ragged one
+            argv[f"boot-var-{scheme}"] = ["boot-var", "--input", planar_pattern, "--f-spec",
+                                          "box:r=0.1,b=0.05", "--N", "9000", "--scheme", scheme,
+                                          "--seed", "7"]
+        return argv
+
+    def run_all(self, tmp_path, planar_pattern, tag) -> dict[str, Path]:
+        outs = {}
+        for name, argv in self.commands(tmp_path, planar_pattern).items():
+            outs[name] = tmp_path / f"{name}-{tag}.out"
+            assert main(argv + ["--out", str(outs[name])]) == 0, name
+        return outs
+
+    def test_tiny_budgets_give_the_same_outputs(self, tmp_path, planar_pattern, monkeypatch):
+        default = self.run_all(tmp_path, planar_pattern, "default")
+        for module, name in self.BUDGETS:
+            monkeypatch.setattr(module, name, 1)
+        tiny = self.run_all(tmp_path, planar_pattern, "tiny")
+        for name, path in default.items():
+            if not name.startswith("boot-var"):
+                assert sha(tiny[name]) == sha(path), name
+                continue
+            # BLAS sums a block's rows in its own grouping, so the statistics may move in
+            # their last bits
+            want, got = json.loads(path.read_text()), json.loads(tiny[name].read_text())
+            for key in ("v_star_N", "v_star_N_err"):
+                assert got.pop(key) == pytest.approx(want.pop(key), rel=1e-12, abs=0), (name, key)
+            assert got == want, name
 
 
 _CI_BAND = ["ci-band", "--input", "{interval}", "--h", "0.1", "--alpha", "0.1"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ppboot import experiments
+from ppboot import experiments, geometry
 from ppboot.bootstrap import bootstrap_variance_limit
 from ppboot.errors import ConfigError, DuplicatePointError, ParameterError, UnattainableLevelError
 from ppboot.experiments import (
@@ -11,7 +11,7 @@ from ppboot.experiments import (
     run_ci_suite,
     run_variance_comparison,
 )
-from ppboot.geometry import Interval1, PointPattern, _simulate_homogeneous_block, unit_square
+from ppboot.geometry import Interval1, PointPattern, _poisson_block, unit_square
 from ppboot.intensity import coverage_experiment, t_star_monte_carlo_band
 from ppboot.rng import RngSeed
 from ppboot.twopoint import distinct_index_sums
@@ -124,6 +124,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"bad value for '{key}'"):
             run(config)
 
+    def test_seed_past_2_53_accepted(self):
+        # 2^53 + 1 has no exact float; as a float it would read as 2^53
+        for seed in (2**53 + 1, 2**64 - 1):
+            record = run_variance_comparison(variance_config(reps=2, seed=seed))
+            assert record.seed == seed
+        for seed in (2.5, -1, True, "3"):
+            with pytest.raises(ConfigError, match="bad value for 'seed'"):
+                run_variance_comparison(variance_config(reps=2, seed=seed))
+
     def test_window_kind_checked(self):
         with pytest.raises(ConfigError):
             run_variance_comparison(variance_config(window={"lo": 0.0, "hi": 1.0}))
@@ -162,14 +171,14 @@ class TestVarianceComparison:
                                                 ("epa:r=0.2,b=0.1", "multinomial"),
                                                 ("ones", "multinomial")])
     def test_series_match_a_loop_over_replicate_streams(self, monkeypatch, f_spec, scheme):
-        # blocks of 7 replicates: several blocks and a ragged last one
-        monkeypatch.setattr(experiments, "_GROUP_BLOCK", 7)
+        # blocks of 7 replicates of 3 expected points: several blocks and a ragged last one
+        monkeypatch.setattr(geometry, "_BLOCK_POINTS", 7 * 3.0)
         cfg = variance_config(f_spec=f_spec, scheme=scheme, reps=30, **{"lambda": 3.0})
         record = run_variance_comparison(cfg)
         window, seed = unit_square(), RngSeed(cfg["seed"])
         f = parse_f_spec(f_spec, window)
         patterns = [PointPattern(points, window)
-                    for points in one_at_a_time(_simulate_homogeneous_block, 3.0, window,
+                    for points in one_at_a_time(_poisson_block, 3.0, window,
                                                 seed=seed.substream(0), reps=30)]
         assert {p.n for p in patterns} & {0, 1}
         assert record.series["theta"] == [distinct_index_sums(p, f).P for p in patterns]
@@ -177,7 +186,7 @@ class TestVarianceComparison:
                                                     for p in patterns]
 
     def test_repeat_in_a_later_block_named_by_its_replicate(self, monkeypatch):
-        draw, calls = experiments._simulate_homogeneous_block, []
+        draw, calls = experiments._poisson_block, []
 
         def with_repeat(*args):
             points, counts = draw(*args)
@@ -186,7 +195,8 @@ class TestVarianceComparison:
                 points[counts[0] + 1] = points[counts[0]]  # replicate 64 + 1 repeats its point 0
             return points, counts
 
-        monkeypatch.setattr(experiments, "_simulate_homogeneous_block", with_repeat)
+        monkeypatch.setattr(geometry, "_BLOCK_POINTS", 64 * 30.0)  # blocks of 64 at lambda 30
+        monkeypatch.setattr(experiments, "_poisson_block", with_repeat)
         with pytest.raises(DuplicatePointError,
                            match="point 1 of replicate 65 repeats its point 0;"):
             run_variance_comparison(variance_config(reps=80))

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from ppboot.geometry import (
     PointPattern,
     Window2,
     _check_replicates,
-    _simulate_homogeneous_block,
+    _poisson_block,
+    _replicate_blocks,
     _simulate_inhomogeneous_block,
     constant_intensity,
     linear_intensity,
@@ -44,6 +46,10 @@ class TestWindows:
         w = unit_square()
         mask = w.contains(np.array([[0.5, 0.5], [1.5, 0.5]]))
         assert mask.tolist() == [True, False]
+        # a batch of points: the trailing axis holds the coordinates
+        batch = np.array([[[0.5, 0.5], [1.5, 0.5], [0.0, 1.0]],
+                          [[0.5, -0.1], [1.0, 1.0], [0.2, 1.2]]])
+        assert w.contains(batch).tolist() == [[True, False, True], [False, True, False]]
 
 
 REPEAT_CASES = pytest.mark.parametrize("points, window, index, earlier", [
@@ -150,7 +156,8 @@ class TestReplicateChecks:
     def test_block_draws_each_seed_alone(self):
         # the counts, every x and every y, each from its own stream in replicate order
         window, seed = Window2(1e6, 1e6 + 2.0, -1.0, 0.0), RngSeed(5, (0,))
-        points, counts = _simulate_homogeneous_block(1.0, window, stream_generators(seed), 40)
+        (_, points, counts), = _replicate_blocks(partial(_poisson_block, window.area, window),
+                                                 window.area, window, 40, RngSeed(5))
         counts_rng, x_rng, y_rng = (seed.substream(k).generator() for k in range(3))
         want = []
         for _ in range(40):

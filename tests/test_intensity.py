@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ppboot import intensity
+from ppboot import geometry, intensity
 from ppboot.errors import (DegenerateCountError, DuplicatePointError, ParameterError,
                            UnattainableLevelError)
 from ppboot.experiments import midpoint_grid
@@ -778,7 +778,7 @@ class TestCoverageBlocks:
         expected = np.column_stack([np.bincount(column, minlength=alone.max() + 1)
                                     for column in alone.T])
         # blocks of 7 replicates
-        monkeypatch.setattr(intensity, "_BLOCK_PROPOSALS", 7 * max(lam.lambda_max, 1.0))
+        monkeypatch.setattr(geometry, "_BLOCK_POINTS", 7 * max(lam.lambda_max, 1.0))
         seen, hist = _count_histogram(lam, I01, self.REPS, RngSeed(31),
                                       _window_ends(I01, grid, h))
         assert seen.tolist() == np.unique(alone).tolist()
@@ -794,7 +794,7 @@ class TestCoverageBlocks:
 
         default = run()
         for proposals in (1, 7 * 2020):  # blocks of 1 and of 7 replicates
-            monkeypatch.setattr(intensity, "_BLOCK_PROPOSALS", proposals)
+            monkeypatch.setattr(geometry, "_BLOCK_POINTS", proposals)
             blocked = run()
             assert np.array_equal(blocked.coverage_true, default.coverage_true)
             assert np.array_equal(blocked.coverage_smoothed, default.coverage_smoothed)
@@ -845,7 +845,7 @@ class TestCoverageBlocks:
                 points[counts[0] + 1] = points[counts[0]]  # replicate 2 * 8 + 1 repeats its point 0
             return points, counts
 
-        monkeypatch.setattr(intensity, "_BLOCK_PROPOSALS", 8 * 40)  # blocks of 8 at lambda_max 40
+        monkeypatch.setattr(geometry, "_BLOCK_POINTS", 8 * 40)  # blocks of 8 at lambda_max 40
         monkeypatch.setattr(intensity, "_simulate_inhomogeneous_block", with_repeat)
         with pytest.raises(DuplicatePointError,
                            match="point 1 of replicate 17 repeats its point 0;"):

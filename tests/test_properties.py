@@ -3,6 +3,7 @@
 Examples are derandomized and their number fixed, so every run checks the
 same cases.
 """
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from ppboot import bootstrap as bootstrap_module
 from ppboot import experiments as experiments_module
+from ppboot import geometry as geometry_module
 from ppboot import intensity as intensity_module
 from ppboot import moments as moments_module
 from ppboot.bootstrap import (SCHEMES, _limit_from_sums, bootstrap_statistics,
@@ -24,7 +26,7 @@ from ppboot.geometry import (
     _check_replicates,
     _first_repeat,
     _poisson_block,
-    _simulate_homogeneous_block,
+    _replicate_blocks,
     _simulate_inhomogeneous_block,
     constant_intensity,
     linear_intensity,
@@ -52,7 +54,7 @@ splits = st.lists(st.integers(1, 5), min_size=1, max_size=5)
 def test_poisson_blocks_read_each_stream_in_replicate_order(seed, split, mean):
     box, parent = Window2(-1.0, 2.0, 1e6, 1e6 + 0.5), RngSeed(seed, (0,))
     rngs = stream_generators(parent)
-    drawn = [_poisson_block(rngs, mean, box, size) for size in split]
+    drawn = [_poisson_block(mean, box, rngs, size) for size in split]
     counts_rng, x_rng, y_rng = (parent.substream(k).generator() for k in range(3))
     counts = [counts_rng.poisson(mean) for _ in range(sum(split))]
     want = [np.column_stack([x_rng.uniform(-1.0, 2.0, n), y_rng.uniform(1e6, 1e6 + 0.5, n)])
@@ -62,14 +64,17 @@ def test_poisson_blocks_read_each_stream_in_replicate_order(seed, split, mean):
 
 
 @SETTINGS
-@given(seed=st.integers(0, 2**64 - 1), split=splits, lam=st.sampled_from([0.0, 0.7, 6.0, 40.0]))
-def test_homogeneous_blocks_equal_one_seed_draws(seed, split, lam):
-    window, parent = Window2(-1.0, 2.0, 1e6, 1e6 + 0.5), RngSeed(seed, (0,))
-    rngs = stream_generators(parent)
-    drawn = [_simulate_homogeneous_block(lam, window, rngs, size) for size in split]
-    alone = one_at_a_time(_simulate_homogeneous_block, lam, window, seed=parent, reps=sum(split))
-    assert np.concatenate([counts for _, counts in drawn]).tolist() == [len(a) for a in alone]
-    assert np.concatenate([p for p, _ in drawn]).tobytes() == np.concatenate(alone).tobytes()
+@given(seed=st.integers(0, 2**64 - 1), block=st.integers(1, 5), reps=st.integers(1, 25),
+       lam=st.sampled_from([0.0, 0.7, 6.0, 40.0]))
+def test_homogeneous_blocks_equal_one_seed_draws(seed, block, reps, lam):
+    window = Window2(-1.0, 2.0, 1e6, 1e6 + 0.5)
+    mean = lam * window.area
+    drawn = list(_replicate_blocks(partial(_poisson_block, mean, window), mean, window, reps,
+                                   RngSeed(seed), most=block))
+    alone = one_at_a_time(_poisson_block, mean, window, seed=RngSeed(seed, (0,)), reps=reps)
+    assert [first for first, _, _ in drawn] == list(range(0, reps, block))
+    assert np.concatenate([counts for _, _, counts in drawn]).tolist() == [len(a) for a in alone]
+    assert np.concatenate([p for _, p, _ in drawn]).tobytes() == np.concatenate(alone).tobytes()
 
 
 @SETTINGS
@@ -123,7 +128,7 @@ def test_count_histogram_is_bincount_of_window_counts(seed, reps, proposals, lam
     alone = np.array([window_counts(PointPattern(points, interval), h, grid)
                       for points in one_at_a_time(_simulate_inhomogeneous_block, lam, interval,
                                                   seed=parent.substream(0), reps=reps)])
-    with mock.patch.object(intensity_module, "_BLOCK_PROPOSALS", proposals):
+    with mock.patch.object(geometry_module, "_BLOCK_POINTS", proposals):
         seen, hist = _count_histogram(lam, interval, reps, parent, _window_ends(interval, grid, h))
     expected = np.column_stack([np.bincount(column, minlength=alone.max() + 1)
                                 for column in alone.T])
@@ -206,13 +211,13 @@ def test_both_replicate_loops_name_the_repeating_replicate(seed, block, reps, da
     # 30 and 40 expected points, so that every replicate has two
     config = {"lambda": 30.0, "window": {"x_min": 0.0, "x_max": 1.0, "y_min": 0.0, "y_max": 1.0},
               "f_spec": "ones", "scheme": "poissonized", "reps": reps, "seed": seed}
-    with mock.patch.object(experiments_module, "_GROUP_BLOCK", block), \
-            mock.patch.object(experiments_module, "_simulate_homogeneous_block",
-                              with_repeat_at(_simulate_homogeneous_block, target)), \
+    with mock.patch.object(geometry_module, "_BLOCK_POINTS", block * 30.0), \
+            mock.patch.object(experiments_module, "_poisson_block",
+                              with_repeat_at(_poisson_block, target)), \
             pytest.raises(DuplicatePointError, match=message):
         experiments_module.run_variance_comparison(config)
     interval = Interval1(0.0, 1.0)
-    with mock.patch.object(intensity_module, "_BLOCK_PROPOSALS", block * 40.0), \
+    with mock.patch.object(geometry_module, "_BLOCK_POINTS", block * 40.0), \
             mock.patch.object(intensity_module, "_simulate_inhomogeneous_block",
                               with_repeat_at(_simulate_inhomogeneous_block, target)), \
             pytest.raises(DuplicatePointError, match=message):
@@ -278,7 +283,7 @@ def test_limits_from_grouped_sums_equal_each_pattern_alone(stack, scheme):
     assert limits.tolist() == alone
 
 
-# (chunk, draw entries, quadform entries, resamples): the library's bounds, under which
+# (chunk, draw entries, pair entries, resamples): the library's bounds, under which
 # `ones` binds the pair bound from n = 34 on and every chunk holds more than one row
 # block, or small bounds that split a few resamples
 layouts = st.one_of(
@@ -292,7 +297,7 @@ BOOTSTRAP_SETTINGS = settings(SETTINGS, phases=(Phase.explicit, Phase.generate))
 
 def patched_bounds(*values):
     """The bootstrap's bounds set to ``values``; None keeps the library's bound."""
-    names = ("_CHUNK", "_DRAW_ENTRIES", "_QUADFORM_ENTRIES")
+    names = ("_CHUNK", "_DRAW_ENTRIES", "_PAIR_ENTRIES")
     return mock.patch.multiple(bootstrap_module, **{
         k: getattr(bootstrap_module, k) if v is None else v for k, v in zip(names, values)})
 
@@ -310,10 +315,10 @@ def test_statistics_are_dense_forms_of_row_blocks_drawn_in_turn(n, point_seed, s
         if n == 0:
             assert stats.tolist() == [0.0] * n_resamples
             return
-        pairs, mat = len(f.pairs(pattern.points)[2]), f.pair_matrix(pattern.points)
+        mat = f.pair_matrix(pattern.points)
         chunk = bootstrap_module._CHUNK
         for c, lo in enumerate(range(0, n_resamples, chunk)):
-            w = drawn_weights(n, scheme, RngSeed(seed), min(chunk, n_resamples - lo), c, pairs)
+            w = drawn_weights(n, scheme, RngSeed(seed), min(chunk, n_resamples - lo), c)
             want = np.einsum("ki,ij,kj->k", w, mat, w)
             assert stats[lo:lo + len(w)] == pytest.approx(want, rel=1e-12)
 

@@ -195,7 +195,7 @@ class TestProductDensityBlocks:
         want = np.column_stack([r, dense / (2.0 * np.pi * r * pat.window.area)])
         # one radius per block, ragged blocks of three, everything in one block
         for block in (1, 3 * len(d) + 1, 1 << 40):
-            monkeypatch.setattr(twopoint, "_PCF_BLOCK", block)
+            monkeypatch.setattr(twopoint, "_PAIR_ENTRIES", block)
             assert estimate_product_density(pat, r, kernel).tobytes() == want.tobytes(), block
 
     def test_peak_memory_does_not_grow_with_radii(self):
