@@ -4,9 +4,11 @@ A resample is encoded by occurrence counts w = (w(1), ..., w(n)): the
 ``multinomial`` scheme draws w ~ Multinomial(n; 1/n, ..., 1/n) (classic
 with-replacement resampling of all n points), the ``poissonized`` scheme
 draws w(i) i.i.d. Poisson(1), equivalent to resampling a Poisson(n)
-number of points.  Both are drawn alike: a resample draws its size (n,
-or Poisson(n)) of point indices uniformly with replacement, and w counts
-them.
+number of points.  The statistic reads only the weights of the k points
+in some nonzero pair, so a resample draws how many of its indices land on
+them (Binomial(n, k/n), or Poisson(k)), then that many indices uniformly
+over the k points with replacement, and w counts them: the exact law of
+w on those points, at O(k) cost per resample.
 
 As the number of resamples N grows, the usual variance estimator over
 the bootstrap statistics converges, conditionally on the pattern, to
@@ -117,18 +119,27 @@ def bootstrap_statistics(
     if n_resamples < 1:
         raise ParameterError(f"need at least 1 resample, got {n_resamples}")
     n = pattern.n
-    if n == 0:
-        return np.zeros(n_resamples)
     i, j, v = f.pairs(pattern.points)
+    # the k points in some nonzero pair, and each pair end's position among them
+    active = np.bincount(np.concatenate((i, j)), minlength=n) > 0
+    k = int(np.count_nonzero(active))
+    if k == 0:
+        return np.zeros(n_resamples)
+    pos = np.cumsum(active) - 1
+    i, j = pos[i], pos[j]
     chunks = chunk_sizes(n_resamples, _CHUNK)
-    rows = max(1, min(_DRAW_ENTRIES // n, _PAIR_ENTRIES // max(len(v), 1)))
+    rows = max(1, min(_DRAW_ENTRIES // k, _PAIR_ENTRIES // len(v)))
 
     def run_chunk(c: int) -> np.ndarray:
         rng = seed.substream(c).generator()
-        sizes = np.full(chunks[c], n) if scheme == "multinomial" else rng.poisson(n, chunks[c])
+        # how many indices land on the k points; binomial(n, 1.0) would still read the stream
+        if scheme == "poissonized":
+            sizes = rng.poisson(k, chunks[c])
+        else:
+            sizes = rng.binomial(n, k / n, chunks[c]) if k < n else np.full(chunks[c], n)
         out = np.empty(chunks[c])
         for lo in range(0, chunks[c], rows):
-            w = _draw_weights(n, sizes[lo:lo + rows], rng)
+            w = _draw_weights(k, sizes[lo:lo + rows], rng)
             # w^T F w = 2 sum over pairs i < j of w(i) w(j) f(x_i, x_j)
             out[lo:lo + len(w)] = 2.0 * ((w[:, i] * w[:, j]) @ v)
         return out

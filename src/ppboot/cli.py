@@ -108,21 +108,19 @@ def _cmd_alpha_table(args) -> int:
 def _cmd_boot_var(args) -> int:
     pattern = ingest_pattern(args.input, args.window)
     f = parse_f_spec(args.f_spec, pattern.window)
-    seed = RngSeed(args.seed)
-    stats = bootstrap_statistics(pattern, f, args.n_resamples, args.scheme,
-                                 seed, threads=args.threads)
-    v_n, v_n_err = variance_with_error(stats)
     sums = distinct_index_sums(pattern, f)
     doc = {
         "n": pattern.n,
-        "N": args.n_resamples,
         "scheme": args.scheme,
         "seed": args.seed,
         "theta_hat": sums.P,
-        "v_star_N": v_n,
-        "v_star_N_err": v_n_err,
         "limit_closed_form": float(_limit_from_sums(sums, pattern.n, args.scheme)[0]),
     }
+    if args.n_resamples is not None:
+        stats = bootstrap_statistics(pattern, f, args.n_resamples, args.scheme,
+                                     RngSeed(args.seed), threads=args.threads)
+        v_n, v_n_err = variance_with_error(stats)
+        doc.update({"N": args.n_resamples, "v_star_N": v_n, "v_star_N_err": v_n_err})
     _write_text(args.out, json.dumps(doc, sort_keys=True, indent=2) + "\n")
     return 0
 
@@ -212,7 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--window", default=None)
     p.add_argument("--f-spec", required=True)
-    p.add_argument("--N", dest="n_resamples", type=int, required=True)
+    p.add_argument("--N", dest="n_resamples", type=int, default=None,
+                   help="resamples to simulate beside the limit (none if omitted)")
     p.add_argument("--scheme", choices=list(SCHEMES), default="multinomial")
     _add_common(p)
     p.set_defaults(func=_cmd_boot_var)

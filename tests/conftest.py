@@ -126,11 +126,38 @@ def stream_generators(seed: RngSeed) -> list[np.random.Generator]:
     return [seed.substream(k).generator() for k in range(3)]
 
 
-def drawn_weights(n: int, scheme: str, seed: RngSeed, count: int, chunk: int = 0) -> np.ndarray:
+def drawn_weights(n: int, scheme: str, seed: RngSeed, count: int, chunk: int = 0,
+                  active: np.ndarray | None = None) -> np.ndarray:
     """The weights of chunk ``chunk``, of ``count`` resamples, as one (count, n) array.
 
+    Only the ``active`` points (a boolean mask, all n by default) are
+    drawn; the rest weigh 0, and with none active nothing is drawn.  With
+    k of them, substream ``chunk`` of the seed draws how many of each
+    resample's indices land on them (Binomial(n, k/n), n when k == n, or
+    Poisson(k)), then all those indices uniformly over the k points in
+    one call.
+    """
+    active = np.ones(n, dtype=bool) if active is None else active
+    k = int(np.count_nonzero(active))
+    w = np.zeros((count, n))
+    if k == 0:
+        return w
+    rng = seed.substream(chunk).generator()
+    if scheme == "poissonized":
+        sizes = rng.poisson(k, count)
+    else:
+        sizes = rng.binomial(n, k / n, count) if k < n else np.full(count, n)
+    w[:, active] = bootstrap._draw_weights(k, sizes, rng)
+    return w
+
+
+def all_point_weights(n: int, scheme: str, seed: RngSeed, count: int, chunk: int = 0) -> np.ndarray:
+    """Chunk ``chunk``'s weights drawn over all n points, whatever the pairs.
+
     Substream ``chunk`` of the seed draws every resample's size (n, or
-    Poisson(n)), then all their point indices in one call.
+    Poisson(n)), then all their point indices in one call.  When every
+    point is in a nonzero pair, ``bootstrap_statistics`` must draw exactly
+    these weights.
     """
     rng = seed.substream(chunk).generator()
     sizes = np.full(count, n) if scheme == "multinomial" else rng.poisson(n, count)

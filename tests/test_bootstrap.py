@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from ppboot.rng import RngSeed
 
 from conftest import (
     UndefinedMomentError,
+    all_point_weights,
     alpha_fractions_from_moments,
     drawn_weights,
     multinomial_moment_oracle,
@@ -159,7 +161,7 @@ class TestChunkStreams:
         n_resamples = 2 * _CHUNK + 17
         seed = RngSeed(14)
         stats = bootstrap_statistics(pat, f, n_resamples, scheme, seed)
-        blocks = [drawn_weights(pat.n, scheme, seed, size, c)
+        blocks = [drawn_weights(pat.n, scheme, seed, size, c, active=mat.any(axis=1))
                   for c, size in enumerate((_CHUNK, _CHUNK, 17))]
         assert not np.array_equal(blocks[0], blocks[1])
         for c, w in enumerate(blocks):
@@ -176,10 +178,11 @@ class TestChunkStreams:
         one = bootstrap_statistics(pat, f, _CHUNK + 7, scheme, seed, threads=1)
         two = bootstrap_statistics(pat, f, _CHUNK + 7, scheme, seed, threads=2)
         assert one.tobytes() == two.tobytes()
-        first = drawn_weights(pat.n, scheme, seed, _CHUNK, 0)[[0, 1, -2, -1]]
-        second = drawn_weights(pat.n, scheme, seed, 7, 1)
-        assert not np.array_equal(first, second[:4])
         mat = f.pair_matrix(pat.points)
+        active = mat.any(axis=1)
+        first = drawn_weights(pat.n, scheme, seed, _CHUNK, 0, active)[[0, 1, -2, -1]]
+        second = drawn_weights(pat.n, scheme, seed, 7, 1, active)
+        assert not np.array_equal(first, second[:4])
         for got, w in ((one[[0, 1, _CHUNK - 2, _CHUNK - 1]], first), (one[_CHUNK:], second)):
             assert got == pytest.approx(np.einsum("ki,ij,kj->k", w, mat, w), rel=1e-12)
 
@@ -244,6 +247,41 @@ class TestBootstrapStatistic:
                 for i in range(8) for j in range(8) if i != j
             )
             assert stats[k] == pytest.approx(by_loop, rel=1e-12)
+
+
+class TestActivePoints:
+    """Resamples draw only the k points in some nonzero pair, from the exact law of their weights."""
+
+    F = kernel_pair_function(KernelFunction("box", 0.01), 0.05, unit_square())
+
+    @pytest.mark.parametrize("scheme", ["multinomial", "poissonized"])
+    def test_sample_variance_within_its_bar_of_the_limit(self, scheme):
+        # 20 of the 60 points have a partner at distance 0.04 to 0.06
+        pat = random_pattern(60, np.random.default_rng(49))
+        assert np.count_nonzero(self.F.pair_matrix(pat.points).any(axis=1)) == 20
+        stats = bootstrap_statistics(pat, self.F, 20_000, scheme, RngSeed(49))
+        v, err = variance_with_error(stats)
+        assert abs(v - bootstrap_variance_limit(pat, self.F, scheme)) <= err
+
+    @pytest.mark.parametrize("scheme", ["multinomial", "poissonized"])
+    def test_every_point_paired_draws_over_all_points(self, scheme):
+        # with f == 1 every statistic is an exact integer, whatever the order of additions
+        pat = random_pattern(60, np.random.default_rng(50))
+        f = constant_pair_function(unit_square())
+        mat = f.pair_matrix(pat.points)
+        stats = bootstrap_statistics(pat, f, _CHUNK + 700, scheme, RngSeed(50))
+        w = np.vstack([all_point_weights(pat.n, scheme, RngSeed(50), size, c)
+                       for c, size in enumerate((_CHUNK, 700))])
+        assert stats.tobytes() == np.einsum("ki,ij,kj->k", w, mat, w).tobytes()
+
+    @pytest.mark.parametrize("scheme", ["multinomial", "poissonized"])
+    def test_no_pair_draws_nothing(self, scheme):
+        points = np.array([[0.1, 0.1], [0.9, 0.1], [0.5, 0.5], [0.1, 0.9]])
+        pat = PointPattern(points, unit_square())
+        with mock.patch.object(RngSeed, "generator", autospec=True) as generator:
+            stats = bootstrap_statistics(pat, self.F, 50, scheme, RngSeed(51))
+        generator.assert_not_called()
+        assert stats.tolist() == [0.0] * 50
 
 
 class TestVarianceWithError:

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from ppboot.cli import main
 from ppboot.geometry import Interval1, unit_square
 from ppboot.intensity import BAND_METHODS
 from ppboot.patternio import ingest_pattern, write_window
+from ppboot.rng import RngSeed
 from ppboot.twopoint import KernelFunction, estimate_product_density, kernel_pair_function
 
 
@@ -169,6 +171,21 @@ class TestBootVar:
             bootstrap_variance_limit(pat, f, "multinomial"))
         assert doc["v_star_N"] > 0 and doc["v_star_N_err"] > 0
         assert abs(doc["v_star_N"] / doc["limit_closed_form"] - 1) < 0.25
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_without_resamples_gives_the_limit_and_draws_nothing(self, tmp_path, planar_pattern,
+                                                                  scheme):
+        out = tmp_path / "bv.json"
+        with mock.patch.object(RngSeed, "generator", autospec=True) as generator:
+            rc = main(["boot-var", "--input", planar_pattern, "--f-spec", "box:r=0.05,b=0.01",
+                       "--scheme", scheme, "--seed", "4", "--out", str(out)])
+        assert rc == 0
+        generator.assert_not_called()
+        doc = json.loads(out.read_text())
+        assert sorted(doc) == ["limit_closed_form", "n", "scheme", "seed", "theta_hat"]
+        f = kernel_pair_function(KernelFunction("box", 0.01), 0.05, unit_square())
+        assert doc["limit_closed_form"] == bootstrap_variance_limit(
+            ingest_pattern(planar_pattern), f, scheme)
 
     def test_thread_invariant_bytes(self, tmp_path, planar_pattern):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -318,7 +318,8 @@ def test_statistics_are_dense_forms_of_row_blocks_drawn_in_turn(n, point_seed, s
         mat = f.pair_matrix(pattern.points)
         chunk = bootstrap_module._CHUNK
         for c, lo in enumerate(range(0, n_resamples, chunk)):
-            w = drawn_weights(n, scheme, RngSeed(seed), min(chunk, n_resamples - lo), c)
+            w = drawn_weights(n, scheme, RngSeed(seed), min(chunk, n_resamples - lo), c,
+                              mat.any(axis=1))
             want = np.einsum("ki,ij,kj->k", w, mat, w)
             assert stats[lo:lo + len(w)] == pytest.approx(want, rel=1e-12)
 

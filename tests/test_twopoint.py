@@ -357,8 +357,9 @@ class TestSparsePairs:
     def test_bootstrap_matches_dense_quadratic_form(self, pat, f):
         if pat.n == 0:
             return
-        w = drawn_weights(pat.n, "poissonized", RngSeed(62), 20)
-        dense = np.einsum("ki,ij,kj->k", w, pair_values(pat, f), w)
+        mat = pair_values(pat, f)
+        w = drawn_weights(pat.n, "poissonized", RngSeed(62), 20, active=mat.any(axis=1))
+        dense = np.einsum("ki,ij,kj->k", w, mat, w)
         stats = bootstrap_statistics(pat, f, 20, "poissonized", RngSeed(62))
         np.testing.assert_allclose(stats, dense, rtol=1e-12, atol=0)
 
