@@ -42,7 +42,6 @@ from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
-from scipy import special
 
 from .errors import DegenerateCountError, ParameterError, UnattainableLevelError
 from .geometry import (
@@ -60,11 +59,15 @@ BAND_METHODS = ("bootstrap_mc", "bootstrap_closed_form", "exact_poisson", "oracl
 
 def _poisson_cdf(k, mu):
     """P{Poisson(mu) <= k} for k >= 0; the same bits as ``scipy.stats.poisson.cdf``."""
+    from scipy import special  # scipy loads with the first band, not with ppboot
+
     return special.pdtr(k, mu)
 
 
 def _poisson_pmf(k, mu):
     """P{Poisson(mu) = k}, by scipy's own formula for ``scipy.stats.poisson.pmf``."""
+    from scipy import special
+
     return np.exp(special.xlogy(k, mu) - special.gammaln(k + 1) - mu)
 
 
@@ -250,6 +253,8 @@ def _draw_atom_counts(p: int, n_draws: int, rng: np.random.Generator,
     draws are redrawn from Poisson(p) by rejection until they fall
     outside lo..hi, so the counts keep the exact law of the draws.
     """
+    from scipy import special
+
     lo, hi = _atom_range(p, span)
     tail = float(special.pdtrc(hi, p)) + (float(special.pdtr(lo - 1, p)) if lo > 0 else 0.0)
     pmf = _poisson_pmf(np.arange(lo, hi + 1), p)
@@ -325,6 +330,8 @@ def _garwood_interval(p: int, alpha: float) -> tuple[float, float]:
     the chi-square inversion 0.5 chi2.ppf(alpha/2, 2p) and
     0.5 chi2.ppf(1 - alpha/2, 2p + 2).
     """
+    from scipy import special
+
     lo = 0.0 if p == 0 else float(special.gammaincinv(p, alpha / 2.0))
     hi = float(special.gammaincinv(p + 1, 1.0 - alpha / 2.0))
     return lo, hi

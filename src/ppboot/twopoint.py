@@ -7,32 +7,43 @@ estimator is the special case where h is a kernel of the interpoint
 distance, normalized by 2*pi*r*area and deliberately not edge-corrected.
 
 Every statistic here works from one neighbour list, ``PairFunction.pairs``:
-the unordered pairs i < j with f(x_i, x_j) != 0, found by a k-d tree
-search out to the pair function's ``reach``.  For compact kernels the
-cost is O(n log n + pairs within reach) in time and memory; a pair
-function of unbounded reach (constant or custom h) lists all n(n-1)/2
-pairs.  ``distinct_index_sums`` evaluates from that list the
-pair/triple/quadruple sums over ordered tuples of pairwise-distinct
-indices that drive the closed-form bootstrap variance limit, through the
-exact decomposition P^2 = Q4 + 4*T3 + 2*R.  It is the one-pattern case of
-``_grouped_sums``, which sums a block of stacked patterns from one pair
-search.
+the unordered pairs i < j with f(x_i, x_j) != 0, found by a cell-list
+search (``_pair_blocks``, numpy alone) out to the pair function's
+``reach``.  For compact kernels the cost is O(n log n + pairs within
+reach) in time and O(n + pairs) in memory; a pair function of unbounded
+reach (constant or custom h) lists all n(n-1)/2 pairs.
+``distinct_index_sums`` evaluates from that list the pair/triple/quadruple
+sums over ordered tuples of pairwise-distinct indices that drive the
+closed-form bootstrap variance limit, through the exact decomposition
+P^2 = Q4 + 4*T3 + 2*R.  It is the one-pattern case of ``_grouped_sums``,
+which sums a block of stacked patterns from one pair search.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import NumericalError, ParameterError
 from .geometry import Interval1, PointPattern, Window2
 
 # Relative padding of a search radius, so a pair whose distance rounds
-# differently in the tree and in h stays a candidate.
+# differently in the search and in h stays a candidate.
 _REACH_PAD = 1e-9
+
+# Relative padding of a cell side beyond radius/k, far above the rounding
+# of a cell index (some 1e-16 of the cell count).
+_CELL_PAD = 1e-6
+
+# Most cells of a pair search per point (per group at least 4): the start
+# table stays O(points) however small the search radius.
+_CELLS_PER_POINT = 4
+
+# Most candidate pairs a pair search tests at once: each candidate temporary
+# (128 KB) stays in cache, and the search's peak memory stays near its output's.
+_SCAN_ENTRIES = 1 << 14
 
 # Most entries of one (rows, pairs) temporary (8 MB): ``estimate_product_density``
 # sums radii, and ``bootstrap_statistics`` reduces resamples, in blocks of at most
@@ -73,30 +84,139 @@ class KernelFunction:
         return _KERNELS[self.kind](u / self.bandwidth) / self.bandwidth
 
 
+def _search_radius(reach: float) -> float:
+    """``reach`` with its rounding padding: every pair within reach lies within it."""
+    return reach * (1.0 + _REACH_PAD)
+
+
+def _cell_grid(span: list[float], radius: float, per_group: float,
+               cells_max: float) -> tuple[float, int]:
+    """(side, k): square cells of ``side``, so pairs within ``radius`` lie <= k cells apart.
+
+    ``per_group`` points share a bounding box of axis lengths ``span``.
+    When a square of side ``radius`` holds c points, cells of side
+    radius/k cut the candidates a point scans from about 4.5c (k = 1)
+    towards 2c, for k + 1 index runs per point instead of 2; k near
+    sqrt(c) balances the two.  Cells are padded by _CELL_PAD, so the
+    rounding of a point's cell index never puts a pair within radius
+    more than k cells apart.  The box's cells, padded by k on each axis,
+    number at most ``cells_max``: where more would be needed, k falls to 1
+    and cells double until they fit.
+    """
+    if not radius < sum(span):
+        return math.inf, 0  # every pair is within radius: one cell
+    crowd = per_group * math.prod(radius / max(s, radius) for s in span)
+    k = max(1, round(math.sqrt(crowd)))
+    side = radius * (1.0 + _CELL_PAD) / k
+    while math.prod(s / side + k for s in span) > cells_max:
+        k, side = 1, max(2.0 * side, radius * (1.0 + _CELL_PAD))
+    return side, k
+
+
+def _pair_blocks(points: np.ndarray, reach: float,
+                 group: np.ndarray | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Blocks (key, d2): keys i*m + j (i < j) of pairs within ``reach`` (padded), squared distances.
+
+    A cell list (Allen & Tildesley 1987, sec. 5.3) of square cells from
+    ``_cell_grid``.  Each point's integer key is its (group label, x cell,
+    y cell), with k empty cells past the last on each axis, so no offset
+    of up to k cells reaches a filled cell of another column or group.
+    One sort orders the points by key, and a start table of the keys
+    (``bincount`` and ``cumsum``) gives every cell's run of sorted
+    positions.  A point scans, after its own position, the rest of its
+    column up to k cells on, then the 2k + 1 cells at each of the k next
+    columns: each is one contiguous run, and every pair is seen once,
+    whatever the order of ties in the sort.  A candidate is kept where
+    dx*dx + dy*dy <= radius*radius, for the padded radius of
+    ``_search_radius``.  The runs are walked in slices of at most
+    ``_SCAN_ENTRIES`` candidates (or one run), one block per slice, so
+    the search holds O(n + one slice) beyond the blocks its caller keeps.
+    Blocks come in cell order, and keys within a block are not sorted.
+    """
+    pts = np.asarray(points, dtype=float)
+    columns = [pts] if pts.ndim == 1 else list(pts.T)
+    m, dim = len(pts), len(columns)
+    radius = _search_radius(reach)
+    if m < 2:
+        return
+    label = None if group is None else np.asarray(group, np.intp)
+    groups = 1 if label is None else int(label.max()) + 1
+    low = [float(c.min()) for c in columns]
+    span = [float(c.max()) - lo for c, lo in zip(columns, low)]
+    side, k = _cell_grid(span, radius, m / groups, max(_CELLS_PER_POINT * m / groups, 4.0))
+    nx = max(int(span[0] / side), 1)
+    ny = max(int(span[1] / side), 1) if dim == 2 else 1
+    kx, ky = min(k, nx - 1), min(k, ny - 1)  # offsets past the grid find nothing
+    stride = ny + ky
+
+    def cells(axis: int, n: int) -> np.ndarray:
+        cell = ((columns[axis] - low[axis]) / side).astype(np.intp)
+        return np.minimum(cell, n - 1, out=cell)
+
+    key = cells(0, nx)
+    if label is not None:
+        key += label * (nx + kx)
+    key *= stride
+    if dim == 2:
+        key += cells(1, ny)
+    order = np.argsort(key)
+    owner, lo, count = _scan_runs(key[order], groups * (nx + kx) * stride, kx, ky, stride)
+    xy = [c[order] for c in columns]
+    ends = np.cumsum(count)
+    r2 = radius * radius
+    r0 = done = 0
+    while r0 < len(count):
+        r1 = max(r0 + 1, int(np.searchsorted(ends, done + _SCAN_ENTRIES, side="right")))
+        runs = count[r0:r1]
+        second = np.repeat(lo[r0:r1] - (ends[r0:r1] - runs - done), runs)
+        second += np.arange(len(second))
+        first = owner[r0:r1]
+        d2 = 0.0
+        for c in xy:
+            d = np.repeat(c[first], runs)
+            d -= c[second]
+            d *= d
+            d2 = d2 + d
+        near = d2 <= r2
+        i, j = np.repeat(order[first], runs)[near], order[second[near]]
+        yield np.minimum(i, j) * m + np.maximum(i, j), d2[near]
+        r0, done = r1, int(ends[r1 - 1])
+
+
+def _scan_runs(key: np.ndarray, cells: int, kx: int, ky: int,
+               stride: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonempty scan runs of ``_pair_blocks``, as arrays (owner, lo, count).
+
+    ``key`` holds the sorted cell keys of the points, below ``cells``.
+    Each point owns one run per column it scans: the rest of its own
+    column, then each of the kx next columns.  A run is ``count`` sorted
+    positions from ``lo``; the owner is the point's sorted position.  The
+    start table and the (column, point) arrays die here, before the scan.
+    """
+    start = np.bincount(key + 1, minlength=cells + 1)
+    np.cumsum(start, out=start)
+    cols = np.arange(kx + 1)[:, None] * stride
+    count = start[key + (cols + ky + 1)]
+    lo = np.empty_like(count)
+    lo[0] = np.arange(1, len(key) + 1)
+    lo[1:] = start[key + (cols[1:] - ky)]
+    count -= lo
+    nonempty = count > 0
+    owner = np.broadcast_to(np.arange(len(key)), count.shape)[nonempty]
+    return owner, lo[nonempty], count[nonempty]
+
+
 def _close_pairs(points: np.ndarray, reach: float,
                  group: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Sorted index arrays (i, j), i < j, of the pairs at distance <= reach (padded).
 
-    With ``group``, one integer label per point, only pairs with equal
-    labels are listed.  No two points lie farther apart than the sum of
-    the axis spans, so that bounds the search, for any reach.  The tree
-    searches one more coordinate, label * step: it is 0 apart within a
-    group, so distances there are unchanged, and more than twice the
-    search radius apart across groups.  The points' own coordinates are
-    never shifted.  A step longer than the span also lets the tree split
-    the groups apart before it splits within them, which nearly halves
-    the search time.
+    With ``group``, one nonnegative integer label per point, only pairs
+    with equal labels are listed.  The pairs come from ``_pair_blocks``.
     """
-    pts = points if points.ndim == 2 else points[:, None]
-    if group is not None:
-        span = float(np.ptp(pts, axis=0).sum()) if len(pts) else 0.0
-        reach = min(reach, span)
-        pts = np.column_stack([pts, group * (2.0 * reach + span + 1.0)])
-    pairs = cKDTree(pts).query_pairs(reach * (1.0 + _REACH_PAD), output_type="ndarray")
-    # one key per pair sorts as (i, j) do, several times faster than a lexsort
-    m = len(pts)
-    key = np.sort(pairs[:, 0] * m + pairs[:, 1])
-    return key // m, key % m
+    blocks = _pair_blocks(points, reach, group)
+    key = np.concatenate([np.empty(0, np.intp), *(k for k, _ in blocks)])
+    key.sort()
+    return key // len(points), key % len(points)
 
 
 @dataclass(frozen=True)
@@ -122,7 +242,7 @@ class PairFunction:
     @property
     def search_reach(self) -> float:
         """``reach`` with its rounding padding: every pair within reach lies within it."""
-        return self.reach * (1.0 + _REACH_PAD)
+        return _search_radius(self.reach)
 
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -136,8 +256,8 @@ class PairFunction:
         h runs only on the pairs within ``reach``, and pairs with a point
         outside ``window`` are dropped, as the indicators of f demand.  A
         non-finite value of h raises :class:`NumericalError`.  With
-        ``group``, one integer label per point, only pairs within a group
-        are listed.
+        ``group``, one nonnegative integer label per point, only pairs
+        within a group are listed.
         """
         pts = np.asarray(points, dtype=float)
         i, j = _close_pairs(pts, self.reach, group)
@@ -160,7 +280,8 @@ class PairFunction:
         """
         d = x - y
         d *= d
-        rows = np.flatnonzero(d[0] + d[1] <= self.search_reach ** 2)
+        radius = self.search_reach
+        rows = np.flatnonzero(d[0] + d[1] <= radius * radius)
         v = np.asarray(self.h(x[:, rows].T, y[:, rows].T), dtype=float)
         nonzero = np.flatnonzero(v)
         return rows[nonzero], v[nonzero]
@@ -250,8 +371,7 @@ def _grouped_sums(points: np.ndarray, counts: np.ndarray, f: PairFunction) -> Tw
     """
     groups = len(counts)
     group = np.repeat(np.arange(groups), counts)
-    # one pattern needs no label coordinate, and its tree is faster without
-    i, j, v = f.pairs(points, group if groups > 1 else None)
+    i, j, v = f.pairs(points, group)
     m = len(group)
     q_i = np.bincount(i, v, m) + np.bincount(j, v, m)
     r_i = np.bincount(i, v * v, m) + np.bincount(j, v * v, m)
@@ -286,10 +406,10 @@ def estimate_product_density(
         raise ParameterError("all radii must be positive and finite")
     if pattern.dim != 2:
         raise ParameterError("product density estimation expects a planar pattern")
-    pts = pattern.points
-    i, j = _close_pairs(pts, float(r_grid.max()) + kernel.bandwidth)
-    diff = pts[i] - pts[j]
-    pair_d = np.sqrt(np.sum(diff * diff, axis=-1))
+    blocks = [(np.empty(0, np.intp), np.empty(0)),
+              *_pair_blocks(pattern.points, float(r_grid.max()) + kernel.bandwidth)]
+    key = np.concatenate([k for k, _ in blocks])
+    pair_d = np.sqrt(np.concatenate([d2 for _, d2 in blocks])[np.argsort(key)])
     step = max(1, _PAIR_ENTRIES // max(len(pair_d), 1))
     # ordered pairs count each unordered pair twice
     sums = 2.0 * np.concatenate([kernel(r_grid[k:k + step, None] - pair_d[None, :]).sum(axis=1)

@@ -56,15 +56,41 @@ def interval_pattern(tmp_path, interval_window):
     return str(out)
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # conftest imports scipy.stats, so only a fresh interpreter shows what ppboot loads
+def test_import_and_pair_commands_leave_scipy_unloaded(tmp_path, planar_pattern, interval_pattern):
+    # conftest imports scipy, so only a fresh interpreter shows what ppboot loads:
+    # nothing of scipy until a band needs scipy.special, and never scipy.spatial
+    config = tmp_path / "variance.json"
+    config.write_text(json.dumps({
+        "experiment": "variance_comparison", "lambda": 20.0,
+        "window": {"x_min": 0.0, "x_max": 1.0, "y_min": 0.0, "y_max": 1.0},
+        "f_spec": "box:r=0.1,b=0.05", "scheme": "poissonized", "reps": 10,
+        "integration": {"method": "monte_carlo", "sample_count": 1000}, "seed": 3}))
+    commands = [
+        ["boot-var", "--input", planar_pattern, "--f-spec", "box:r=0.1,b=0.02"],
+        ["boot-var", "--input", planar_pattern, "--f-spec", "box:r=0.1,b=0.02", "--N", "50"],
+        ["pcf", "--input", planar_pattern, "--rmin", "0.01", "--rmax", "0.1", "--rsteps", "4",
+         "--bandwidth", "0.01"],
+        ["variance-comparison", "--config", str(config)],
+        ["ci-band", "--input", interval_pattern, "--h", "0.1", "--alpha", "0.1",
+         "--method", "exact"],
+    ]
+    code = ("import json, sys, ppboot, ppboot.cli\n"
+            "def scipy():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "loaded = [scipy()]\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert ppboot.cli.main(argv + ['--out', sys.argv[2]]) == 0\n"
+            "    loaded.append(scipy())\n"
+            "print(json.dumps(loaded))\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    code = ("import sys, ppboot, ppboot.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
-    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+    run = subprocess.run([sys.executable, "-c", code, json.dumps(commands), str(tmp_path / "out")],
+                         env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == "[]"
+    *before_band, after_band = json.loads(run.stdout)
+    assert before_band == [[]] * len(commands)
+    assert "scipy.special" in after_band
+    assert not any(m.startswith("scipy.spatial") for m in after_band)
 
 
 class TestSimulate:

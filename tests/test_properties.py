@@ -3,6 +3,7 @@
 Examples are derandomized and their number fixed, so every run checks the
 same cases.
 """
+import math
 from functools import partial
 from unittest import mock
 
@@ -35,8 +36,8 @@ from ppboot.intensity import (BAND_METHODS, _count_histogram, _min_t_threshold, 
                               coverage_experiment, window_counts)
 from ppboot.moments import s_moments_poisson
 from ppboot.rng import RngSeed
-from ppboot.twopoint import (KernelFunction, _grouped_sums, constant_pair_function,
-                             distinct_index_sums, kernel_pair_function)
+from ppboot.twopoint import (_REACH_PAD, KernelFunction, _close_pairs, _grouped_sums,
+                             constant_pair_function, distinct_index_sums, kernel_pair_function)
 
 from conftest import (brute_force_sums, drawn_weights, one_at_a_time, pair_values,
                       random_pattern, reference_min_t_threshold, stream_generators)
@@ -281,6 +282,64 @@ def test_limits_from_grouped_sums_equal_each_pattern_alone(stack, scheme):
     limits = _limit_from_sums(_grouped_sums(points, counts, f), counts, scheme)
     alone = [bootstrap_variance_limit(p, f, scheme) for p in split_patterns(points, counts, window)]
     assert limits.tolist() == alone
+
+
+# pair searches over stacked patterns of 0-12 points on [0, 1] or its square: on a
+# lattice of ``step`` (ties at the reach, equal coordinates on cell edges, points on
+# the edges) or uniform with some coordinates on the edges; out to a lattice distance,
+# to one the padding rounds up to it, to a tiny reach, or past the span (the diagonal,
+# the sum of the spans, inf); with one label per pattern, so empty patterns skip labels
+pair_searches = st.fixed_dictionaries({
+    "counts": st.lists(st.integers(0, 12), min_size=1, max_size=4),
+    "dim": st.sampled_from([1, 2]),
+    "step": st.sampled_from([0.1, 0.125, 1 / 3, 0.25]),
+    "lattice": st.booleans(),
+    "reach": st.sampled_from([1.0, 1.0 / (1.0 + _REACH_PAD), math.sqrt(2.0), math.sqrt(5.0), 2.0,
+                              "tiny", "diagonal", "spans", "inf"]),
+    "grouped": st.booleans(),
+    "seed": st.integers(0, 2**32 - 1),
+})
+
+
+def brute_force_pairs(points, reach, group):
+    """(i, j), i < j, in row-major order: all pairs within the padded reach and one group."""
+    pts = points if points.ndim == 2 else points[:, None]
+    d = pts[:, None, :] - pts[None, :, :]
+    radius = reach * (1.0 + _REACH_PAD)
+    near = (d * d).sum(axis=-1) <= radius * radius
+    if group is not None:
+        near &= group[:, None] == group[None, :]
+    return np.nonzero(np.triu(near, 1))
+
+
+@settings(SETTINGS, max_examples=300)
+@given(case=pair_searches)
+@example(case={"counts": [0], "dim": 2, "step": 0.1, "lattice": True, "reach": 1.0,
+               "grouped": False, "seed": 0})
+@example(case={"counts": [1], "dim": 1, "step": 0.1, "lattice": False, "reach": "inf",
+               "grouped": True, "seed": 0})
+@example(case={"counts": [2], "dim": 2, "step": 0.25, "lattice": True, "reach": "diagonal",
+               "grouped": False, "seed": 1})
+@example(case={"counts": [5, 0, 0, 7], "dim": 2, "step": 1 / 3, "lattice": True,
+               "reach": 1.0 / (1.0 + _REACH_PAD), "grouped": True, "seed": 2})
+def test_close_pairs_equal_brute_force_distances(case):
+    counts, dim, step = case["counts"], case["dim"], case["step"]
+    rng = np.random.default_rng(case["seed"])
+    n = sum(counts)
+    if case["lattice"]:
+        points = rng.integers(0, round(1.0 / step) + 1, (n, dim)) * step
+    else:
+        points = rng.uniform(0.0, 1.0, (n, dim))
+        points[rng.random((n, dim)) < 0.2] = 1.0
+        points[rng.random((n, dim)) < 0.2] = 0.0
+    if dim == 1:
+        points = points[:, 0]
+    named = {"tiny": 1e-7, "diagonal": math.sqrt(dim), "spans": float(dim), "inf": math.inf}
+    reach = named.get(case["reach"]) or case["reach"] * step
+    group = np.repeat(np.arange(len(counts)), counts) if case["grouped"] else None
+    got = _close_pairs(points, reach, group)
+    want = brute_force_pairs(points, reach, group)
+    assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
 
 
 # (chunk, draw entries, pair entries, resamples): the library's bounds, under which

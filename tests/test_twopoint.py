@@ -395,6 +395,46 @@ class TestSparsePairs:
         assert table[0, 1] == pytest.approx(q.sum() / (2 * np.pi * r), rel=1e-9)
 
 
+class TestPairSearch:
+    """``_close_pairs``: a cell list, walked in slices of ``_SCAN_ENTRIES`` candidates."""
+
+    def test_candidate_memory_is_one_slice(self):
+        # n = 20,000 at reach 0.05: 1.5M pairs from 2.2M candidates.  The search peaks
+        # near 1.1x (its output + one block of _PAIR_ENTRIES values); keeping every
+        # slice's squared distances too would peak near 1.7x, all candidates at once
+        # near 4.1x
+        pat = random_pattern(20_000, np.random.default_rng(48))
+        tracemalloc.start()
+        try:
+            i, j = _close_pairs(pat.points, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(i) > 1_400_000
+        assert peak < 1.5 * (i.nbytes + j.nbytes + 8 * twopoint._PAIR_ENTRIES)
+
+    @pytest.mark.parametrize("reach", [1e-4, 0.01, 0.05, 0.3, 2.0])
+    def test_pairs_equal_kd_tree_pairs(self, reach):
+        # scipy's k-d tree, an independent search, gives the same pair set
+        pat = random_pattern(1500, np.random.default_rng(50))
+        radius = reach * (1.0 + twopoint._REACH_PAD)
+        want = cKDTree(pat.points).query_pairs(radius, output_type="ndarray")
+        want = want[np.lexsort((want[:, 1], want[:, 0]))]
+        i, j = _close_pairs(pat.points, reach)
+        assert np.array_equal(np.column_stack([i, j]), want)
+
+    def test_slices_give_the_pairs_of_one_slice(self, monkeypatch):
+        pat = random_pattern(3000, np.random.default_rng(49))
+        radii, kernel = np.array([0.02, 0.05]), KernelFunction("epanechnikov", 0.01)
+        want = _close_pairs(pat.points, 0.06)
+        want_rho = estimate_product_density(pat, radii, kernel)
+        for block in (1, 777):
+            monkeypatch.setattr(twopoint, "_SCAN_ENTRIES", block)
+            got = _close_pairs(pat.points, 0.06)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), block
+            assert np.array_equal(estimate_product_density(pat, radii, kernel), want_rho), block
+
+
 def _rows_near_reach(reach: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     """(2, m) coordinate rows x, y: half uniform pairs, half at distances around ``reach``."""
     rng = np.random.default_rng(64)
