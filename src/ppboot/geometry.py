@@ -125,16 +125,30 @@ class PointPattern:
 
 
 def _first_repeat(rows: np.ndarray, grouped: bool = False) -> tuple[int, int] | None:
-    """(k, e): the smallest index k whose row equals an earlier row e; None if all differ."""
-    # a stable sort puts equal rows next to each other in index order (``grouped``
-    # rows are so already), so each adjacent equal pair's second index repeats an earlier row
-    order = np.arange(len(rows)) if grouped else np.lexsort(rows.T[::-1])
-    ordered = rows if grouped else rows[order]
-    repeats = np.flatnonzero(np.logical_and.reduce([c[1:] == c[:-1] for c in ordered.T]))
+    """(k, e): the smallest index k whose row equals an earlier row e; None if all differ.
+
+    Rows can be equal only where their first coordinates are, so one sort of the first
+    column narrows the search to the rows in a run of equal first coordinates; only those
+    are sorted by every column.  Points drawn from a continuous law leave none.
+    ``grouped`` rows, equal ones next to each other already, are not sorted at all.
+    """
+    at = order = np.arange(len(rows))  # the rows searched, and the order that sorts them
+    if not grouped:
+        by_x = np.argsort(rows[:, 0])
+        tied = rows[by_x[1:], 0] == rows[by_x[:-1], 0]
+        keep = np.zeros(len(rows), bool)
+        keep[by_x[1:][tied]] = True
+        keep[by_x[:-1][tied]] = True
+        at = np.flatnonzero(keep)
+        # a stable sort puts equal rows next to each other in index order (``grouped``
+        # rows are so already), so each adjacent equal pair's second index repeats an earlier row
+        order = np.lexsort(rows[at].T[::-1])
+        rows = rows[at[order]]
+    repeats = np.flatnonzero(np.logical_and.reduce([c[1:] == c[:-1] for c in rows.T]))
     if not len(repeats):
         return None
     k = repeats[np.argmin(order[repeats + 1])]
-    return int(order[k + 1]), int(order[k])
+    return int(at[order[k + 1]]), int(at[order[k]])
 
 
 def _check_replicates(points: np.ndarray, counts: np.ndarray, window: Window2 | Interval1,

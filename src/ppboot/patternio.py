@@ -1,7 +1,8 @@
 """Point pattern files: CSV point lists with a JSON window sidecar.
 
-The CSV has a header ``x`` (interval patterns) or ``x,y`` (planar
-patterns), one point per row.  The sidecar declares the window::
+Both files are UTF-8, with or without a byte-order mark.  The CSV has a
+header ``x`` (interval patterns) or ``x,y`` (planar patterns), one point
+per row.  The sidecar declares the window::
 
     {"window": {"x_min": 0.0, "x_max": 1.0, "y_min": 0.0, "y_max": 1.0}}
     {"window": {"lo": 0.0, "hi": 1.0}}
@@ -57,8 +58,8 @@ def parse_window(doc) -> Window2 | Interval1:
 def read_window(path: str | Path) -> Window2 | Interval1:
     """Parse a window sidecar JSON, an object whose ``window`` key holds the window."""
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read window file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataError(f"window file {path} must hold a JSON object, got {type(doc).__name__}")
@@ -85,11 +86,11 @@ def ingest_pattern(csv_path: str | Path, window_path: str | Path | None = None) 
     window = read_window(window_path)
 
     try:
-        with open(csv_path, newline="") as fh:
+        with open(csv_path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             rows = list(reader)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read pattern file {csv_path}: {exc}") from exc
 
     expected = ["x", "y"] if isinstance(window, Window2) else ["x"]

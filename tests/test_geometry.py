@@ -1,10 +1,12 @@
 from fractions import Fraction
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from ppboot import geometry as geometry_module
 from ppboot.errors import DuplicatePointError, InvalidBoundError, OutOfWindowError, ParameterError
 from ppboot.geometry import (
     IntensityFunction,
@@ -146,6 +148,28 @@ class TestReplicateChecks:
         points = np.array([0.2, 0.5, 0.5, 0.6])
         _check_replicates(points, np.array([2, 2]), Interval1(0, 1), grouped=True)
         _check_replicates(points, np.array([2, 0, 2]), Interval1(0, 1), grouped=True)
+
+    def test_distinct_block_sorts_no_row_by_every_column(self):
+        # a block of 2^14 uniform points in 300 replicates: the one-column sort finds no
+        # two equal x, so the sort by every column sees no row.  A planted repeat brings
+        # its run of equal x, two rows, to that sort
+        rng = np.random.default_rng(39)
+        points, counts = rng.uniform(size=(1 << 14, 2)), np.full(300, (1 << 14) // 300)
+        counts[-1] += (1 << 14) - counts.sum()
+        sizes, full_sort = [], np.lexsort
+
+        def lexsort(keys):
+            sizes.append(np.shape(keys)[-1])
+            return full_sort(keys)
+
+        with mock.patch.object(geometry_module.np, "lexsort", lexsort):
+            _check_replicates(points, counts, unit_square())
+            PointPattern(points.copy(), unit_square())
+            assert sizes == [0, 0]
+            points[counts[0] + 7] = points[counts[0] + 2]
+            with pytest.raises(DuplicatePointError, match="point 7 of replicate 1 repeats its point 2;"):
+                _check_replicates(points, counts, unit_square())
+        assert sizes == [0, 0, 2]
 
     def test_out_of_window_point_named_by_replicate(self):
         pts = np.array([[0.5, 0.5], [0.2, 0.2], [1.5, 0.5], [2.0, 0.0]])

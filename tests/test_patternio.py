@@ -116,3 +116,27 @@ def test_parse_window_keeps_integer_and_float_bounds():
     assert parse_window({"lo": 0, "hi": 2.5}) == Interval1(0.0, 2.5)
     assert parse_window({"x_min": -1, "x_max": 1, "y_min": 0.0, "y_max": 3}) == \
         Window2(-1.0, 1.0, 0.0, 3.0)
+
+
+def test_pattern_file_with_byte_order_mark_read(tmp_path):
+    # spreadsheet tools export "CSV UTF-8" with a byte-order mark before the header
+    (tmp_path / "p.csv").write_bytes(b"\xef\xbb\xbfx,y\n0.1,0.2\n0.3,0.4\n")
+    write_window(unit_square(), tmp_path / "p.json")
+    assert np.array_equal(ingest_pattern(tmp_path / "p.csv").points, [[0.1, 0.2], [0.3, 0.4]])
+
+
+def test_window_sidecar_with_byte_order_mark_read(tmp_path):
+    (tmp_path / "p.csv").write_text("x\n0.25\n")
+    (tmp_path / "p.json").write_bytes(b'\xef\xbb\xbf{"window": {"lo": 0.0, "hi": 1.0}}\n')
+    assert read_window(tmp_path / "p.json") == Interval1(0.0, 1.0)
+    assert ingest_pattern(tmp_path / "p.csv").window == Interval1(0.0, 1.0)
+
+
+def test_files_that_are_not_utf8_refused_as_data_errors(tmp_path):
+    write_window(unit_square(), tmp_path / "p.json")
+    (tmp_path / "p.csv").write_bytes(b"x,y\n0.1,0.2\n\xff,0.4\n")
+    with pytest.raises(DataError, match="cannot read pattern file"):
+        ingest_pattern(tmp_path / "p.csv")
+    (tmp_path / "w.json").write_bytes(b'{"window": {"lo": 0.0, "hi": 1.0}} \xff\n')
+    with pytest.raises(DataError, match="cannot read window file"):
+        read_window(tmp_path / "w.json")

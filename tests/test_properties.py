@@ -31,6 +31,7 @@ from ppboot.geometry import (
     _simulate_inhomogeneous_block,
     constant_intensity,
     linear_intensity,
+    unit_square,
 )
 from ppboot.intensity import (BAND_METHODS, _count_histogram, _min_t_threshold, _window_ends,
                               coverage_experiment, window_counts)
@@ -151,35 +152,63 @@ def first_repeat_by_set(rows) -> tuple[int, int] | None:
 replicate_lists = st.lists(st.lists(st.integers(0, 5), max_size=6), min_size=1, max_size=6)
 
 
+# (x, y, label) rows whose x is one of a few values, -0.0 among them: rows with
+# equal x and a different y or label are common
+repeat_rows = st.lists(st.tuples(st.sampled_from([-0.0, 0.0, 1.0, 2.0]), st.integers(0, 3),
+                                 st.integers(0, 2)), max_size=12)
+
+
 @SETTINGS
-@given(rows=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=12),
-       width=st.integers(1, 2))
+@given(rows=repeat_rows, width=st.integers(1, 3))
+@example(rows=[(-0.0, 1, 0), (1.0, 1, 0), (0.0, 1, 0)], width=3)  # -0.0 and 0.0 coincide
+@example(rows=[(2.0, 3, 1), (1.0, 0, 0), (2.0, 3, 1), (2.0, 3, 1)], width=3)  # three equal rows
+@example(rows=[(1.0, 2, 0), (1.0, 2, 1), (1.0, 2, 2), (1.0, 2, 1)], width=3)  # (x, y) in 3 groups
+@example(rows=[(1.0, y, g) for g in range(2) for y in (3, 0, 2, 1)] + [(1.0, 2, 1)],
+         width=3)  # every row shares one x
 def test_first_repeat_agrees_with_a_set_search(rows, width):
-    rows = np.array(rows, dtype=float).reshape(len(rows), 2)[:, :width]
+    rows = np.array(rows, dtype=float).reshape(len(rows), 3)[:, :width]
     assert _first_repeat(rows) == first_repeat_by_set(rows)
     ordered = rows[np.lexsort(rows.T[::-1])]  # equal rows next to each other
     assert _first_repeat(ordered, grouped=True) == first_repeat_by_set(ordered)
 
 
-@SETTINGS
-@given(replicates=replicate_lists, start=starts)
-def test_check_replicates_names_the_global_replicate(replicates, start):
-    interval = Interval1(0.0, 1.0)
-    values = [sorted(v) for v in replicates]
-    points = np.array([0.1 * x for v in values for x in v])
-    counts = np.array([len(v) for v in values])
-    group = np.repeat(np.arange(len(values)), counts)
+def check_names_the_global_replicate(points, counts, window, start, groupings):
+    """``_check_replicates`` passes, or names the repeat that a set search finds first."""
+    group = np.repeat(np.arange(len(counts)), counts)
     expected = first_repeat_by_set(np.column_stack([points, group]))
-    for grouped in (True, False):
+    for grouped in groupings:
         if expected is None:
-            _check_replicates(points, counts, interval, grouped=grouped, first=start)
+            _check_replicates(points, counts, window, grouped=grouped, first=start)
             continue
         k, e = expected
         g = group[k]
         i, j = k - counts[:g].sum(), e - counts[:g].sum()
         with pytest.raises(DuplicatePointError,
                            match=rf"^point {i} of replicate {start + g} repeats its point {j};"):
-            _check_replicates(points, counts, interval, grouped=grouped, first=start)
+            _check_replicates(points, counts, window, grouped=grouped, first=start)
+
+
+@SETTINGS
+@given(replicates=replicate_lists, start=starts)
+def test_check_replicates_names_the_global_replicate(replicates, start):
+    values = [sorted(v) for v in replicates]
+    points = np.array([0.1 * x for v in values for x in v])
+    counts = np.array([len(v) for v in values])
+    check_names_the_global_replicate(points, counts, Interval1(0.0, 1.0), start, (True, False))
+
+
+# planar replicates of 0-6 points on a 3 x 4 lattice, so that equal x with a different y is
+# common; they are not sorted, so only the search that sorts applies
+planar_replicate_lists = st.lists(
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3)), max_size=6), min_size=1, max_size=6)
+
+
+@SETTINGS
+@given(replicates=planar_replicate_lists, start=starts)
+def test_check_replicates_names_the_global_replicate_in_the_plane(replicates, start):
+    points = 0.25 * np.array([p for v in replicates for p in v], dtype=float).reshape(-1, 2)
+    counts = np.array([len(v) for v in replicates])
+    check_names_the_global_replicate(points, counts, unit_square(), start, (False,))
 
 
 def with_repeat_at(draw, target):
